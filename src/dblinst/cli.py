@@ -140,12 +140,15 @@ def cmd_check_dopf(args):
 
 
 def cmd_migrate(args):
-    from .migration import migrate_lan, migrate_pullback, migrate_ran
+    from .migration import (MigrationContext, migrate_lan, migrate_pullback,
+                            migrate_ran)
     al = _load(args.along, {"model_morphism"})
     h = _load(args.file, {"instance"})
-    fn = {"delta": migrate_pullback, "sigma": migrate_lan,
-          "pi": migrate_ran}[args.mode]
-    return _write(args, fn(al, h, bound=_bound(args)))
+    if args.mode == "delta":
+        return _write(args, migrate_pullback(al, h))
+    ctx = MigrationContext(al, _bound(args), _max_hom_card(args))
+    fn = migrate_lan if args.mode == "sigma" else migrate_ran
+    return _write(args, fn(al, h, context=ctx))
 
 
 def cmd_factorize(args):

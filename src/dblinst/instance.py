@@ -231,8 +231,9 @@ def restrict_instance(al, h):
     """Restriction of an instance along a model morphism (substitution).
 
     Carriers over the source model are the pullbacks
-    (element of h over alpha(x), x); actions act on the first component
-    through alpha and carry the base element along.
+    (x, element of h over alpha(x)), named base element first; actions
+    act on the second component through alpha and carry the base
+    element along.
     """
     x, y = al.source, al.target
     assert h.model is y or h.model.on_objects == y.on_objects, \
@@ -240,29 +241,25 @@ def restrict_instance(al, h):
     t = x.theory
     carriers, labels, elems = {}, {}, {}
     for d in t.objects:
-        pairs = [(p, e) for p in h.carriers[d] for e in x.on_objects[d]
-                 if h.labels[d][p] == al.on_objects[d][e]]
-        carriers[d] = FiniteSet([pair_label(p, e) for p, e in pairs])
-        labels[d] = {pair_label(p, e): e for p, e in pairs}
-        elems[d] = {pair_label(p, e): (p, e) for p, e in pairs}
+        elems[d] = {pair_label(e, p): (e, p)
+                    for e in x.on_objects[d] for p in h.carriers[d]
+                    if h.labels[d][p] == al.on_objects[d][e]}
+        carriers[d] = FiniteSet(elems[d])
+        labels[d] = {lab: e for lab, (e, _) in elems[d].items()}
     tight_cells = {}
     for f, (s, d) in t.tight.items():
         tight_cells[f] = {
-            lab: pair_label(h.tight_cells[f][p], x.on_tight[f][e])
-            for lab, (p, e) in elems[s].items()}
+            lab: pair_label(x.on_tight[f][e], h.tight_cells[f][p])
+            for lab, (e, p) in elems[s].items()}
     actions = {}
     for m, (s, d) in t.loose.items():
-        table = {}
-        for p in h.carriers[s]:
-            for e in x.on_objects[s]:
-                if h.labels[s][p] != al.on_objects[s][e]:
-                    continue
-                lab = pair_label(p, e)
-                for xi in x.on_loose[m].apex:
-                    if x.on_loose[m].left[xi] != e:
-                        continue
-                    table[(lab, xi)] = pair_label(
-                        h.actions[m][(p, al.on_loose[m][xi])],
-                        x.on_loose[m].right[xi])
-        actions[m] = table
+        sp = x.on_loose[m]
+        apex_over = {}
+        for xi in sp.apex:
+            apex_over.setdefault(sp.left[xi], []).append(xi)
+        actions[m] = {
+            (lab, xi): pair_label(sp.right[xi],
+                                  h.actions[m][(p, al.on_loose[m][xi])])
+            for lab, (e, p) in elems[s].items()
+            for xi in apex_over.get(e, ())}
     return Instance(x, carriers, labels, tight_cells, actions)

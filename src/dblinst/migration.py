@@ -1,9 +1,9 @@
 """Data migration along model morphisms and comprehensive factorization.
 
-Migration routes instances through the closed collages: restriction is
-copresheaf precomposition, and the two Kan extensions are computed
-pointwise over comma categories (colimits as connected components via
-union-find, limits as compatible families).
+Restriction is computed directly on the instance tables.  The two Kan
+extensions route instances through the closed collages and are
+computed pointwise over comma categories (colimits as connected
+components via union-find, limits as compatible families).
 
 Comprehensive factorization splits a model morphism into an initial
 morphism followed by a discrete opfibration.  The discrete-opfibration
@@ -21,6 +21,7 @@ from .elements import elements
 from .errors import HomSetTooLarge, MiddleNotCartesian
 from .fincat import Copresheaf
 from .finset import FiniteSet, pair_label
+from .instance import restrict_instance
 from .model import ModelMorphism, compose_model_morphisms
 
 DEFAULT_MAX_HOM_CARD = 10000
@@ -191,18 +192,13 @@ class MigrationContext:
 
 
 def migrate_pullback(al, h, context=None, bound=8):
-    """Restriction of an instance along a model morphism, via copresheaf
-    precomposition on the closed collages."""
-    ctx = context or MigrationContext(al, bound)
-    cp = instance_to_copresheaf(h, ctx.closure_tgt)
-    fun = ctx.functor
-    pulled = Copresheaf(
-        fun.source,
-        {c: cp.on_objects[fun.on_objects[c]] for c in fun.source.objects},
-        {m: dict(cp.on_morphisms[fun.on_morphisms[m]])
-         for m in fun.source.morphisms})
-    assert not pulled.validate()
-    return copresheaf_to_instance(pulled, al.source, ctx.closure_src)
+    """Restriction of an instance along a model morphism.
+
+    Restriction needs no closed collage: it is ``restrict_instance``.
+    ``context`` and ``bound`` are accepted so that the three migrations
+    share one signature.
+    """
+    return restrict_instance(al, h)
 
 
 def migrate_lan(al, h, context=None, bound=8):

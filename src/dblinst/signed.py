@@ -37,10 +37,8 @@ def _model_from_closure(graph, closure):
     sign_of_edge = {name: sign for name, _, _, sign in graph.edges}
 
     def sign_of(name):
-        if name.startswith("id:"):
-            return +1
         out = +1
-        for g in name.split(";"):
+        for g in closure.rep_words[name][1]:
             out *= sign_of_edge[g]
         return out
 
@@ -142,15 +140,9 @@ def model_morphism_from_graph_map(source_model, target_model, vertex_map,
     tgt = target_model.word_closure
 
     def image(name):
-        if name.startswith("id:"):
-            return tgt.category.identity[vertex_map[name[3:]]]
-        word = []
-        start = None
-        for g in name.split(";"):
-            if start is None:
-                start = vertex_map[source_model.word_closure.generators[g][0]]
-            word.extend(edge_map[g])
-        return tgt.word_class(start, tuple(word))
+        src, gens = source_model.word_closure.rep_words[name]
+        word = tuple(h for g in gens for h in edge_map[g])
+        return tgt.word_class(vertex_map[src], word)
 
     tables = {"id:*": {}, "sigma": {}}
     for f in src_cat.morphisms:

@@ -1,14 +1,26 @@
-"""Bounded word closure for finitely presented categories.
+"""Bounded closure of finitely presented categories by coset enumeration.
 
-Words in the generators are enumerated breadth-first and identified by a
-ground congruence closure over the relation instances (union-find keyed
-by words, with substitution instances of the relations and one-step
-extension propagation).  Closure succeeds when a frontier stabilizes:
-every congruence class already has a representative shorter than the
-frontier length.  Class representatives are the length-lexicographically
-least words, generators ordered by declaration order, which makes all
-downstream tables deterministic.
+A Todd-Coxeter coset table (Carmody & Walters, "The Todd-Coxeter
+procedure and left Kan extensions", 1991) with one root per object: a
+node is a class of generator words out of its root, and its edges
+compose with one more generator.  Processing a node defines its
+out-edges, traces every relation starting at its object from it and
+identifies the two ends; identifying two nodes identifies their
+successors, so every identification follows from the relations.
+
+``bound`` caps normal-form length.  Level ``n`` is checked once every
+class whose least known word is at most ``n + 1`` long is processed, as
+relations traced there can still collapse classes of length ``n``.
+Closure succeeds at the first level with no class left, so every
+shortlex-least word is shorter than ``bound``.  More than
+``max_classes`` classes up to a level raise HomSetTooLarge; classes left
+at length ``bound`` raise HomSetNotFinite, also in the rare finite
+presentation that needs relations traced at longer words.  Classes are
+named by their shortlex-least words, found by a breadth-first search in
+generator declaration order, so all downstream tables are deterministic.
 """
+
+from collections import deque
 
 from .errors import HomSetNotFinite, HomSetTooLarge, IllFormedRelation
 from .fincat import FinCategory
@@ -24,24 +36,27 @@ class ClosedWordCategory:
         assert bound >= 1
         self.objects = list(objects)
         self.generators = dict(generators)
-        self._gen_order = {g: i for i, g in enumerate(generators)}
-        self._relations = [self._check_relation(r) for r in relations]
-        self._cap = bound + 2
-        self._max_classes = max_classes
-        self._parent = {}
-        self._words = set()
-        self._close(bound)
-        self._build()
+        self._out = {o: [] for o in self.objects}
+        for g, (s, _) in self.generators.items():
+            self._out.setdefault(s, []).append(g)
+        self._relations = {}
+        for r in relations:
+            src, _, w1, w2 = self._check_relation(r)
+            self._relations.setdefault(src, []).append((w1, w2))
+        self._target, self._edges, self._parent, self._done = [], [], [], []
+        self._root = {o: self._new(o) for o in self.objects}
+        self._build(self._close(bound, max_classes))
 
     # -- presentation sanity ------------------------------------------------
 
     def _check_relation(self, rel):
         src, dst, w1, w2 = rel
         for w in (w1, w2):
-            if self._path(src, tuple(w)) is None:
+            path = self._path(src, tuple(w))
+            if path is None:
                 raise IllFormedRelation(
                     "word {} does not start at {}".format(list(w), src))
-            if self._endpoint(src, tuple(w)) != dst:
+            if path[-1] != dst:
                 raise IllFormedRelation(
                     "relation words are not parallel at {}".format(list(w)))
         return (src, dst, tuple(w1), tuple(w2))
@@ -56,194 +71,128 @@ class ClosedWordCategory:
             path.append(info[1])
         return path
 
-    def _endpoint(self, src, gens):
-        path = self._path(src, gens)
-        return None if path is None else path[-1]
+    # -- coset table ----------------------------------------------------------
 
-    # -- union-find over words ----------------------------------------------
+    def _new(self, obj):
+        self._target.append(obj)
+        self._edges.append({})
+        self._parent.append(len(self._parent))
+        self._done.append(False)
+        return len(self._parent) - 1
 
-    def _order_key(self, word):
-        _, gens = word
-        return (len(gens), tuple(self._gen_order[g] for g in gens))
-
-    def _add(self, word):
-        if word in self._words:
-            return False
-        assert self._path(word[0], word[1]) is not None
-        self._words.add(word)
-        self._parent[word] = word
-        return True
-
-    def _find(self, word):
-        root = word
+    def _find(self, n):
+        root = n
         while self._parent[root] != root:
             root = self._parent[root]
-        while self._parent[word] != root:
-            self._parent[word], word = root, self._parent[word]
+        while self._parent[n] != root:
+            self._parent[n], n = root, self._parent[n]
         return root
 
-    def _union(self, a, b):
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return False
-        if self._order_key(rb) < self._order_key(ra):
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        return True
+    def _step(self, n, g):
+        """Successor of node ``n`` along ``g``, defined if missing."""
+        edges = self._edges[self._find(n)]
+        if g not in edges:
+            edges[g] = self._new(self.generators[g][1])
+        return self._find(edges[g])
 
-    # -- congruence saturation ----------------------------------------------
+    def _trace(self, n, word):
+        for g in word:
+            n = self._step(n, g)
+        return n
 
-    def _relation_pass(self):
-        changed = False
-        for word in list(self._words):
-            src, gens = word
-            path = self._path(src, gens)
-            for rs, _, w1, w2 in self._relations:
-                for needle, other in ((w1, w2), (w2, w1)):
-                    if not needle:
-                        continue
-                    n = len(needle)
-                    for i in range(len(gens) - n + 1):
-                        if path[i] != rs or gens[i:i + n] != needle:
-                            continue
-                        repl = (src, gens[:i] + other + gens[i + n:])
-                        if len(repl[1]) > self._cap:
-                            continue
-                        self._add(repl)
-                        changed |= self._union(word, repl)
-        return changed
+    def _identify(self, a, b):
+        pending = [(a, b)]
+        while pending:
+            a, b = sorted(map(self._find, pending.pop()))
+            if a == b:
+                continue
+            self._parent[b] = a
+            self._done[a] = self._done[a] or self._done[b]
+            edges = self._edges[a]
+            for g, m in self._edges[b].items():
+                if g in edges:
+                    pending.append((edges[g], m))
+                else:
+                    edges[g] = m
+            self._edges[b] = None
 
-    def _extension_pass(self):
-        changed = False
-        classes = {}
-        for w in self._words:
-            classes.setdefault(self._find(w), []).append(w)
-        for rep, members in classes.items():
-            for g, (gs, _) in self.generators.items():
-                # right extension by g
-                exts = [(m[0], m[1] + (g,)) for m in members
-                        if self._endpoint(*m) == gs]
-                known = [e for e in exts if e in self._words]
-                if known:
-                    seed = (rep[0], rep[1] + (g,))
-                    if self._endpoint(*rep) == gs and len(seed[1]) <= self._cap:
-                        self._add(seed)
-                        known.append(seed)
-                    for e in known[1:]:
-                        changed |= self._union(known[0], e)
-                # left extension by g
-                exts = [(gs, (g,) + m[1]) for m in members if m[0] == self.generators[g][1]]
-                known = [e for e in exts if e in self._words]
-                if known:
-                    if rep[0] == self.generators[g][1] and len(rep[1]) + 1 <= self._cap:
-                        seed = (gs, (g,) + rep[1])
-                        self._add(seed)
-                        known.append(seed)
-                    for e in known[1:]:
-                        changed |= self._union(known[0], e)
-        return changed
+    def _process(self, n):
+        obj = self._target[n]
+        for g in self._out[obj]:
+            self._step(n, g)
+        for w1, w2 in self._relations.get(obj, ()):
+            self._identify(self._trace(n, w1), self._trace(n, w2))
+        self._done[self._find(n)] = True
 
-    def _saturate(self):
-        while True:
-            changed = self._relation_pass()
-            changed |= self._extension_pass()
-            if not changed:
-                break
+    def _least_words(self):
+        """Live nodes in shortlex order, each with its least known word."""
+        words = {}
+        for o, root in self._root.items():
+            queue = deque([self._find(root)])
+            words[queue[0]] = (o, ())
+            while queue:
+                n = queue.popleft()
+                src, gens = words[n]
+                edges = self._edges[n]
+                for g in self._out[self._target[n]]:
+                    if g in edges:
+                        m = self._find(edges[g])
+                        if m not in words:
+                            words[m] = (src, gens + (g,))
+                            queue.append(m)
+        return words
 
-    def _class_reps(self):
-        reps = {}
-        for w in self._words:
-            r = self._find(w)
-            if r not in reps or self._order_key(w) < self._order_key(reps[r]):
-                reps[r] = w
-        return reps
+    def _process_up_to(self, length):
+        """Process every class with a least known word up to ``length``."""
+        todo = True
+        while todo:
+            todo = [n for n, (_, gens) in self._least_words().items()
+                    if len(gens) <= length and not self._done[n]]
+            for n in todo:
+                if not self._done[self._find(n)]:
+                    self._process(n)
+        return self._least_words()
 
-    def _close(self, bound):
-        for o in self.objects:
-            self._add((o, ()))
-        for g, (s, _) in self.generators.items():
-            self._add((s, (g,)))
-        self._saturate()
-        stable = False
+    def _close(self, bound, max_classes):
         for length in range(1, bound + 1):
-            reps = self._class_reps()
-            if len(reps) > self._max_classes:
+            words = self._process_up_to(length)
+            known = sum(1 for _, gens in words.values() if len(gens) <= length)
+            if known > max_classes:
                 raise HomSetTooLarge(
-                    "{} congruence classes exceed cap".format(len(reps)))
-            if not any(len(r[1]) == length for r in reps.values()):
-                stable = True
-                break
-            if length == bound:
-                raise HomSetNotFinite(
-                    "new morphism classes still appear at word length {}".format(bound))
-            for rep in reps.values():
-                end = self._endpoint(*rep)
-                for g, (gs, _) in self.generators.items():
-                    if gs == end and len(rep[1]) + 1 <= self._cap:
-                        self._add((rep[0], rep[1] + (g,)))
-            self._saturate()
-        assert stable
-        # guard: one more extension round must not create classes
-        before = len(self._class_reps())
-        for rep in list(self._class_reps().values()):
-            end = self._endpoint(*rep)
-            for g, (gs, _) in self.generators.items():
-                if gs == end and len(rep[1]) + 1 <= self._cap:
-                    self._add((rep[0], rep[1] + (g,)))
-        self._saturate()
-        if len(self._class_reps()) != before:
-            raise HomSetNotFinite("closure frontier failed to stabilize")
+                    "{} congruence classes exceed cap".format(known))
+            words = self._process_up_to(length + 1)
+            if not any(len(gens) == length for _, gens in words.values()):
+                return words
+        raise HomSetNotFinite(
+            "new morphism classes still appear at word length {}".format(bound))
 
     # -- explicit category ---------------------------------------------------
 
-    def _name_of(self, rep):
-        src, gens = rep
-        return "id:{}".format(src) if not gens else _WORD_SEP.join(gens)
-
-    def _build(self):
-        reps = self._class_reps()
-        self._rep_of_root = dict(reps)
+    def _build(self, words):
         names, identity = {}, {}
-        self._name_of_root = {}
+        self._name = {}
         self.rep_words = {}   # morphism name -> (src, generator word)
-        for root, rep in reps.items():
-            name = self._name_of(rep)
+        by_src = {o: [] for o in self.objects}
+        for n, (src, gens) in words.items():
+            name = "id:{}".format(src) if not gens else _WORD_SEP.join(gens)
             assert name not in names, "ambiguous generator naming"
-            names[name] = (rep[0], self._endpoint(*rep))
-            self._name_of_root[root] = name
-            self.rep_words[name] = rep
-            if not rep[1]:
-                identity[rep[0]] = name
+            names[name] = (src, self._target[n])
+            self._name[n] = name
+            self.rep_words[name] = (src, gens)
+            by_src[src].append(n)
+            if not gens:
+                identity[src] = name
         comp = {}
-        for r1, rep1 in reps.items():
-            for r2, rep2 in reps.items():
-                if self._endpoint(*rep1) != rep2[0]:
-                    continue
-                comp[(self._name_of_root[r1], self._name_of_root[r2])] = \
-                    self._fold_name(rep1[0], rep1[1] + rep2[1])
+        for n1, name1 in self._name.items():
+            for n2 in by_src.get(self._target[n1], ()):
+                comp[(name1, self._name[n2])] = \
+                    self._name[self._trace(n1, words[n2][1])]
         self.category = FinCategory(self.objects, names, identity, comp)
         if len(names) <= 120:
             problems = self.category.validate()
             assert not problems, "closure produced a non-category: {}".format(problems)
 
-    def _fold_name(self, src, gens):
-        cur = (src, ())
-        for g in gens:
-            rep = self._rep_of_root[self._find(cur)]
-            ext = (rep[0], rep[1] + (g,))
-            if ext not in self._words:
-                self._add(ext)
-                self._saturate()
-                # a genuinely new class here would contradict stabilization
-                self._rep_of_root = dict(self._class_reps())
-            cur = ext
-        root = self._find(cur)
-        name = self._name_of_root.get(root)
-        if name is None:
-            raise HomSetNotFinite("word escaped the stabilized closure")
-        return name
-
     def word_class(self, src, gens):
         """Morphism name of a generator word starting at ``src``."""
         assert self._path(src, tuple(gens)) is not None, "word not composable"
-        return self._fold_name(src, tuple(gens))
+        return self._name[self._trace(self._root[src], gens)]

@@ -151,3 +151,41 @@ def test_unknown_verb_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-verb"])
     assert exc.value.code == 2
+
+
+@pytest.fixture()
+def fold_migration(tmp_path):
+    """A fold of walking-loose models and the tautological instances of
+    its source and target, saved as documents."""
+    from dblinst.fixtures import tautological_instance, walking_loose_model
+    from dblinst.model import enumerate_model_morphisms
+    x = walking_loose_model(["a0", "a1"], ["b0"],
+                            [("h0", "a0", "b0"), ("h1", "a1", "b0")])
+    y = walking_loose_model(["a"], ["b"], [("h", "a", "b")])
+    al = enumerate_model_morphisms(x, y)[0]
+    paths = {}
+    for name, obj in (("along", al), ("hx", tautological_instance(x)),
+                      ("hy", tautological_instance(y))):
+        paths[name] = str(tmp_path / (name + ".json"))
+        save_document(document_of(obj), paths[name])
+    return paths
+
+
+def test_migrate_modes_write_instances(fold_migration, capsys):
+    p = fold_migration
+    for mode, doc in (("delta", p["hy"]), ("sigma", p["hx"]),
+                      ("pi", p["hx"])):
+        code, out, _ = run(capsys, "migrate", doc, "--mode", mode,
+                           "--along", p["along"], "--bound", "4")
+        assert code == 0 and json.loads(out)["kind"] == "instance"
+
+
+def test_max_hom_card_env_caps_migration(fold_migration, capsys,
+                                         monkeypatch):
+    p = fold_migration
+    monkeypatch.setenv("DBLINST_MAX_HOM_CARD", "1")
+    code, _, err = run(capsys, "migrate", p["hx"], "--mode", "sigma",
+                       "--along", p["along"], "--bound", "4")
+    assert code == 2
+    assert err.startswith("error: left extension at ")
+    assert "raw elements" in err

@@ -3,12 +3,13 @@ import pytest
 from dblinst.errors import HomSetTooLarge
 from dblinst.fincat import Copresheaf, FinFunctor
 from dblinst.finset import FiniteSet
-from dblinst.fixtures import (chain_category, dopf_corpus_over,
-                              tautological_instance, walking_loose_model,
+from dblinst.collage import copresheaf_to_instance, instance_to_copresheaf
+from dblinst.fixtures import (chain_category, coproduct_instance,
+                              cyclic_quotient_morphism, dopf_corpus_over,
+                              representable_instances, tautological_instance,
+                              walking_loose_model, walking_tight_model,
                               weighted_graph_instance, weighted_graph_schema)
-from dblinst.instance import (enumerate_instance_morphisms,
-                              find_instance_isomorphism, restrict_instance,
-                              validate_instance)
+from dblinst.instance import enumerate_instance_morphisms, validate_instance
 from dblinst.migration import (MigrationContext, check_initial,
                                comprehensive_factorize, kan_extend_left,
                                kan_extend_right, migrate_lan,
@@ -72,13 +73,45 @@ def _fold_morphism():
     return enumerate_model_morphisms(x, y)[0]
 
 
+def collage_restriction(al, h, bound=4):
+    """Reference restriction: precompose the copresheaf of ``h`` on the
+    closed target collage with the collage functor of ``al``."""
+    ctx = MigrationContext(al, bound)
+    cp = instance_to_copresheaf(h, ctx.closure_tgt)
+    fun = ctx.functor
+    pulled = Copresheaf(
+        fun.source,
+        {c: cp.on_objects[fun.on_objects[c]] for c in fun.source.objects},
+        {m: dict(cp.on_morphisms[fun.on_morphisms[m]])
+         for m in fun.source.morphisms})
+    assert pulled.validate() == []
+    return copresheaf_to_instance(pulled, al.source, ctx.closure_src)
+
+
+def instance_tables(h):
+    return h.carriers, h.labels, h.tight_cells, h.actions
+
+
+def _restriction_cases():
+    x = weighted_graph_schema()
+    to_terminal = enumerate_model_morphisms(x, terminal_model(x.theory))[0]
+    tight_fold = enumerate_model_morphisms(
+        walking_tight_model(["p", "q"], ["r"], {"p": "r", "q": "r"}),
+        walking_tight_model(["p"], ["r"], {"p": "r"}))[0]
+    for al in (_fold_morphism(), cyclic_quotient_morphism(), to_terminal,
+               tight_fold):
+        taut = tautological_instance(al.target)
+        for h in [taut, coproduct_instance(taut, taut)] + \
+                representable_instances(al.target, bound=4):
+            yield al, h
+
+
 def test_pullback_migration_matches_direct_restriction():
-    al = _fold_morphism()
-    hy = tautological_instance(al.target)
-    via_collage = migrate_pullback(al, hy, bound=4)
-    direct = restrict_instance(al, hy)
-    assert validate_instance(via_collage) == []
-    assert find_instance_isomorphism(via_collage, direct) is not None
+    for al, h in _restriction_cases():
+        pulled = migrate_pullback(al, h, bound=4)
+        assert validate_instance(pulled) == []
+        assert instance_tables(pulled) == \
+            instance_tables(collage_restriction(al, h))
 
 
 def test_migration_adjunction_hom_cardinalities():

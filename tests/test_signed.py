@@ -69,3 +69,15 @@ def test_graph_map_induces_model_morphism():
                                         {"u": "z", "v": "z"},
                                         {"a": ("q",), "p": ("q",)})
     assert validate_model_morphism(mor) == []
+
+
+def test_edge_names_may_contain_the_word_separator():
+    g = SignedGraph(["a", "b", "c"],
+                    [("e;1", "a", "b", -1), ("f", "b", "c", -1)])
+    x = free_signed_category(g, 4)
+    assert validate_model(x) == []
+    assert x.arrow_sign["e;1"] == -1
+    assert x.arrow_sign[x.word_closure.word_class("a", ("e;1", "f"))] == +1
+    mor = model_morphism_from_graph_map(x, x, {v: v for v in g.vertices},
+                                        {"e;1": ("e;1",), "f": ("f",)})
+    assert validate_model_morphism(mor) == []

@@ -59,3 +59,34 @@ def test_representatives_are_shortlex_deterministic():
     rel = [("a", "a", ("f", "f"), ()), ("a", "a", ("g",), ("f",))]
     cl = ClosedWordCategory(["a"], gens, rel, 8)
     assert sorted(cl.category.morphisms) == ["f", "id:a"]
+
+
+def test_closure_satisfies_every_relation():
+    # r^3 = 1 and r^2 = 1 force r = r^3 = 1
+    gens = {"r": ("*", "*")}
+    rel = [("*", "*", ("r", "r", "r"), ()), ("*", "*", ("r", "r"), ())]
+    cl = ClosedWordCategory(["*"], gens, rel, 4)
+    assert sorted(cl.category.morphisms) == ["id:*"]
+    assert cl.word_class("*", ("r",)) == "id:*"
+
+
+def test_identifications_through_identity_generators():
+    # g = 1 turns f;g;f = 1 into f;f = 1
+    gens = {"f": ("*", "*"), "g": ("*", "*")}
+    rel = [("*", "*", ("g",), ()), ("*", "*", ("f", "g", "f"), ())]
+    cl = ClosedWordCategory(["*"], gens, rel, 5)
+    assert sorted(cl.category.morphisms) == ["f", "id:*"]
+    assert cl.category.compose("f", "f") == "id:*"
+
+
+def test_relations_are_traced_past_the_checked_level():
+    gens = {"a": ("*", "*"), "b": ("*", "*")}
+    presentations = [
+        # b = 1 and b = a;b give a = 1 once b = 1 is traced from a
+        [("*", "*", ("b",), ("a", "b")), ("*", "*", ("b",), ())],
+        # a;b = b traced from a gives a;a;b = b, so b = 1 and then a = 1
+        [("*", "*", ("a", "b"), ("b",)), ("*", "*", ("a", "a", "b"), ())],
+    ]
+    for rel in presentations:
+        cl = ClosedWordCategory(["*"], gens, rel, 1)
+        assert sorted(cl.category.morphisms) == ["id:*"]
