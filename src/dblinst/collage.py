@@ -133,23 +133,28 @@ def instance_to_copresheaf(h, closure):
             on_objects[collage_object(d, e)] = FiniteSet(fiber)
             fibers[collage_object(d, e)] = fiber
 
-    def gen_table(gen, at):
-        kind = gen[0]
-        inner = gen[2:-1]
-        name, elem = inner.split("@", 1)
-        if kind == "t":
-            return {p: h.tight_cells[name][p] for p in fibers[at]}
-        return {p: h.actions[name][(p, elem)] for p in fibers[at]}
+    # one table per generator, built with the loops of collage_of_model
+    steps = {}
+    tight_ids = set(t.tight_id.values())
+    for f, (s, _) in t.tight.items():
+        if f in tight_ids:
+            continue
+        for e in x.on_objects[s]:
+            steps[tight_gen(f, e)] = h.tight_cells[f]
+    for m, (s, _) in t.loose.items():
+        sp = x.on_loose[m]
+        for xi in sp.apex:
+            steps[het_gen(m, xi)] = {
+                p: h.actions[m][(p, xi)]
+                for p in fibers[collage_object(s, sp.left[xi])]}
 
     on_morphisms = {}
     for mor, (s, d) in cat.morphisms.items():
         src, word = closure.rep_words[mor]
         table = {p: p for p in fibers[s]}
-        at = s
         for g in word:
-            step = gen_table(g, at)
+            step = steps[g]
             table = {p: step[v] for p, v in table.items()}
-            at = closure.generators[g][1]
         on_morphisms[mor] = table
     return Copresheaf(cat, on_objects, on_morphisms)
 

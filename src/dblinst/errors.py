@@ -38,8 +38,16 @@ class NoExtension(DblinstError):
     """Object components do not extend to a morphism of discrete opfibrations."""
 
 
+class NotCartesian(DblinstError):
+    """An endpoint of a cartesian factorization is not a cartesian model."""
+
+
 class MiddleNotCartesian(DblinstError):
     """The middle object of a cartesian factorization failed cartesianness."""
+
+
+class SquareNotCommutative(DblinstError):
+    """A lifting problem was posed on a square that does not commute."""
 
 
 class MarkedSquareNotPullback(DblinstError):

@@ -2,23 +2,27 @@
 
 Restriction is computed directly on the instance tables.  The two Kan
 extensions route instances through the closed collages and are
-computed pointwise over comma categories (colimits as connected
-components via union-find, limits as compatible families).
+computed pointwise: the right extension as compatible families, the
+left extension as a presented copresheaf on the target collage.
 
 Comprehensive factorization splits a model morphism into an initial
 morphism followed by a discrete opfibration.  The discrete-opfibration
-reflection is evaluated from a presented copresheaf: one generator per
-upstairs element, with relations identifying the pushforwards of
-upstairs tight arrows and heteromorphisms.
+reflection is a presented copresheaf too: one generator per upstairs
+element, with relations identifying the pushforwards of upstairs tight
+arrows and heteromorphisms; it closes only the target collage.  Both
+presented copresheaves are evaluated by one routine on the explicit
+target category.
 """
 
 import itertools
+from collections import Counter
 
 from .collage import (close_presented_category, collage_object,
                       collage_of_model, collage_of_morphism, copresheaf_to_instance,
                       het_gen, instance_to_copresheaf, tight_gen)
 from .elements import elements
-from .errors import HomSetTooLarge, MiddleNotCartesian
+from .errors import (HomSetTooLarge, MiddleNotCartesian, NotCartesian,
+                     NotDiscreteOpfibration, SquareNotCommutative)
 from .fincat import Copresheaf
 from .finset import FiniteSet, pair_label
 from .instance import restrict_instance
@@ -31,72 +35,84 @@ DEFAULT_MAX_HOM_CARD = 10000
 # pointwise Kan extensions of copresheaves along a functor
 # ---------------------------------------------------------------------------
 
-def _uf_find(parent, a):
-    root = a
-    while parent[root] != root:
-        root = parent[root]
-    while parent[a] != root:
-        parent[a], a = root, parent[a]
-    return root
+def _evaluate_presented(cat, generators, relations, name, key=None):
+    """Evaluate a presented copresheaf on an explicit finite category.
 
+    ``generators`` maps each generator to the object it sits over, and a
+    relation ``(g1, w, g2)`` says that ``g1`` acted on by the morphism
+    ``w`` is ``g2``.  The value at an object c is the set of pairs
+    (g, m), with m a morphism from the location of g to c, modulo the
+    congruence the relations generate: (g1, w;h) ~ (g2, h) for every h
+    out of the target of w.  A morphism h acts by (g, m) -> (g, m;h).
 
-def _uf_union(parent, a, b):
-    ra, rb = _uf_find(parent, a), _uf_find(parent, b)
-    if ra != rb:
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
+    Each class is named ``name(g, m)`` after its least member under
+    ``key``.  Returns the copresheaf and the naming of pairs.
+    """
+    out_of = {c: [] for c in cat.objects}
+    for mor, (s, _) in cat.morphisms.items():
+        out_of[s].append(mor)
+    parent = {(g, mor): (g, mor)
+              for g, loc in generators.items() for mor in out_of[loc]}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for g1, w, g2 in relations:
+        for h in out_of[cat.dst(w)]:
+            a, b = find((g1, cat.comp[(w, h)])), find((g2, h))
+            if a != b:
+                a, b = sorted((a, b), key=key)
+                parent[b] = a
+
+    def label(p):
+        return name(*find(p))
+
+    rep_of = {c: {} for c in cat.objects}
+    for p, up in parent.items():
+        if p == up:
+            rep_of[cat.dst(p[1])][name(*p)] = p
+    on_objects = {c: FiniteSet(reps) for c, reps in rep_of.items()}
+    on_morphisms = {h: {lab: label((g, cat.comp[(mor, h)]))
+                        for lab, (g, mor) in rep_of[hs].items()}
+                    for h, (hs, _) in cat.morphisms.items()}
+    out = Copresheaf(cat, on_objects, on_morphisms)
+    assert not out.validate()
+    return out, label
 
 
 def kan_extend_left(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
     """Pointwise left Kan extension of a copresheaf along a functor.
 
-    The value at an object d is the colimit over the comma category of
-    arrows into d from the image: triples (c, g: Fc -> d, value in cp(c))
-    identified whenever an arrow of the source category carries one
-    triple to another.  Computed as connected components via union-find.
+    The extension is the copresheaf on the target category presented by
+    one generator (c, v) over Fc for every value v in cp(c), with the
+    relation (c, v)·Fu = (c', u·v) for every source arrow u: c -> c'.
+    Its value at d is the colimit over the comma category of arrows
+    into d from the image: the triples (c, g: Fc -> d, v) modulo the
+    congruence the relations generate.  Each class is named
+    ``[c|g|v]`` after its least triple.  More than ``max_hom_card``
+    triples at one object raise ``HomSetTooLarge``.
     """
     c_cat, d_cat = fun.source, fun.target
-    parents = {}
+    generators = {(c, v): fun.on_objects[c]
+                  for c in c_cat.objects for v in cp.on_objects[c]}
+    over = Counter(generators.values())
+    raw = dict.fromkeys(d_cat.objects, 0)
+    for gs, gd in d_cat.morphisms.values():
+        raw[gd] += over[gs]
     for d in d_cat.objects:
-        triples = [(c, g, v) for c in c_cat.objects
-                   for g, (gs, gd) in d_cat.morphisms.items()
-                   if gs == fun.on_objects[c] and gd == d
-                   for v in cp.on_objects[c]]
-        if len(triples) > max_hom_card:
+        if raw[d] > max_hom_card:
             raise HomSetTooLarge(
-                "left extension at {} has {} raw elements".format(d, len(triples)))
-        parent = {tr: tr for tr in triples}
-        for u, (us, ud) in c_cat.morphisms.items():
-            fu = fun.on_morphisms[u]
-            for g2, (g2s, g2d) in d_cat.morphisms.items():
-                if g2s != fun.on_objects[ud] or g2d != d:
-                    continue
-                g1 = d_cat.comp[(fu, g2)]
-                for v in cp.on_objects[us]:
-                    _uf_union(parent, (us, g1, v),
-                              (ud, g2, cp.on_morphisms[u][v]))
-        parents[d] = parent
-
-    def label(d, tr):
-        root = _uf_find(parents[d], tr)
-        return "[{}|{}|{}]".format(*root)
-
-    on_objects = {d: FiniteSet(sorted({label(d, tr) for tr in parents[d]}))
-                  for d in d_cat.objects}
-    rep_of = {d: {} for d in d_cat.objects}
-    for d, parent in parents.items():
-        for tr in parent:
-            rep_of[d].setdefault(label(d, tr), tr)
-    on_morphisms = {}
-    for h, (hs, hd) in d_cat.morphisms.items():
-        table = {}
-        for lab in on_objects[hs]:
-            c, g, v = rep_of[hs][lab]
-            table[lab] = label(hd, (c, d_cat.comp[(g, h)], v))
-        on_morphisms[h] = table
-    out = Copresheaf(d_cat, on_objects, on_morphisms)
-    assert not out.validate()
+                "left extension at {} has {} raw elements".format(d, raw[d]))
+    relations = [((us, v), fun.on_morphisms[u], (ud, cp.on_morphisms[u][v]))
+                 for u, (us, ud) in c_cat.morphisms.items()
+                 for v in cp.on_objects[us]]
+    out, _ = _evaluate_presented(
+        d_cat, generators, relations,
+        lambda g, mor: "[{}|{}|{}]".format(g[0], mor, g[1]),
+        key=lambda p: (p[0][0], p[1], p[0][1]))
     return out
 
 
@@ -245,10 +261,6 @@ def reflect_into_dopf(f, bound=8):
         for e in x.on_objects[d]:
             location[(d, e)] = collage_object(d, f.on_objects[d][e])
 
-    pairs = [(g, mor) for g, loc in location.items()
-             for mor, (ms, _) in cat.morphisms.items() if ms == loc]
-    parent = {p: p for p in pairs}
-
     base = []
     for u, (s, d) in t.tight.items():
         if u in tight_ids:
@@ -264,37 +276,9 @@ def reflect_into_dopf(f, bound=8):
             w = closure.word_class(location[(s, e)],
                                    (het_gen(m, f.on_loose[m][xi]),))
             base.append(((s, e), w, (d, sp.right[xi])))
-    # close each generating identification under post-composition
-    for g1, w, g2 in base:
-        tgt = cat.dst(w)
-        for h, (hs, _) in cat.morphisms.items():
-            if hs != tgt:
-                continue
-            _uf_union(parent, (g1, cat.comp[(w, h)]), (g2, h))
-
-    def label(p):
-        (d, e), mor = _uf_find(parent, p)
-        return "[{}.{}|{}]".format(d, e, mor)
-
-    by_object = {c: [] for c in cat.objects}
-    for p in pairs:
-        by_object[cat.dst(p[1])].append(p)
-    rep_of = {}
-    on_objects = {}
-    for c, ps in by_object.items():
-        labs = sorted({label(p) for p in ps})
-        on_objects[c] = FiniteSet(labs)
-        for p in ps:
-            rep_of.setdefault(label(p), p)
-    on_morphisms = {}
-    for h, (hs, hd) in cat.morphisms.items():
-        table = {}
-        for lab in on_objects[hs]:
-            g, mor = rep_of[lab]
-            table[lab] = label((g, cat.comp[(mor, h)]))
-        on_morphisms[h] = table
-    cp = Copresheaf(cat, on_objects, on_morphisms)
-    assert not cp.validate()
+    cp, label = _evaluate_presented(
+        cat, location, base,
+        lambda g, mor: "[{}.{}|{}]".format(g[0], g[1], mor))
     inst = copresheaf_to_instance(cp, b, closure)
 
     gen_class = {}
@@ -347,8 +331,11 @@ def cartesian_factorize(f, bound=8):
     certified cartesian after the fact.
     """
     from .cartesian import validate_cartesian_model
-    assert not validate_cartesian_model(f.source)
-    assert not validate_cartesian_model(f.target)
+    for side, model in (("source", f.source), ("target", f.target)):
+        report = validate_cartesian_model(model)
+        if report:
+            raise NotCartesian("{} is not cartesian: {}".format(
+                side, "; ".join(report[:3])))
     fac = comprehensive_factorize(f, bound)
     report = validate_cartesian_model(fac.middle)
     if report:
@@ -370,8 +357,10 @@ class LiftingProblem:
         self.right = right        # q : A -> B
         self.top = top            # u : X -> A
         self.bottom = bottom      # v : E -> B
-        assert compose_model_morphisms(left, bottom) == \
-            compose_model_morphisms(top, right)
+        if compose_model_morphisms(left, bottom) != \
+                compose_model_morphisms(top, right):
+            raise SquareNotCommutative(
+                "square against {} does not commute".format(right))
 
     def fillers(self):
         from .model import enumerate_model_morphisms
@@ -393,8 +382,12 @@ def check_initial(e, dopf_corpus):
     from .elements import is_discrete_opfibration
     from .model import enumerate_model_morphisms
     report = []
-    for q in dopf_corpus:
-        assert is_discrete_opfibration(q).ok, "corpus entry is not certified"
+    for i, q in enumerate(dopf_corpus):
+        check = is_discrete_opfibration(q)
+        if not check.ok:
+            raise NotDiscreteOpfibration(
+                "corpus entry {} is not a discrete opfibration; "
+                "counterexample {}".format(i, check.counterexample))
         tops = enumerate_model_morphisms(e.source, q.source)
         bottoms = enumerate_model_morphisms(e.target, q.target)
         for u, v in itertools.product(tops, bottoms):

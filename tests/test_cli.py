@@ -189,3 +189,17 @@ def test_max_hom_card_env_caps_migration(fold_migration, capsys,
     assert code == 2
     assert err.startswith("error: left extension at ")
     assert "raw elements" in err
+
+
+def test_cartesian_factorize_names_the_non_cartesian_endpoint(tmp_path,
+                                                              capsys):
+    from dblinst.fixtures import weighted_graph_schema
+    from dblinst.model import enumerate_model_morphisms, terminal_model
+    x = weighted_graph_schema()
+    f = enumerate_model_morphisms(x, terminal_model(x.theory))[0]
+    fpath = tmp_path / "to_terminal.json"
+    save_document(document_of(f), fpath)
+    code, _, err = run(capsys, "factorize", str(fpath), "--cartesian",
+                       "--bound", "4", "-o", str(tmp_path / "fac"))
+    assert code == 2
+    assert err.startswith("error: source is not cartesian: theory carries ")

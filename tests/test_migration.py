@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from dblinst.errors import HomSetTooLarge
+import dblinst
+from dblinst.errors import (HomSetTooLarge, NotCartesian,
+                            NotDiscreteOpfibration, SquareNotCommutative)
 from dblinst.fincat import Copresheaf, FinFunctor
 from dblinst.finset import FiniteSet
 from dblinst.collage import copresheaf_to_instance, instance_to_copresheaf
@@ -10,12 +16,14 @@ from dblinst.fixtures import (chain_category, coproduct_instance,
                               walking_loose_model, walking_tight_model,
                               weighted_graph_instance, weighted_graph_schema)
 from dblinst.instance import enumerate_instance_morphisms, validate_instance
-from dblinst.migration import (MigrationContext, check_initial,
+from dblinst.migration import (LiftingProblem, MigrationContext,
+                               cartesian_factorize, check_initial,
                                comprehensive_factorize, kan_extend_left,
                                kan_extend_right, migrate_lan,
                                migrate_pullback, migrate_ran)
-from dblinst.model import (enumerate_model_morphisms, terminal_model,
-                           validate_model_morphism)
+from dblinst.model import (enumerate_model_morphisms, identity_morphism,
+                           terminal_model, validate_model_morphism)
+from dblinst.serialize import document_of, object_of
 from dblinst.elements import is_discrete_opfibration
 
 
@@ -177,3 +185,81 @@ def test_classical_degeneration_counts_comma_components():
     fac = comprehensive_factorize(f, bound=4)
     # the comma category over the unique object is connected
     assert len(fac.middle.on_objects["*"]) == 1
+
+
+def _renamed(doc, old, new):
+    """A document with the arrow ``old`` renamed to ``new``: exact
+    occurrences, and inside collage generator names ``t{old@x}`` and
+    ``h{old@x}``."""
+    if isinstance(doc, dict):
+        return {_renamed(k, old, new): _renamed(v, old, new)
+                for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_renamed(v, old, new) for v in doc]
+    if doc == old:
+        return new
+    if isinstance(doc, str):
+        return doc.replace("{" + old + "@", "{" + new + "@")
+    return doc
+
+
+def test_arrow_names_may_contain_the_generator_separator():
+    tight_fold = enumerate_model_morphisms(
+        walking_tight_model(["p", "q"], ["r"], {"p": "r", "q": "r"}),
+        walking_tight_model(["p"], ["r"], {"p": "r"}))[0]
+    for al, old in ((_fold_morphism(), "l"), (tight_fold, "t")):
+        renamed = object_of(_renamed(document_of(al), old, old + "@1"))
+        for migrate in (migrate_lan, migrate_ran):
+            expected = migrate(al, tautological_instance(al.source), bound=4)
+            got = migrate(renamed, tautological_instance(renamed.source),
+                          bound=4)
+            assert validate_instance(got) == []
+            assert document_of(got) == \
+                _renamed(document_of(expected), old, old + "@1")
+
+
+def _weighted_graph_unit():
+    x = weighted_graph_schema()
+    f = enumerate_model_morphisms(x, terminal_model(x.theory))[0]
+    return f, comprehensive_factorize(f, bound=4).initial
+
+
+def test_check_initial_rejects_an_uncertified_corpus_entry():
+    f, unit = _weighted_graph_unit()
+    assert not is_discrete_opfibration(f).ok
+    with pytest.raises(NotDiscreteOpfibration):
+        check_initial(unit, [f])
+
+
+def test_check_initial_rejects_uncertified_entries_without_asserts():
+    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
+    paths = [package_root, os.path.dirname(os.path.abspath(__file__)),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = ("from test_migration import _weighted_graph_unit\n"
+            "from dblinst.errors import NotDiscreteOpfibration\n"
+            "from dblinst.migration import check_initial\n"
+            "f, unit = _weighted_graph_unit()\n"
+            "try:\n"
+            "    print(check_initial(unit, [f]))\n"
+            "except NotDiscreteOpfibration as e:\n"
+            "    print('raised', e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.startswith("raised corpus entry ")
+
+
+def test_cartesian_factorization_rejects_non_cartesian_endpoints():
+    f, _ = _weighted_graph_unit()
+    with pytest.raises(NotCartesian,
+                       match="^source is not cartesian: theory carries no "):
+        cartesian_factorize(f, bound=4)
+
+
+def test_lifting_problem_rejects_a_square_that_does_not_commute():
+    x = _fold_morphism().source
+    one = identity_morphism(x)
+    u = next(u for u in enumerate_model_morphisms(x, x) if u != one)
+    with pytest.raises(SquareNotCommutative):
+        LiftingProblem(one, one, u, one)

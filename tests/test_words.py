@@ -90,3 +90,29 @@ def test_relations_are_traced_past_the_checked_level():
     for rel in presentations:
         cl = ClosedWordCategory(["*"], gens, rel, 1)
         assert sorted(cl.category.morphisms) == ["id:*"]
+
+
+# One object, four generators: every normal form has length at most 1,
+# but the identification that shows it only follows from relations
+# traced at longer words.
+LATE_IDENTIFICATION = (
+    ["o"], {g: ("o", "o") for g in ("g0", "g1", "g2", "g3")},
+    [("o", "o", ("g1", "g2", "g0"), ()),
+     ("o", "o", ("g0", "g2"), ("g0", "g3")),
+     ("o", "o", ("g1", "g1", "g3"), ("g1", "g2")),
+     ("o", "o", ("g3",), ("g3", "g3", "g3"))])
+
+
+def test_late_identification_closes_at_bound_five():
+    cl = ClosedWordCategory(*LATE_IDENTIFICATION, 5)
+    assert sorted(cl.category.morphisms) == ["g0", "id:o"]
+    assert cl.category.validate() == []
+
+
+@pytest.mark.xfail(strict=True, raises=HomSetNotFinite,
+                   reason="known defect: the identification follows from "
+                          "relations traced at words more than one generator "
+                          "longer than the checked level")
+def test_late_identification_closes_at_bound_two():
+    cl = ClosedWordCategory(*LATE_IDENTIFICATION, 2)
+    assert sorted(cl.category.morphisms) == ["g0", "id:o"]
