@@ -17,6 +17,7 @@ import itertools
 from .finset import FiniteSet, Span, pair_label
 from .instance import Instance
 from .model import SpanModel
+from .search import solutions
 from .theories import map_blocks, p_arrow
 
 
@@ -385,48 +386,35 @@ def model_to_multicategory(x):
 
 
 def multicategories_isomorphic(mc1, mc2):
-    """Search for an isomorphism of truncated multicategories."""
+    """Whether two truncated multicategories are isomorphic.
+
+    One search variable per object and then per multimorphism of mc1.
+    All-different constraints make both maps injective, hence bijective
+    once the counts agree; types, identities and composites must
+    correspond.  The search stops at the first isomorphism.
+    """
     if sorted(map(mc1.arity, mc1.multimorphisms)) != \
             sorted(map(mc2.arity, mc2.multimorphisms)):
         return False
     if len(mc1.objects) != len(mc2.objects):
         return False
-    for obj_perm in itertools.permutations(mc2.objects):
-        ob = dict(zip(mc1.objects, obj_perm))
-        # match multimorphisms by translated type
-        slots = sorted(mc1.multimorphisms)
-        pools = []
-        for m in slots:
-            dom, cod = mc1.multimorphisms[m]
-            want = (tuple(ob[o] for o in dom), ob[cod])
-            pools.append([m2 for m2, ty in mc2.multimorphisms.items()
-                          if ty == want])
-
-        def extend(i, table, used):
-            if i == len(slots):
-                for o in mc1.objects:
-                    if table[mc1.identities[o]] != mc2.identities[ob[o]]:
-                        return None
-                for (outer, inners), res in mc1.comp.items():
-                    key = (table[outer], tuple(table[j] for j in inners))
-                    if mc2.comp.get(key) != table[res]:
-                        return None
-                return dict(table)
-            for cand in pools[i]:
-                if cand in used:
-                    continue
-                table[slots[i]] = cand
-                used.add(cand)
-                got = extend(i + 1, table, used)
-                if got is not None:
-                    return got
-                used.discard(cand)
-                del table[slots[i]]
-            return None
-
-        if extend(0, {}, set()) is not None:
-            return True
-    return False
+    obs = [("ob", o) for o in mc1.objects]
+    mms = [("mm", m) for m in sorted(mc1.multimorphisms)]
+    domains = [(v, mc2.objects) for v in obs]
+    domains += [(v, mc2.by_arity(mc1.arity(v[1]))) for v in mms]
+    constraints = [(group[:i + 1], lambda *vs: vs[-1] not in vs[:-1])
+                   for group in (obs, mms) for i in range(1, len(group))]
+    for m, (dom, cod) in mc1.multimorphisms.items():
+        constraints.append(
+            ([("ob", o) for o in dom + (cod,)] + [("mm", m)],
+             lambda *vs: mc2.multimorphisms[vs[-1]] == (vs[:-2], vs[-2])))
+    constraints += [((("ob", o), ("mm", i)),
+                     lambda p, q: mc2.identities[p] == q)
+                    for o, i in mc1.identities.items()]
+    constraints += [([("mm", n) for n in (outer,) + inners + (res,)],
+                     lambda *vs: mc2.comp.get((vs[0], vs[1:-1])) == vs[-1])
+                    for (outer, inners), res in mc1.comp.items()]
+    return next(solutions(domains, constraints), None) is not None
 
 
 # ---------------------------------------------------------------------------

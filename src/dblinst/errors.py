@@ -30,6 +30,10 @@ class HomSetTooLarge(DblinstError):
     """An enumeration exceeded the configured cardinality cap."""
 
 
+class TheoryMismatch(DblinstError):
+    """Two models compared by a morphism search live over different theories."""
+
+
 class NotDiscreteOpfibration(DblinstError):
     """A witness was required but the morphism is not a discrete opfibration."""
 

@@ -6,6 +6,7 @@ written diagrammatically throughout: ``comp[(f, g)]`` is "f then g".
 """
 
 from .finset import FiniteSet, compose_tables, identity_table, is_function
+from .search import solutions
 
 
 class FinCategory:
@@ -167,48 +168,19 @@ class Copresheaf:
 def enumerate_natural_transformations(c1, c2):
     """All natural transformations between copresheaves on the same base.
 
-    Brute-force with early pruning; components ordered by object, then
-    componentwise by the source element order.
+    One search variable ``(o, v)`` per element v of c1 at the object o,
+    ranging over c2 at o; naturality is checked element by element.
+    Transformations come in lexicographic order: objects in base order,
+    elements and values in label order.
     """
     base = c1.base
-    objs = list(base.objects)
-    results = []
-
-    def extend(idx, components):
-        if idx == len(objs):
-            results.append({o: dict(t) for o, t in components.items()})
-            return
-        o = objs[idx]
-        src = c1.on_objects[o]
-        dst = c2.on_objects[o]
-        candidates = [dict(zip(src, choice))
-                      for choice in _tuples(list(dst), len(src))]
-        for comp in candidates:
-            components[o] = comp
-            if _natural_so_far(c1, c2, components):
-                extend(idx + 1, components)
-            del components[o]
-
-    extend(0, {})
-    return results
-
-
-def _tuples(pool, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(pool, n - 1):
-        for x in pool:
-            yield rest + (x,)
-
-
-def _natural_so_far(c1, c2, components):
-    base = c1.base
-    for f, (s, d) in base.morphisms.items():
-        if s in components and d in components:
-            for x in c1.on_objects[s]:
-                lhs = components[d][c1.on_morphisms[f][x]]
-                rhs = c2.on_morphisms[f][components[s][x]]
-                if lhs != rhs:
-                    return False
-    return True
+    domains = [((o, v), c2.on_objects[o])
+               for o in base.objects for v in c1.on_objects[o]]
+    # (u, w) are the images of v and of its pushforward along f
+    constraints = [(((s, v), (d, c1.on_morphisms[f][v])),
+                    lambda u, w, tb=c2.on_morphisms[f]: tb[u] == w)
+                   for f, (s, d) in base.morphisms.items()
+                   for v in c1.on_objects[s]]
+    return [{o: {v: sol[(o, v)] for v in c1.on_objects[o]}
+             for o in base.objects}
+            for sol in solutions(domains, constraints)]

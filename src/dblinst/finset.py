@@ -18,11 +18,12 @@ class FiniteSet:
 
     def __init__(self, labels):
         labels = [str(x) for x in labels]
-        assert len(set(labels)) == len(labels), "duplicate labels"
+        self._members = frozenset(labels)
+        assert len(self._members) == len(labels), "duplicate labels"
         self.labels = tuple(sorted(labels))
 
     def __contains__(self, x):
-        return x in set(self.labels)
+        return x in self._members
 
     def __iter__(self):
         return iter(self.labels)

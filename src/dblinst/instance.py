@@ -12,6 +12,7 @@ laxators, unitality at the unitors) are checked exhaustively.
 """
 
 from .finset import FiniteSet, compose_tables, identity_table, is_function, pair_label
+from .search import solutions
 
 
 class Instance:
@@ -172,54 +173,36 @@ def compose_instance_morphisms(mu, nu):
 
 
 def enumerate_instance_morphisms(h, k):
-    """All instance morphisms h -> k, by fiberwise backtracking."""
-    x = h.model
-    t = x.theory
-    objs = list(t.objects)
-    results = []
+    """All instance morphisms h -> k, sorted by component tables.
 
-    def candidates(d):
-        """Label-preserving tables carrier(h,d) -> carrier(k,d)."""
-        out = [{}]
-        for e in h.carriers[d]:
-            fiber = [v for v in k.carriers[d]
-                     if k.labels[d][v] == h.labels[d][e]]
-            out = [dict(tab, **{e: v}) for tab in out for v in fiber]
-        return out
-
-    def consistent(components):
-        for f, (s, d) in t.tight.items():
-            if s in components and d in components:
-                for e in h.carriers[s]:
-                    if components[d][h.tight_cells[f][e]] != \
-                            k.tight_cells[f][components[s][e]]:
-                        return False
-        for m, (s, d) in t.loose.items():
-            if s in components and d in components:
-                for (e, xi) in h.action_domain(m):
-                    if components[d][h.actions[m][(e, xi)]] != \
-                            k.actions[m][(components[s][e], xi)]:
-                        return False
-        return True
-
-    def extend(idx, components):
-        if idx == len(objs):
-            results.append(InstanceMorphism(h, k, components))
-            return
-        d = objs[idx]
-        for tab in candidates(d):
-            components[d] = tab
-            if consistent(components):
-                extend(idx + 1, components)
-            del components[d]
-
-    extend(0, {})
+    One search variable ``(d, e)`` per element e of h at the object d;
+    its values are the elements of k in the same label fibre, in label
+    order.  Naturality at tight arrows and equivariance at loose arrows
+    are checked element by element.
+    """
+    t = h.model.theory
+    domains = [((d, e), [v for v in k.carriers[d]
+                         if k.labels[d][v] == h.labels[d][e]])
+               for d in t.objects for e in h.carriers[d]]
+    # (u, v) are the images of the two elements read
+    constraints = [(((s, e), (d, h.tight_cells[f][e])),
+                    lambda u, v, tb=k.tight_cells[f]: tb[u] == v)
+                   for f, (s, d) in t.tight.items() for e in h.carriers[s]]
+    constraints += [(((s, e), (d, h.actions[m][(e, xi)])),
+                     lambda u, v, act=k.actions[m], xi=xi: act[(u, xi)] == v)
+                    for m, (s, d) in t.loose.items()
+                    for e, xi in h.action_domain(m)]
+    results = [InstanceMorphism(h, k, {d: {e: sol[(d, e)]
+                                           for e in h.carriers[d]}
+                                       for d in t.objects})
+               for sol in solutions(domains, constraints)]
     results.sort(key=lambda f: f.component_key())
     return results
 
 
 def find_instance_isomorphism(h, k):
-    """An isomorphism h -> k (bijective components), or None."""
+    """The first isomorphism h -> k in sorted order (bijective
+    components), or None."""
     for mu in enumerate_instance_morphisms(h, k):
         if all(len(set(t.values())) == len(t) == len(k.carriers[d])
                for d, t in mu.components.items()):

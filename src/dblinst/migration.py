@@ -27,6 +27,7 @@ from .fincat import Copresheaf
 from .finset import FiniteSet, pair_label
 from .instance import restrict_instance
 from .model import ModelMorphism, compose_model_morphisms
+from .search import solutions
 
 DEFAULT_MAX_HOM_CARD = 10000
 
@@ -120,51 +121,33 @@ def kan_extend_right(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
     """Pointwise right Kan extension of a copresheaf along a functor.
 
     The value at d is the set of compatible families: a choice of value
-    in cp(c) for every arrow g: d -> Fc, commuting with every arrow of
-    the source category.  Computed by backtracking over the slots.
+    in cp(c) for every slot, an arrow g: d -> Fc, commuting with every
+    arrow of the source category.  The families are searched with one
+    variable per slot and kept sorted; more than ``max_hom_card``
+    families at one object raise ``HomSetTooLarge``.
     """
     c_cat, d_cat = fun.source, fun.target
+    hom = {}
+    for g, ends in d_cat.morphisms.items():
+        hom.setdefault(ends, []).append(g)
     families = {}
     slot_lists = {}
     for d in d_cat.objects:
         slots = sorted((c, g) for c in c_cat.objects
-                       for g, (gs, gd) in d_cat.morphisms.items()
-                       if gs == d and gd == fun.on_objects[c])
+                       for g in hom.get((d, fun.on_objects[c]), ()))
         slot_lists[d] = slots
-        index = {s: i for i, s in enumerate(slots)}
-        # constraints: value at (us, g) pushed along u equals value at
-        # (ud, g . Fu)
-        constraints = []
-        for u, (us, ud) in c_cat.morphisms.items():
-            fu = fun.on_morphisms[u]
-            for g, (gs, gd) in d_cat.morphisms.items():
-                if gs != d or gd != fun.on_objects[us]:
-                    continue
-                constraints.append((index[(us, g)], u,
-                                    index[(ud, d_cat.comp[(g, fu)])]))
+        # the value at (us, g) pushed along u is the value at (ud, g;Fu)
+        constraints = [(((us, g), (ud, d_cat.comp[(g, fun.on_morphisms[u])])),
+                        lambda v, w, tb=cp.on_morphisms[u]: tb[v] == w)
+                       for u, (us, ud) in c_cat.morphisms.items()
+                       for g in hom.get((d, fun.on_objects[us]), ())]
         found = []
-
-        def extend(i, chosen):
+        for sol in solutions([(s, cp.on_objects[s[0]]) for s in slots],
+                             constraints):
+            found.append(tuple(sol[s] for s in slots))
             if len(found) > max_hom_card:
                 raise HomSetTooLarge(
                     "right extension at {} exceeds the family cap".format(d))
-            if i == len(slots):
-                found.append(tuple(chosen))
-                return
-            c, _ = slots[i]
-            for v in cp.on_objects[c]:
-                chosen.append(v)
-                ok = True
-                for isrc, u, idst in constraints:
-                    if isrc < len(chosen) and idst < len(chosen):
-                        if cp.on_morphisms[u][chosen[isrc]] != chosen[idst]:
-                            ok = False
-                            break
-                if ok:
-                    extend(i + 1, chosen)
-                chosen.pop()
-
-        extend(0, [])
         families[d] = sorted(found)
 
     def label(fam):
@@ -174,13 +157,13 @@ def kan_extend_right(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
                   for d in d_cat.objects}
     on_morphisms = {}
     for h, (hs, hd) in d_cat.morphisms.items():
-        index_hd = {s: i for i, s in enumerate(slot_lists[hd])}
+        members = set(families[hd])
         table = {}
         for fam in families[hs]:
             lookup = dict(zip(slot_lists[hs], fam))
             new = tuple(lookup[(c, d_cat.comp[(h, g)])]
                         for (c, g) in slot_lists[hd])
-            assert new in set(families[hd])
+            assert new in members
             table[label(fam)] = label(new)
         on_morphisms[h] = table
     out = Copresheaf(d_cat, on_objects, on_morphisms)

@@ -7,11 +7,16 @@ axioms exhaustively; for partial (truncated) theories only the
 tabulated composites are checked.
 
 Morphisms are the strict tight transformations: a function per object
-and an apex function per loose arrow, natural in every direction.
+and an apex function per loose arrow, natural in every direction.  They
+are enumerated by the element-level search of ``dblinst.search``, one
+variable per element of a carrier or apex, and returned sorted by their
+component tables.
 """
 
+from .errors import TheoryMismatch
 from .finset import (FiniteSet, Span, compose_tables, identity_table,
                      is_function, pullback_pairs)
+from .search import solutions
 
 
 class SpanModel:
@@ -285,93 +290,71 @@ def compose_model_morphisms(f, g):
         {m: compose_tables(t, g.on_loose[m]) for m, t in f.on_loose.items()})
 
 
-def _all_tables(src, dst):
-    """All functions src -> dst as tables, in lexicographic order."""
-    src = list(src)
-    dst = list(dst)
-    if not src:
-        return [{}]
-    if not dst:
-        return []
-    out = [{}]
-    for e in src:
-        out = [dict(t, **{e: v}) for t in out for v in dst]
-    return out
-
-
 def enumerate_model_morphisms(a, b):
-    """All strict morphisms a -> b, by backtracking over components.
+    """All strict morphisms a -> b, sorted by component tables.
 
-    Components are assigned object-by-object and then loose-arrow-by-
-    loose-arrow, pruning with every constraint whose components are all
-    assigned; the result is sorted by component tables.
+    One search variable per element: ``("ob", d, e)`` for the image of
+    e at the object d, then ``("lo", m, xi)`` for the image of the
+    heteromorphism xi at the loose arrow m (loose arrows in sorted
+    order).  Tight naturality, the legs, the cells, the laxators and the
+    unitors are checked element by element, each as soon as the
+    elements it reads are assigned.  Raises ``TheoryMismatch`` when the
+    two models live over different theories.
     """
     t = a.theory
-    slots = [("ob", d) for d in t.objects] + [("lo", m) for m in sorted(t.loose)]
-    results = []
-
-    def violated(obs, los):
-        # tight naturality (needs both endpoints' object components)
-        for f, (s, d) in t.tight.items():
-            if s in obs and d in obs:
-                if compose_tables(a.on_tight[f], obs[d]) != \
-                        compose_tables(obs[s], b.on_tight[f]):
-                    return True
-        for m, (s, d) in t.loose.items():
-            if m not in los:
-                continue
-            sp, spb = a.on_loose[m], b.on_loose[m]
-            for xi in sp.apex:
-                im = los[m][xi]
-                if s in obs and spb.left[im] != obs[s][sp.left[xi]]:
-                    return True
-                if d in obs and spb.right[im] != obs[d][sp.right[xi]]:
-                    return True
-        for c in t.cells:
-            m, n = t.cell_top(c), t.cell_bottom(c)
-            if m in los and n in los:
-                for xi in a.on_loose[m].apex:
-                    if los[n][a.on_cells[c][xi]] != b.on_cells[c][los[m][xi]]:
-                        return True
-        for (m, n), mn in t.loose_comp.items():
-            if m in los and n in los and mn in los:
-                for (xi, zeta) in a.laxator_domain(m, n):
-                    if los[mn][a.laxators[(m, n)][(xi, zeta)]] != \
-                            b.laxators[(m, n)][(los[m][xi], los[n][zeta])]:
-                        return True
-        for d in t.objects:
-            lid = t.loose_id[d]
-            if d in obs and lid in los:
-                for e in a.on_objects[d]:
-                    if los[lid][a.unitors[d][e]] != b.unitors[d][obs[d][e]]:
-                        return True
-        return False
-
-    def extend(idx, obs, los):
-        if idx == len(slots):
-            results.append(ModelMorphism(a, b, obs, los))
-            return
-        kind, name = slots[idx]
-        if kind == "ob":
-            for tab in _all_tables(a.on_objects[name], b.on_objects[name]):
-                obs[name] = tab
-                if not violated(obs, los):
-                    extend(idx + 1, obs, los)
-                del obs[name]
-        else:
-            for tab in _all_tables(a.on_loose[name].apex, b.on_loose[name].apex):
-                los[name] = tab
-                if not violated(obs, los):
-                    extend(idx + 1, obs, los)
-                del los[name]
-
-    extend(0, {}, {})
+    differ = [label for part, label in (
+        ("objects", "objects"), ("tight", "tight arrows"),
+        ("loose", "loose arrows"), ("cells", "cells"))
+        if getattr(t, part) != getattr(b.theory, part)]
+    if differ:
+        raise TheoryMismatch("the models live over theories with different {}"
+                             .format(", ".join(differ)))
+    loose = sorted(t.loose)
+    domains = [(("ob", d, e), b.on_objects[d])
+               for d in t.objects for e in a.on_objects[d]]
+    domains += [(("lo", m, xi), b.on_loose[m].apex)
+                for m in loose for xi in a.on_loose[m].apex]
+    # (u, v) are the images of the two elements read: tb sends u to v
+    constraints = [((("ob", s, e), ("ob", d, a.on_tight[f][e])),
+                    lambda u, v, tb=b.on_tight[f]: tb[u] == v)
+                   for f, (s, d) in t.tight.items() for e in a.on_objects[s]]
+    for m, (s, d) in t.loose.items():
+        sp, spb = a.on_loose[m], b.on_loose[m]
+        for xi in sp.apex:
+            constraints += [
+                ((("lo", m, xi), ("ob", s, sp.left[xi])),
+                 lambda u, v, tb=spb.left: tb[u] == v),
+                ((("lo", m, xi), ("ob", d, sp.right[xi])),
+                 lambda u, v, tb=spb.right: tb[u] == v)]
+    for c in t.cells:
+        m, n = t.cell_top(c), t.cell_bottom(c)
+        constraints += [((("lo", m, xi), ("lo", n, a.on_cells[c][xi])),
+                         lambda u, v, tb=b.on_cells[c]: tb[u] == v)
+                        for xi in a.on_loose[m].apex]
+    for d, lid in t.loose_id.items():
+        constraints += [((("ob", d, e), ("lo", lid, a.unitors[d][e])),
+                         lambda u, v, tb=b.unitors[d]: tb[u] == v)
+                        for e in a.on_objects[d]]
+    for (m, n), mn in t.loose_comp.items():
+        constraints += [
+            ((("lo", m, xi), ("lo", n, zeta),
+              ("lo", mn, a.laxators[(m, n)][(xi, zeta)])),
+             lambda u, w, v, tb=b.laxators[(m, n)]: tb[(u, w)] == v)
+            for xi, zeta in a.laxator_domain(m, n)]
+    results = [ModelMorphism(
+        a, b,
+        {d: {e: sol[("ob", d, e)] for e in a.on_objects[d]}
+         for d in t.objects},
+        {m: {xi: sol[("lo", m, xi)] for xi in a.on_loose[m].apex}
+         for m in loose})
+        for sol in solutions(domains, constraints)]
     results.sort(key=lambda f: f.component_key())
     return results
 
 
 def find_model_isomorphism(a, b):
-    """A morphism a -> b with bijective components, or None.
+    """The first morphism a -> b in sorted order with bijective
+    components, or None.
 
     A bijective strict transformation is an isomorphism: its inverse
     tables form a morphism again (checked).

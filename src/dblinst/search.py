@@ -1,0 +1,50 @@
+"""One backtracking search behind every hom-set enumeration.
+
+A variable is one element of a component, for example ``("ob", d, e)``
+for the image of the element e of the carrier at d.  Each constraint
+names the variables it reads and is checked as soon as the last of them
+is assigned, so a hom-set is searched element by element and no table
+product is ever built.  The search keeps an explicit stack: its
+recursion depth does not grow with the number of variables.
+"""
+
+from operator import itemgetter
+
+
+def solutions(domains, constraints):
+    """Yield every assignment that satisfies all constraints.
+
+    ``domains`` is an ordered list of (variable, collection of allowed
+    values) pairs and ``constraints`` a list of (variables read, check)
+    pairs; a check is called with the values of the variables it reads,
+    in that order.  A constraint reads at least two variables: a
+    condition on one variable belongs in its value list.  Assignments
+    are dicts from variables to values, yielded in lexicographic order
+    of the variable list and of each value list.
+    """
+    position = {v: i for i, (v, _) in enumerate(domains)}
+    due = [[] for _ in domains]
+    for reads, check in constraints:
+        where = itemgetter(*reads)(position)
+        due[max(where)].append((itemgetter(*where), check))
+    if not domains:
+        yield {}
+        return
+    chosen = [None] * len(domains)
+    # stack[i] iterates over the values still to try at variable i
+    stack = [iter(domains[0][1])]
+    while stack:
+        i = len(stack) - 1
+        for chosen[i] in stack[i]:
+            for read, check in due[i]:
+                if not check(*read(chosen)):
+                    break
+            else:
+                break  # every constraint due at i holds
+        else:
+            stack.pop()  # no value left: backtrack
+            continue
+        if len(stack) < len(domains):
+            stack.append(iter(domains[len(stack)][1]))
+        else:
+            yield dict(zip(position, chosen))

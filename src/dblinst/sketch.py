@@ -14,6 +14,7 @@ from .collage import PresentedCategory
 from .errors import MarkedSquareNotPullback
 from .finset import FiniteSet, Span, pair_label
 from .model import SpanModel
+from .search import solutions
 
 
 def ob_sort(x):
@@ -450,63 +451,39 @@ def sketch_model_to_model(s):
 
 
 def enumerate_sketch_model_morphisms(s1, s2):
-    """All natural families between sketch models; components at pair
-    and triple sorts are forced by the marked pullbacks."""
+    """All natural families between sketch models, in search order.
+
+    One search variable ``(o, e)`` per element e of s1 at the sort o,
+    ranging over s2 at o in label order: the object and loose sorts
+    first, in presented order, then the pair and triple sorts.  Every
+    generator gives a naturality constraint per element, and the legs
+    of its marked pullback pin each element of a pair or triple sort.
+    """
     sk = s1.sketch
+    gens = sk.presented.generators
     free = [o for o in sk.presented.objects
             if o.startswith("O[") or o.startswith("L[")]
     derived = [o for o in sk.presented.objects if o not in set(free)]
-    gen_list = list(sk.presented.generators.items())
-    results = []
-
-    def consistent(components):
-        for g, (src, dst, _) in gen_list:
-            if src in components and dst in components:
-                t1, t2 = s1.on_generators[g], s2.on_generators[g]
-                for e, v in components[src].items():
-                    if components[dst][t1[e]] != t2[v]:
-                        return False
-        return True
-
-    def fill_derived(components):
-        for o in derived:
-            # legs of the marking force the component
-            for apex, l1, l2, _, _ in sk.marked_pullbacks:
-                if apex != o:
-                    continue
-                t1a, t1b = s1.on_generators[l1], s1.on_generators[l2]
-                t2a, t2b = s2.on_generators[l1], s2.on_generators[l2]
-                inverse = {(t2a[e], t2b[e]): e for e in s2.on_objects[o]}
-                d1 = sk.presented.generators[l1][1]
-                d2 = sk.presented.generators[l2][1]
-                table = {}
-                for e in s1.on_objects[o]:
-                    key = (components[d1][t1a[e]], components[d2][t1b[e]])
-                    if key not in inverse:
-                        return False
-                    table[e] = inverse[key]
-                components[o] = table
-                break
-            else:
-                return False
-        return True
-
-    def extend(idx, components):
-        if idx == len(free):
-            comp = dict(components)
-            if fill_derived(comp) and consistent(comp):
-                results.append(comp)
-            return
-        o = free[idx]
-        tables = [{}]
-        for e in s1.on_objects[o]:
-            tables = [dict(tb, **{e: v}) for tb in tables
-                      for v in s2.on_objects[o]]
-        for tb in tables:
-            components[o] = tb
-            if consistent({k: v for k, v in components.items() if k in set(free)}):
-                extend(idx + 1, components)
-            del components[o]
-
-    extend(0, {})
-    return results
+    marking = {apex: (l1, l2)
+               for apex, l1, l2, _, _ in reversed(sk.marked_pullbacks)}
+    if any(o not in marking for o in derived):
+        return []
+    domains = [((o, e), s2.on_objects[o])
+               for o in free + derived for e in s1.on_objects[o]]
+    # (u, v) are the images of e and of its image under g
+    constraints = [(((src, e), (dst, s1.on_generators[g][e])),
+                    lambda u, v, tb=s2.on_generators[g]: tb[u] == v)
+                   for g, (src, dst, _) in gens.items()
+                   for e in s1.on_objects[src]]
+    for o in derived:
+        l1, l2 = marking[o]
+        pins = {(s2.on_generators[l1][v], s2.on_generators[l2][v]): v
+                for v in s2.on_objects[o]}
+        constraints += [
+            (((gens[l1][1], s1.on_generators[l1][e]),
+              (gens[l2][1], s1.on_generators[l2][e]), (o, e)),
+             lambda p, q, v, pins=pins: pins.get((p, q)) == v)
+            for e in s1.on_objects[o]]
+    return [{o: {e: sol[(o, e)] for e in s1.on_objects[o]}
+             for o in free + derived}
+            for sol in solutions(domains, constraints)]

@@ -203,3 +203,20 @@ def test_cartesian_factorize_names_the_non_cartesian_endpoint(tmp_path,
                        "--bound", "4", "-o", str(tmp_path / "fac"))
     assert code == 2
     assert err.startswith("error: source is not cartesian: theory carries ")
+
+
+@pytest.mark.parametrize("source, target", [
+    ("weighted_graph", "negloop1"), ("monad_model", "weighted_graph")])
+def test_count_morphisms_across_theories_is_a_typed_error(
+        tmp_path, capsys, source, target):
+    for name in ("weighted_graph", "negloop1", "monad_instance"):
+        code, _, _ = run(capsys, "fixtures", "emit", name,
+                         "--directory", str(tmp_path))
+        assert code == 0
+    code, _, err = run(capsys, "count-morphisms",
+                       str(tmp_path / (source + ".json")),
+                       str(tmp_path / (target + ".json")))
+    assert code == 2
+    assert err.strip() == ("error: the models live over theories with "
+                           "different objects, tight arrows, loose arrows, "
+                           "cells")

@@ -72,6 +72,17 @@ def test_hom_cardinality_cap():
         kan_extend_left(point_inclusion("1"), cp, max_hom_card=3)
     with pytest.raises(HomSetTooLarge):
         kan_extend_right(point_inclusion("0"), cp, max_hom_card=3)
+    # four families at the source object: the cap counts the last one
+    # too, as the left extension's cap does, and a cap of 4 admits all
+    cp = Copresheaf(chain_category(1), {"0": FiniteSet(["a", "b", "c", "d"])},
+                    {"id:0": {x: x for x in "abcd"}})
+    with pytest.raises(HomSetTooLarge, match="left extension at 0"):
+        kan_extend_left(point_inclusion("0"), cp, max_hom_card=3)
+    with pytest.raises(HomSetTooLarge,
+                       match="right extension at 0 exceeds the family cap"):
+        kan_extend_right(point_inclusion("0"), cp, max_hom_card=3)
+    ran = kan_extend_right(point_inclusion("0"), cp, max_hom_card=4)
+    assert len(ran.on_objects["0"]) == 4
 
 
 def _fold_morphism():

@@ -82,3 +82,13 @@ def test_terminal_model_is_terminal():
     one = terminal_model(t)
     x = weighted_graph_schema()
     assert len(enumerate_model_morphisms(x, one)) == 1
+
+
+def test_search_depth_does_not_grow_with_the_elements():
+    """One search variable per element: 1500 elements and 1500
+    heteromorphisms are far deeper than Python's recursion limit."""
+    n = 1500
+    x = walking_loose_model(["a{}".format(i) for i in range(n)], ["b"],
+                            [("h{}".format(i), "a{}".format(i), "b")
+                             for i in range(n)])
+    assert len(enumerate_model_morphisms(x, terminal_model(x.theory))) == 1
