@@ -8,7 +8,7 @@ bijections.  Both directions are direct formulas on pairs, no search.
 """
 
 from .errors import NoExtension, NotDiscreteOpfibration
-from .finset import FiniteSet, Span, pair_label
+from .finset import FiniteSet, Span, fibers, pair_label
 from .instance import Instance
 from .model import ModelMorphism, SpanModel, validate_model_morphism
 
@@ -33,8 +33,9 @@ class DopfWitness:
         for m, (s, d) in t.loose.items():
             esp, bsp = e_model.on_loose[m], b_model.on_loose[m]
             table = self.bijections.get(m)
-            wanted = {(b, e) for b in bsp.apex for e in e_model.on_objects[s]
-                      if bsp.left[b] == p.on_objects[s][e]}
+            over = fibers(p.on_objects[s], e_model.on_objects[s])
+            wanted = {(b, e) for b in bsp.apex
+                      for e in over.get(bsp.left[b], ())}
             if table is None or set(table.keys()) != wanted:
                 report.append("witness at {} not total on the pullback".format(m))
                 continue
@@ -69,19 +70,22 @@ def is_discrete_opfibration(p):
     bijections = {}
     for m, (s, d) in t.loose.items():
         esp, bsp = e_model.on_loose[m], b_model.on_loose[m]
+        # upstairs elements by their image, upstairs heteromorphisms by
+        # (projection, left leg)
+        over = fibers(p.on_objects[s], e_model.on_objects[s])
+        lifts = fibers({em: (p.on_loose[m][em], esp.left[em])
+                        for em in esp.apex}, esp.apex)
         table = {}
         for b in bsp.apex:
-            for e in e_model.on_objects[s]:
-                if bsp.left[b] != p.on_objects[s][e]:
-                    continue
-                lifts = [em for em in esp.apex
-                         if esp.left[em] == e and p.on_loose[m][em] == b]
-                if len(lifts) != 1:
-                    return DopfCheck(False, None, (m, b, e, lifts))
-                table[(b, e)] = lifts[0]
+            for e in over.get(bsp.left[b], ()):
+                found = lifts.get((b, e), [])
+                if len(found) != 1:
+                    return DopfCheck(False, None, (m, b, e, found))
+                table[(b, e)] = found[0]
         if len(table) != len(esp.apex):
             # some upstairs heteromorphism is not a lift of anything
-            extra = [em for em in esp.apex if em not in set(table.values())]
+            lifted = set(table.values())
+            extra = [em for em in esp.apex if em not in lifted]
             return DopfCheck(False, None, (m, None, None, extra))
         bijections[m] = table
     return DopfCheck(True, DopfWitness(p, bijections), None)
@@ -100,32 +104,34 @@ def elements(p_inst):
     h = p_inst
     on_objects = {d: h.carriers[d] for d in t.objects}
     on_tight = {f: dict(h.tight_cells[f]) for f in t.tight}
+    # each action domain is joined once; its pairs name the apex
+    doms = {m: h.action_domain(m) for m in t.loose}
+    names = {m: [pair_label(e, b) for (e, b) in dom]
+             for m, dom in doms.items()}
     on_loose, proj_loose = {}, {}
     for m, (s, d) in t.loose.items():
-        dom = h.action_domain(m)
-        labels = [pair_label(e, b) for (e, b) in dom]
+        dom, labels = doms[m], names[m]
         apex = FiniteSet(labels)
-        left = {pair_label(e, b): e for (e, b) in dom}
-        right = {pair_label(e, b): h.actions[m][(e, b)] for (e, b) in dom}
+        act = h.actions[m]
+        left = {lab: e for lab, (e, _) in zip(labels, dom)}
+        right = {lab: act[pair] for lab, pair in zip(labels, dom)}
         on_loose[m] = Span(on_objects[s], on_objects[d], apex, left, right)
-        proj_loose[m] = {pair_label(e, b): b for (e, b) in dom}
+        proj_loose[m] = {lab: b for lab, (_, b) in zip(labels, dom)}
     on_cells = {}
     for a, (f, g, m, n) in t.cells.items():
-        on_cells[a] = {
-            pair_label(e, b): pair_label(h.tight_cells[f][e], x.on_cells[a][b])
-            for (e, b) in h.action_domain(m)}
+        tf, cell = h.tight_cells[f], x.on_cells[a]
+        on_cells[a] = {lab: pair_label(tf[e], cell[b])
+                       for lab, (e, b) in zip(names[m], doms[m])}
     laxators = {}
     for (m, n), mn in t.loose_comp.items():
-        table = {}
-        for em in on_loose[m].apex:
-            for en in on_loose[n].apex:
-                if on_loose[m].right[em] != on_loose[n].left[en]:
-                    continue
-                e, bm = on_loose[m].left[em], proj_loose[m][em]
-                bn = proj_loose[n][en]
-                table[(em, en)] = pair_label(
-                    e, x.laxators[(m, n)][(bm, bn)])
-        laxators[(m, n)] = table
+        # each element over m is joined with the fiber of n's left leg
+        # over its right end
+        over = fibers(on_loose[n].left, on_loose[n].apex)
+        sp_m, lax = on_loose[m], x.laxators[(m, n)]
+        proj_m, proj_n = proj_loose[m], proj_loose[n]
+        laxators[(m, n)] = {
+            (em, en): pair_label(sp_m.left[em], lax[(proj_m[em], proj_n[en])])
+            for em in sp_m.apex for en in over.get(sp_m.right[em], ())}
     unitors = {d: {e: pair_label(e, x.unitors[d][h.labels[d][e]])
                    for e in h.carriers[d]}
                for d in t.objects}
@@ -133,8 +139,7 @@ def elements(p_inst):
                         laxators, unitors)
     pi = ModelMorphism(e_model, x,
                        {d: dict(h.labels[d]) for d in t.objects}, proj_loose)
-    bijections = {m: {(b, e): pair_label(e, b)
-                      for (e, b) in h.action_domain(m)}
+    bijections = {m: {(b, e): lab for lab, (e, b) in zip(names[m], doms[m])}
                   for m in t.loose}
     return e_model, pi, DopfWitness(pi, bijections)
 

@@ -34,6 +34,10 @@ class TheoryMismatch(DblinstError):
     """Two models compared by a morphism search live over different theories."""
 
 
+class ModelMismatch(DblinstError):
+    """Two instances compared by a morphism search live over different models."""
+
+
 class NotDiscreteOpfibration(DblinstError):
     """A witness was required but the morphism is not a discrete opfibration."""
 

@@ -97,18 +97,40 @@ class Span:
         return "Span(apex={})".format(list(self.apex.labels))
 
 
+def fibers(table, keys):
+    """Index a table by its values.
+
+    Returns a dict from each value of ``table`` on ``keys`` to the list
+    of those keys that map to it, in the order the keys are given.  A
+    join looks up the fiber over a value instead of scanning every key,
+    and lists its matches in the order the scan would have.  Indexes
+    are built per call and never stored, so they cannot go stale when a
+    table is changed after construction.
+    """
+    index = {}
+    for k in keys:
+        v = table[k]
+        if v in index:
+            index[v].append(k)
+        else:
+            index[v] = [k]
+    return index
+
+
 def pullback_pairs(left_span, right_span):
     """Matching pairs of apex elements for a composable pair of spans.
 
     Returns the list of (xi, zeta) with right leg of ``left_span`` at xi
     equal to the left leg of ``right_span`` at zeta, in lexicographic
-    order.  This is the materialized domain of a laxator.
+    order.  This is the materialized domain of a laxator.  It is a hash
+    join: the apex of ``right_span`` is indexed by its left leg, and
+    each xi is paired with the fiber over its right leg.
     """
     assert left_span.dst_set == right_span.src_set
-    return [(xi, zeta)
-            for xi in left_span.apex
-            for zeta in right_span.apex
-            if left_span.right[xi] == right_span.left[zeta]]
+    over = fibers(right_span.left, right_span.apex)
+    right = left_span.right
+    return [(xi, zeta) for xi in left_span.apex
+            for zeta in over.get(right[xi], ())]
 
 
 def product_set(a, b):

@@ -11,8 +11,10 @@ actions at every theory cell, associativity of actions through the
 laxators, unitality at the unitors) are checked exhaustively.
 """
 
-from .finset import FiniteSet, compose_tables, identity_table, is_function, pair_label
-from .search import solutions
+from .errors import ModelMismatch
+from .finset import (FiniteSet, compose_tables, fibers, identity_table,
+                     is_function, pair_label)
+from .search import distinct, solutions
 
 
 class Instance:
@@ -24,12 +26,19 @@ class Instance:
         self.actions = {m: dict(t) for m, t in actions.items()}  # (h, het) -> h'
 
     def action_domain(self, m):
-        """Pairs (carrier element, heteromorphism) with matching labels."""
+        """Pairs (carrier element, heteromorphism) with matching labels.
+
+        Listed by carrier element, then heteromorphism, both in label
+        order.  A hash join: the apex is indexed by its left leg, and
+        each element is paired with the fiber over its label.
+        """
         x = self.model
         src = x.theory.loose_src(m)
         span = x.on_loose[m]
-        return [(h, xi) for h in self.carriers[src] for xi in span.apex
-                if self.labels[src][h] == span.left[xi]]
+        over = fibers(span.left, span.apex)
+        labels = self.labels[src]
+        return [(h, xi) for h in self.carriers[src]
+                for xi in over.get(labels[h], ())]
 
     def total_size(self):
         return sum(len(s) for s in self.carriers.values())
@@ -67,10 +76,12 @@ def validate_instance(h):
     for (f, g), fg in t.tight_comp.items():
         if compose_tables(h.tight_cells[f], h.tight_cells[g]) != h.tight_cells[fg]:
             report.append("tight functoriality fails at ({},{})".format(f, g))
-    # actions: totality and label coherence
+    # actions: totality and label coherence; each action domain is
+    # joined once per call
+    doms = {m: h.action_domain(m) for m in t.loose}
     for m, (s, d) in t.loose.items():
         act = h.actions.get(m)
-        dom = h.action_domain(m)
+        dom = doms[m]
         if act is None or set(act.keys()) != set(dom):
             report.append("action at {} not total on its domain".format(m))
             continue
@@ -86,21 +97,24 @@ def validate_instance(h):
         return report
     # naturality of actions at every theory cell
     for a, (f, g, m, n) in t.cells.items():
-        s = t.loose_src(m)
-        for (e, xi) in h.action_domain(m):
-            lhs = h.tight_cells[g][h.actions[m][(e, xi)]]
-            rhs = h.actions[n][(h.tight_cells[f][e], x.on_cells[a][xi])]
+        act_m, act_n = h.actions[m], h.actions[n]
+        cell, tf, tg = x.on_cells[a], h.tight_cells[f], h.tight_cells[g]
+        for (e, xi) in doms[m]:
+            lhs = tg[act_m[(e, xi)]]
+            rhs = act_n[(tf[e], cell[xi])]
             if lhs != rhs:
                 report.append("action naturality fails at cell {} on ({},{})"
                               .format(a, e, xi))
-    # associativity through the laxators
+    # associativity through the laxators: each (e, xi) is joined with
+    # the fiber of n's left leg over the right end of xi
+    over = {n: fibers(sp.left, sp.apex) for n, sp in x.on_loose.items()}
     for (m, n), mn in t.loose_comp.items():
-        for (e, xi) in h.action_domain(m):
-            for zeta in x.on_loose[n].apex:
-                if x.on_loose[m].right[xi] != x.on_loose[n].left[zeta]:
-                    continue
-                lhs = h.actions[n][(h.actions[m][(e, xi)], zeta)]
-                rhs = h.actions[mn][(e, x.laxators[(m, n)][(xi, zeta)])]
+        right_m, lax = x.on_loose[m].right, x.laxators[(m, n)]
+        act_m, act_n, act_mn = h.actions[m], h.actions[n], h.actions[mn]
+        for (e, xi) in doms[m]:
+            for zeta in over[n].get(right_m[xi], ()):
+                lhs = act_n[(act_m[(e, xi)], zeta)]
+                rhs = act_mn[(e, lax[(xi, zeta)])]
                 if lhs != rhs:
                     report.append("action associativity fails at ({},{}) "
                                   "on ({},{},{})".format(m, n, e, xi, zeta))
@@ -172,18 +186,31 @@ def compose_instance_morphisms(mu, nu):
          for d, t in mu.components.items()})
 
 
-def enumerate_instance_morphisms(h, k):
-    """All instance morphisms h -> k, sorted by component tables.
+def _search_problem(h, k, objects):
+    """The search for instance morphisms h -> k, as (domains,
+    constraints).
 
-    One search variable ``(d, e)`` per element e of h at the object d;
-    its values are the elements of k in the same label fibre, in label
-    order.  Naturality at tight arrows and equivariance at loose arrows
-    are checked element by element.
+    One search variable ``(d, e)`` per element e of h at the object d,
+    objects in the order given; its values are the elements of k in
+    the same label fibre, in label order.  Naturality at tight arrows
+    and equivariance at loose arrows are checked element by element.
+    Raises ``ModelMismatch`` when h and k live over models with
+    different carriers, tight functions or spans.
     """
-    t = h.model.theory
-    domains = [((d, e), [v for v in k.carriers[d]
-                         if k.labels[d][v] == h.labels[d][e]])
-               for d in t.objects for e in h.carriers[d]]
+    x, y = h.model, k.model
+    differ = [label for part, label in (
+        ("on_objects", "carriers"), ("on_tight", "tight functions"),
+        ("on_loose", "spans"))
+        if x is not y and getattr(x, part) != getattr(y, part)]
+    if differ:
+        raise ModelMismatch("the instances live over models with different {}"
+                            .format(", ".join(differ)))
+    t = x.theory
+    domains = []
+    for d in objects:
+        over = fibers(k.labels[d], k.carriers[d])
+        domains += [((d, e), over.get(h.labels[d][e], ()))
+                    for e in h.carriers[d]]
     # (u, v) are the images of the two elements read
     constraints = [(((s, e), (d, h.tight_cells[f][e])),
                     lambda u, v, tb=k.tight_cells[f]: tb[u] == v)
@@ -192,21 +219,50 @@ def enumerate_instance_morphisms(h, k):
                      lambda u, v, act=k.actions[m], xi=xi: act[(u, xi)] == v)
                     for m, (s, d) in t.loose.items()
                     for e, xi in h.action_domain(m)]
-    results = [InstanceMorphism(h, k, {d: {e: sol[(d, e)]
-                                           for e in h.carriers[d]}
-                                       for d in t.objects})
-               for sol in solutions(domains, constraints)]
+    return domains, constraints
+
+
+def _morphism(h, k, sol):
+    return InstanceMorphism(h, k, {d: {e: sol[(d, e)] for e in h.carriers[d]}
+                                   for d in h.model.theory.objects})
+
+
+def enumerate_instance_morphisms(h, k):
+    """All instance morphisms h -> k, sorted by component tables.
+
+    Searched element by element, objects in theory order (see
+    ``_search_problem``).  Raises ``ModelMismatch`` when h and k live
+    over different models.
+    """
+    results = [_morphism(h, k, sol) for sol in
+               solutions(*_search_problem(h, k, h.model.theory.objects))]
     results.sort(key=lambda f: f.component_key())
     return results
 
 
 def find_instance_isomorphism(h, k):
     """The first isomorphism h -> k in sorted order (bijective
-    components), or None."""
-    for mu in enumerate_instance_morphisms(h, k):
-        if all(len(set(t.values())) == len(t) == len(k.carriers[d])
-               for d, t in mu.components.items()):
-            return mu
+    components), or None.
+
+    The search lists its variables in ``component_key`` order (objects
+    sorted, elements and values in label order) and rejects a repeated
+    value within a label fibre as soon as it is assigned, so it yields
+    the bijective morphisms in sorted order and returns the first one
+    instead of building the whole hom-set.
+    """
+    objects = sorted(h.model.theory.objects)
+    domains, constraints = _search_problem(h, k, objects)
+    groups = []
+    for d in objects:
+        over_h = fibers(h.labels[d], h.carriers[d])
+        over_k = fibers(k.labels[d], k.carriers[d])
+        if {b: len(f) for b, f in over_h.items()} != \
+                {b: len(f) for b, f in over_k.items()}:
+            return None     # no bijection over the labels
+        groups += [[(d, e) for e in f] for f in over_h.values()]
+    constraints += distinct(groups)
+    for sol in solutions(domains, constraints):
+        return _morphism(h, k, sol)
     return None
 
 
@@ -224,9 +280,9 @@ def restrict_instance(al, h):
     t = x.theory
     carriers, labels, elems = {}, {}, {}
     for d in t.objects:
-        elems[d] = {pair_label(e, p): (e, p)
-                    for e in x.on_objects[d] for p in h.carriers[d]
-                    if h.labels[d][p] == al.on_objects[d][e]}
+        over = fibers(h.labels[d], h.carriers[d])
+        elems[d] = {pair_label(e, p): (e, p) for e in x.on_objects[d]
+                    for p in over.get(al.on_objects[d][e], ())}
         carriers[d] = FiniteSet(elems[d])
         labels[d] = {lab: e for lab, (e, _) in elems[d].items()}
     tight_cells = {}
@@ -237,9 +293,7 @@ def restrict_instance(al, h):
     actions = {}
     for m, (s, d) in t.loose.items():
         sp = x.on_loose[m]
-        apex_over = {}
-        for xi in sp.apex:
-            apex_over.setdefault(sp.left[xi], []).append(xi)
+        apex_over = fibers(sp.left, sp.apex)
         actions[m] = {
             (lab, xi): pair_label(sp.right[xi],
                                   h.actions[m][(p, al.on_loose[m][xi])])

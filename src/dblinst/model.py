@@ -14,9 +14,9 @@ component tables.
 """
 
 from .errors import TheoryMismatch
-from .finset import (FiniteSet, Span, compose_tables, identity_table,
+from .finset import (FiniteSet, Span, compose_tables, fibers, identity_table,
                      is_function, pullback_pairs)
-from .search import solutions
+from .search import distinct, solutions
 
 
 class SpanModel:
@@ -98,10 +98,18 @@ def validate_model(x):
         if compose_tables(x.on_cells[a], x.on_cells[b]) != x.on_cells[c]:
             report.append("cell functoriality fails at ({},{})".format(a, b))
 
+    # each laxator domain is joined once per call
+    doms = {}
+
+    def laxator_domain(m, n):
+        if (m, n) not in doms:
+            doms[(m, n)] = x.laxator_domain(m, n)
+        return doms[(m, n)]
+
     # laxators: totality, span-map condition
     for (m, n), mn in t.loose_comp.items():
         lax = x.laxators.get((m, n))
-        dom = x.laxator_domain(m, n)
+        dom = laxator_domain(m, n)
         if lax is None or set(lax.keys()) != set(dom):
             report.append("laxator at ({},{}) not total on the pullback"
                           .format(m, n))
@@ -124,29 +132,30 @@ def validate_model(x):
         n1, n2 = t.cell_bottom(a), t.cell_bottom(b)
         if (m1, m2) not in x.laxators or (n1, n2) not in x.laxators:
             continue
-        for (xi, zeta) in x.laxator_domain(m1, m2):
+        for (xi, zeta) in laxator_domain(m1, m2):
             lhs = x.on_cells[c][x.laxators[(m1, m2)][(xi, zeta)]]
             rhs = x.laxators[(n1, n2)][(x.on_cells[a][xi], x.on_cells[b][zeta])]
             if lhs != rhs:
                 report.append("laxator naturality fails at cells ({},{}) "
                               "on ({},{})".format(a, b, xi, zeta))
 
-    # associativity of laxators
+    # associativity of laxators: each (xi, zeta) is joined with the
+    # fiber of n's left leg over the right end of zeta
+    over = {n: fibers(sp.left, sp.apex) for n, sp in x.on_loose.items()}
     for (l, m), lm in t.loose_comp.items():
+        right_m = x.on_loose[m].right
         for n in t.loose:
             if (m, n) not in t.loose_comp:
                 continue
             mn = t.loose_comp[(m, n)]
             if (lm, n) not in t.loose_comp or (l, mn) not in t.loose_comp:
                 continue
-            for (xi, zeta) in x.laxator_domain(l, m):
-                for theta in x.on_loose[n].apex:
-                    if x.on_loose[m].right[zeta] != x.on_loose[n].left[theta]:
-                        continue
-                    lhs = x.laxators[(lm, n)][
-                        (x.laxators[(l, m)][(xi, zeta)], theta)]
-                    rhs = x.laxators[(l, mn)][
-                        (xi, x.laxators[(m, n)][(zeta, theta)])]
+            lax_lm, lax_mn = x.laxators[(l, m)], x.laxators[(m, n)]
+            lax_lm_n, lax_l_mn = x.laxators[(lm, n)], x.laxators[(l, mn)]
+            for (xi, zeta) in laxator_domain(l, m):
+                for theta in over[n].get(right_m[zeta], ()):
+                    lhs = lax_lm_n[(lax_lm[(xi, zeta)], theta)]
+                    rhs = lax_l_mn[(xi, lax_mn[(zeta, theta)])]
                     if lhs != rhs:
                         report.append(
                             "laxator associativity fails at ({},{},{}) "
@@ -290,16 +299,17 @@ def compose_model_morphisms(f, g):
         {m: compose_tables(t, g.on_loose[m]) for m, t in f.on_loose.items()})
 
 
-def enumerate_model_morphisms(a, b):
-    """All strict morphisms a -> b, sorted by component tables.
+def _search_problem(a, b, objects):
+    """The search for morphisms a -> b, as (domains, constraints).
 
     One search variable per element: ``("ob", d, e)`` for the image of
-    e at the object d, then ``("lo", m, xi)`` for the image of the
-    heteromorphism xi at the loose arrow m (loose arrows in sorted
-    order).  Tight naturality, the legs, the cells, the laxators and the
-    unitors are checked element by element, each as soon as the
-    elements it reads are assigned.  Raises ``TheoryMismatch`` when the
-    two models live over different theories.
+    e at the object d, objects in the order given, then ``("lo", m,
+    xi)`` for the image of the heteromorphism xi at the loose arrow m,
+    loose arrows in sorted order.  Tight naturality, the legs, the
+    cells, the laxators and the unitors are checked element by element,
+    each as soon as the elements it reads are assigned.  Raises
+    ``TheoryMismatch`` when the two models live over different
+    theories.
     """
     t = a.theory
     differ = [label for part, label in (
@@ -309,11 +319,10 @@ def enumerate_model_morphisms(a, b):
     if differ:
         raise TheoryMismatch("the models live over theories with different {}"
                              .format(", ".join(differ)))
-    loose = sorted(t.loose)
     domains = [(("ob", d, e), b.on_objects[d])
-               for d in t.objects for e in a.on_objects[d]]
+               for d in objects for e in a.on_objects[d]]
     domains += [(("lo", m, xi), b.on_loose[m].apex)
-                for m in loose for xi in a.on_loose[m].apex]
+                for m in sorted(t.loose) for xi in a.on_loose[m].apex]
     # (u, v) are the images of the two elements read: tb sends u to v
     constraints = [((("ob", s, e), ("ob", d, a.on_tight[f][e])),
                     lambda u, v, tb=b.on_tight[f]: tb[u] == v)
@@ -341,13 +350,28 @@ def enumerate_model_morphisms(a, b):
               ("lo", mn, a.laxators[(m, n)][(xi, zeta)])),
              lambda u, w, v, tb=b.laxators[(m, n)]: tb[(u, w)] == v)
             for xi, zeta in a.laxator_domain(m, n)]
-    results = [ModelMorphism(
+    return domains, constraints
+
+
+def _morphism(a, b, sol):
+    t = a.theory
+    return ModelMorphism(
         a, b,
         {d: {e: sol[("ob", d, e)] for e in a.on_objects[d]}
          for d in t.objects},
         {m: {xi: sol[("lo", m, xi)] for xi in a.on_loose[m].apex}
-         for m in loose})
-        for sol in solutions(domains, constraints)]
+         for m in sorted(t.loose)})
+
+
+def enumerate_model_morphisms(a, b):
+    """All strict morphisms a -> b, sorted by component tables.
+
+    Searched element by element, objects in theory order (see
+    ``_search_problem``).  Raises ``TheoryMismatch`` when the two
+    models live over different theories.
+    """
+    results = [_morphism(a, b, sol) for sol in
+               solutions(*_search_problem(a, b, a.theory.objects))]
     results.sort(key=lambda f: f.component_key())
     return results
 
@@ -357,18 +381,30 @@ def find_model_isomorphism(a, b):
     components, or None.
 
     A bijective strict transformation is an isomorphism: its inverse
-    tables form a morphism again (checked).
+    tables form a morphism again (checked).  The search lists its
+    variables in ``component_key`` order (objects sorted, then loose
+    arrows sorted, elements and values in label order) and rejects a
+    repeated value within a component as soon as it is assigned, so it
+    yields the bijective morphisms in sorted order and stops at the
+    first isomorphism instead of building the whole hom-set.
     """
     from .finset import inverse_table
-    for f in enumerate_model_morphisms(a, b):
-        if all(len(set(t.values())) == len(t) == len(b.on_objects[d])
-               for d, t in f.on_objects.items()) and \
-           all(len(set(t.values())) == len(t) == len(b.on_loose[m].apex)
-               for m, t in f.on_loose.items()):
-            inv = ModelMorphism(
-                b, a,
-                {d: inverse_table(t) for d, t in f.on_objects.items()},
-                {m: inverse_table(t) for m, t in f.on_loose.items()})
-            if not validate_model_morphism(inv):
-                return f
+    t = a.theory
+    objects = sorted(t.objects)
+    domains, constraints = _search_problem(a, b, objects)
+    if any(len(a.on_objects[d]) != len(b.on_objects[d]) for d in objects) \
+            or any(len(sp.apex) != len(b.on_loose[m].apex)
+                   for m, sp in a.on_loose.items()):
+        return None
+    constraints += distinct(
+        [[("ob", d, e) for e in a.on_objects[d]] for d in objects]
+        + [[("lo", m, xi) for xi in a.on_loose[m].apex] for m in t.loose])
+    for sol in solutions(domains, constraints):
+        f = _morphism(a, b, sol)
+        inv = ModelMorphism(
+            b, a,
+            {d: inverse_table(tab) for d, tab in f.on_objects.items()},
+            {m: inverse_table(tab) for m, tab in f.on_loose.items()})
+        if not validate_model_morphism(inv):
+            return f
     return None

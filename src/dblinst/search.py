@@ -48,3 +48,15 @@ def solutions(domains, constraints):
             stack.append(iter(domains[len(stack)][1]))
         else:
             yield dict(zip(position, chosen))
+
+
+def distinct(groups):
+    """Constraints that the variables of each group take distinct values.
+
+    Each variable after the first of its group reads the ones before it,
+    so a repeated value is rejected as soon as it is assigned.  Adding
+    these to a search only removes non-injective assignments: the
+    others come in the same order.
+    """
+    return [(tuple(group[:i + 1]), lambda *v: v[-1] not in v[:-1])
+            for group in groups for i in range(1, len(group))]

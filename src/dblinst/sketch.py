@@ -12,7 +12,7 @@ models of the theory, checked relation-locally without closing hom-sets.
 
 from .collage import PresentedCategory
 from .errors import MarkedSquareNotPullback
-from .finset import FiniteSet, Span, pair_label
+from .finset import FiniteSet, Span, fibers, pair_label, pullback_pairs
 from .model import SpanModel
 from .search import solutions
 
@@ -295,7 +295,8 @@ def validate_sketch_model(s):
         gs = s.on_generators[g]
         cmp_t = {e: (s.on_generators[l1][e], s.on_generators[l2][e])
                  for e in s.on_objects[apex]}
-        target = [(a, b) for a in fs for b in gs if fs[a] == gs[b]]
+        over = fibers(gs, gs)
+        target = [(a, b) for a in fs for b in over.get(fs[a], ())]
         values = list(cmp_t.values())
         if len(set(values)) != len(values) or set(values) != set(target):
             report.append("marked square at {} is not a pullback".format(apex))
@@ -333,9 +334,12 @@ def model_to_sketch_model(x, sk):
         pair_elems[(m, n)] = dom
     triple_elems = {}
     for m, n, p in _triples(t):
+        # each pair is joined with the fiber of p's left leg over the
+        # right end of its second component
+        over = fibers(x.on_loose[p].left, x.on_loose[p].apex)
+        right_n = x.on_loose[n].right
         dom = [(a, b, c) for (a, b) in pair_elems[(m, n)]
-               for c in x.on_loose[p].apex
-               if x.on_loose[n].right[b] == x.on_loose[p].left[c]]
+               for c in over.get(right_n[b], ())]
         on_objects[triple_sort(m, n, p)] = FiniteSet(
             [pair_label(pair_label(a, b), c) for a, b, c in dom])
         triple_elems[(m, n, p)] = dom
@@ -435,15 +439,13 @@ def sketch_model_to_model(s):
         witness = {}
         for e in s.on_objects[pair_sort(m, n)]:
             witness[(p1[e], p2[e])] = e
-        wanted = {(a, b) for a in on_loose[m].apex for b in on_loose[n].apex
-                  if on_loose[m].right[a] == on_loose[n].left[b]}
-        if set(witness.keys()) != wanted or \
+        dom = pullback_pairs(on_loose[m], on_loose[n])
+        if set(witness.keys()) != set(dom) or \
                 len(witness) != len(s.on_objects[pair_sort(m, n)]):
             raise MarkedSquareNotPullback(
                 "pair sort of ({},{}) is not the materialized pullback"
                 .format(m, n))
-        laxators[(m, n)] = {(a, b): lax[witness[(a, b)]]
-                            for (a, b) in wanted}
+        laxators[(m, n)] = {pair: lax[witness[pair]] for pair in dom}
     unitors = {d: dict(s.on_generators["unit[{}]".format(d)])
                for d in t.objects}
     return SpanModel(t, on_objects, on_tight, on_loose, on_cells,

@@ -229,36 +229,57 @@ def validate_theory(t):
         if ra and t.cell_hcomp.get((a, ra)) != a:
             report.append("horizontal unit fails at {}".format(a))
 
-    # associativity of both cell compositions (on tabulated entries)
-    for (a, b), ab in t.cell_vcomp.items():
-        for c in t.cells:
-            if (b, c) in t.cell_vcomp and (ab, c) in t.cell_vcomp \
-                    and (a, t.cell_vcomp[(b, c)]) in t.cell_vcomp:
-                if t.cell_vcomp[(ab, c)] != t.cell_vcomp[(a, t.cell_vcomp[(b, c)])]:
-                    report.append("vertical associativity fails at ({},{},{})"
-                                  .format(a, b, c))
-    for (a, b), ab in t.cell_hcomp.items():
-        for c in t.cells:
-            if (b, c) in t.cell_hcomp and (ab, c) in t.cell_hcomp \
-                    and (a, t.cell_hcomp[(b, c)]) in t.cell_hcomp:
-                if t.cell_hcomp[(ab, c)] != t.cell_hcomp[(a, t.cell_hcomp[(b, c)])]:
-                    report.append("horizontal associativity fails at ({},{},{})"
-                                  .format(a, b, c))
+    # associativity of both cell compositions (on tabulated entries);
+    # each table is indexed by its first argument, so a pair (a, b) is
+    # joined only with the entries (b, c) that exist.  Failures at one
+    # pair are reported in cell order of c.
+    position = {c: i for i, c in enumerate(t.cells)}
+    v_after, h_after = _by_first(t.cell_vcomp), _by_first(t.cell_hcomp)
+    for kind, comp, after in (("vertical", t.cell_vcomp, v_after),
+                              ("horizontal", t.cell_hcomp, h_after)):
+        for (a, b), ab in comp.items():
+            fails = []
+            for c, bc in after.get(b, {}).items():
+                if c in position and (ab, c) in comp \
+                        and (a, bc) in comp and comp[(ab, c)] != comp[(a, bc)]:
+                    fails.append((position[c], c))
+            report.extend("{} associativity fails at ({},{},{})"
+                          .format(kind, a, b, c) for _, c in sorted(fails))
 
-    # interchange on all tabulated 2x2 grids
+    # interchange on all tabulated 2x2 grids: for a horizontal pair
+    # (a, b), the rows (c, d) below it have (a, c) and (b, d) tabulated,
+    # so c ranges over v_after[a] and d over h_after[c] and v_after[b].
+    # Failures at one pair are reported in the table order of (c, d).
+    h_position = {k: i for i, k in enumerate(t.cell_hcomp)}
+    vget, hget = t.cell_vcomp.get, t.cell_hcomp.get
     for (a, b), ab in t.cell_hcomp.items():
-        for (c, d), cd in t.cell_hcomp.items():
-            if (a, c) in t.cell_vcomp and (b, d) in t.cell_vcomp \
-                    and (ab, cd) in t.cell_vcomp:
-                ac, bd = t.cell_vcomp[(a, c)], t.cell_vcomp[(b, d)]
-                if (ac, bd) in t.cell_hcomp:
-                    if t.cell_hcomp[(ac, bd)] != t.cell_vcomp[(ab, cd)]:
-                        report.append("interchange fails at grid ({},{};{},{})"
-                                      .format(a, b, c, d))
+        below_b = v_after.get(b, {})
+        fails = []
+        for c, ac in v_after.get(a, {}).items():
+            row = h_after.get(c)
+            if not row:
+                continue
+            for d in row.keys() & below_b.keys():
+                abcd = vget((ab, row[d]))
+                if abcd is None:
+                    continue
+                acbd = hget((ac, below_b[d]))
+                if acbd is not None and acbd != abcd:
+                    fails.append((h_position[(c, d)], c, d))
+        report.extend("interchange fails at grid ({},{};{},{})"
+                      .format(a, b, c, d) for _, c, d in sorted(fails))
 
     if t.cartesian is not None:
         _check_cartesian(report, t)
     return report
+
+
+def _by_first(comp):
+    """A composition table indexed by its first argument: a -> {b: ab}."""
+    index = {}
+    for (a, b), ab in comp.items():
+        index.setdefault(a, {})[b] = ab
+    return index
 
 
 def _check_cartesian(report, t):

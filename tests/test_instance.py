@@ -1,4 +1,7 @@
+import pytest
 
+from dblinst import instance as instance_module
+from dblinst.errors import ModelMismatch
 from dblinst.fixtures import (coproduct_instance,
                               empty_instance, monad_instance_fixture,
                               profunctor_instance_fixture,
@@ -80,6 +83,53 @@ def test_find_instance_isomorphism_is_symmetric():
     k = weighted_graph_instance(2)
     assert find_instance_isomorphism(h, k) is not None
     assert find_instance_isomorphism(h, weighted_graph_instance(3)) is None
+
+
+def test_find_instance_isomorphism_is_the_first_bijective_morphism():
+    """The lazy search returns the first bijective morphism of the
+    sorted hom-set."""
+    pairs = [(weighted_graph_instance(i), weighted_graph_instance(j))
+             for i, j in ((2, 2), (3, 3), (4, 4), (3, 4))]
+    for _, _, instances in standard_instance_corpus():
+        pairs += [(h, k) for h in instances for k in instances]
+    for h, k in pairs:
+        bijective = [mu for mu in enumerate_instance_morphisms(h, k)
+                     if all(sorted(t.values()) == list(k.carriers[d])
+                            for d, t in mu.components.items())]
+        found = find_instance_isomorphism(h, k)
+        assert (found is None) == (not bijective)
+        if bijective:
+            assert found == bijective[0]
+
+
+def test_find_instance_isomorphism_stops_at_the_first_hit(monkeypatch):
+    """weighted_graph_instance(5) has 1820 endomorphisms; finding an
+    automorphism must not build them all."""
+    built = []
+
+    class Counting(instance_module.InstanceMorphism):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(instance_module, "InstanceMorphism", Counting)
+    h = weighted_graph_instance(5)
+    assert find_instance_isomorphism(h, h) is not None
+    assert len(built) < 10
+
+
+def test_morphisms_across_models_are_a_typed_error():
+    h = tautological_instance(walking_loose_model(["a"], ["b"], []))
+    k = tautological_instance(
+        walking_loose_model(["a"], ["b"], [("h", "a", "b")]))
+    for search in (enumerate_instance_morphisms, find_instance_isomorphism):
+        with pytest.raises(ModelMismatch, match="spans"):
+            search(h, k)
+        with pytest.raises(ModelMismatch, match="spans"):
+            search(k, h)
+    other = tautological_instance(walking_loose_model(["a", "c"], ["b"], []))
+    with pytest.raises(ModelMismatch, match="carriers"):
+        enumerate_instance_morphisms(h, other)
 
 
 def test_coproduct_instance_sizes_add():

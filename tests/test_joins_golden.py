@@ -396,16 +396,25 @@ def _with_actions(h, changes, labels=None):
 
 def _instance_report_cases():
     def associativity():
-        """Identity actions moved inside their fibre: unitality and
-        associativity through the laxators fail."""
-        _, h = seeded_loose(6, 5, 4, 2, 2)
-        moves = {}
-        for e in h.carriers["dom"].labels[::2]:
+        """Identity actions moved inside their fibre, onto elements
+        that act differently along every heteromorphism: unitality and
+        associativity through the laxators fail, several times for one
+        element."""
+        _, h = seeded_loose(6, 5, 4, 3, 3)
+        moves, acts = {}, {}
+        act = h.actions["l"]
+        cod = h.labels["cod"]
+        for e in h.carriers["dom"].labels[::3]:
             lab = h.labels["dom"][e]
             other = next(p for p in h.carriers["dom"]
                          if p != e and h.labels["dom"][p] == lab)
             moves[(e, lab)] = other
-        return _with_actions(h, {"id:dom": moves})
+            for (p, xi), v in act.items():
+                if p == e:
+                    acts[(other, xi)] = next(
+                        w for w in h.carriers["cod"]
+                        if w != v and cod[w] == cod[v])
+        return _with_actions(h, {"id:dom": moves, "l": acts})
 
     def labels():
         """Actions that leave their fibre or their carrier."""
@@ -481,8 +490,8 @@ def _sketch_report_cases():
     }
 
 
-def _corrupted_theory(hcomp=(), vcomp=()):
-    t = copy.deepcopy(builtin_theory("monad_trunc", 2))
+def _corrupted_theory(k=2, hcomp=(), vcomp=()):
+    t = copy.deepcopy(builtin_theory("monad_trunc", k))
     t.cell_hcomp.update(hcomp)
     t.cell_vcomp.update(vcomp)
     return validate_theory(t)
@@ -490,6 +499,10 @@ def _corrupted_theory(hcomp=(), vcomp=()):
 
 def _theory_report_cases():
     return {
+        "validate_theory_vertical_3": lambda: pinned_report(
+            _corrupted_theory(3, vcomp={("mm:0-0:", "mm:1-2:1"): "mm:1-2:2"})),
+        "validate_theory_horizontal_3": lambda: pinned_report(
+            _corrupted_theory(3, hcomp={("mm:1-1:1", "mm:1-2:1"): "mm:1-2:2"})),
         "validate_theory_interchange": lambda: _corrupted_theory(
             vcomp={("mm:2-1:1.1", "mm:0-1:"): "mm:2-2:1.2"}),
         "validate_theory_vertical": lambda: _corrupted_theory(
@@ -1679,8 +1692,8 @@ GOLDEN = {
           '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'],
          'c3d597d5c4ad1a4df9c947054b859d77b16dcbc2001c02b7a034c7250db61836'],
     'validate_instance_associativity':
-        [10,
-         '7530c1b7f0ea1cce6f7d56b41955af9a0ba0589bd396a7f8b9313094c0f6e981'],
+        [20,
+         '9f76623da956c88c85d86893685e1d452e4e452a30b9687846da5eedb2bcc614'],
     'validate_instance_carrier_labels':
         [1, '63c723f9da5b21595409fe4166212644791bad3d203232ca5b126d99bba1e26b'],
     'validate_instance_labels':
@@ -1733,6 +1746,9 @@ GOLDEN = {
          '2adcb8bbe7be30c495d94f0cc063e1e8e1d9f4c5e75413c5c72d5db15cf6955b'],
     'validate_sketch_src':
         [4, '9c260c05829c48270053ef5457a7c50f4594e9fd8a02136d678ef9423e917a5c'],
+    'validate_theory_horizontal_3':
+        [40,
+         '8750225265b01a9db4f985835eced861adbe629d2911d01ef63a5000cecf40ba'],
     'validate_theory_interchange':
         ['interchange fails at grid (mm:1-2:2,mm:2-1:1.1;mm:0-0:,mm:0-1:)',
          'interchange fails at grid (mm:2-1:1.1,mm:1-1:1;mm:0-0:,mm:0-1:)',
@@ -1759,6 +1775,9 @@ GOLDEN = {
          'interchange fails at grid (mm:0-0:,mm:0-0:;mm:1-2:1,mm:2-2:1.1)',
          'interchange fails at grid (mm:0-0:,mm:0-0:;mm:1-2:2,mm:2-2:1.1)',
          'interchange fails at grid (mm:0-0:,mm:0-0:;mm:2-1:1.1,mm:1-2:1)'],
+    'validate_theory_vertical_3':
+        [22,
+         'df3981016b6d9a14acf5aaeff26f05d6571c770fa9077b0af426a52073ae759a'],
     'witness_loose_seed0':
         [7, 'e7d1e568e65abbd1b96a6fa579864c6db2ebbdcf9f643a951b57828ac7702f0d'],
     'witness_loose_seed1':

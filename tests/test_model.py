@@ -1,4 +1,5 @@
 
+from dblinst import model as model_module
 from dblinst.fixtures import (category_as_model, chain_category,
                               cyclic_translation_model, signed_fixture_models,
                               standard_instance_corpus, walking_loose_model, walking_tight_model, weighted_graph_schema)
@@ -67,6 +68,46 @@ def test_find_model_isomorphism_detects_relabelling():
     assert iso is not None
     z = walking_tight_model(["p"], ["r"], {"p": "r"})
     assert find_model_isomorphism(x, z) is None
+
+
+def test_find_model_isomorphism_is_the_first_isomorphism():
+    """The lazy search returns the first morphism of the sorted hom-set
+    whose bijective components invert to a morphism."""
+    tight = [walking_tight_model(top, bot, fn) for top, bot, fn in (
+        (["p", "q", "s"], ["r", "t"], {"p": "r", "q": "t", "s": "r"}),
+        (["u", "v", "w"], ["x", "y"], {"u": "y", "v": "x", "w": "y"}),
+        (["p", "q", "s"], ["r", "t"], {"p": "r", "q": "r", "s": "r"}))]
+    pairs = [(x, y) for x in tight for y in tight]
+    for _, x, _ in standard_instance_corpus():
+        pairs.append((x, x))
+    pairs.append((weighted_graph_schema(), weighted_graph_schema()))
+    for x, y in pairs:
+        isos = [f for f in enumerate_model_morphisms(x, y)
+                if all(sorted(t.values()) == list(y.on_objects[d])
+                       for d, t in f.on_objects.items())
+                and all(sorted(t.values()) == list(y.on_loose[m].apex)
+                        for m, t in f.on_loose.items())]
+        found = find_model_isomorphism(x, y)
+        assert (found is None) == (not isos)
+        if isos:
+            assert found == isos[0]
+
+
+def test_find_model_isomorphism_stops_at_the_first_hit(monkeypatch):
+    """Five elements over one point have 3125 endomorphisms; finding an
+    automorphism must not build them all."""
+    built = []
+
+    class Counting(model_module.ModelMorphism):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(model_module, "ModelMorphism", Counting)
+    top = ["p{}".format(i) for i in range(5)]
+    x = walking_tight_model(top, ["r"], {p: "r" for p in top})
+    assert find_model_isomorphism(x, x) is not None
+    assert len(built) < 10
 
 
 def test_signed_models_have_multiplicative_signs():
