@@ -7,8 +7,12 @@ tight arrow and source element) and by the heteromorphisms (one
 generator per loose arrow and apex element), modulo four relation
 classes: tight composition, laxator triangles, cell squares, and the
 collapse of unitor images to identities.
+
+Objects are named ``d|e`` and generators ``t{f@e}`` and ``h{m@xi}``;
+every reader takes a generator's structure from ``_generators``.
 """
 
+from .errors import NameClash
 from .finset import FiniteSet, pair_label
 from .fincat import Copresheaf
 from .instance import Instance
@@ -39,27 +43,53 @@ class PresentedCategory:
         return {g: (s, d) for g, (s, d, _) in self.generators.items()}
 
 
-def collage_of_model(x):
-    """The presented category of elements-and-heteromorphisms of a model."""
+def _generators(x):
+    """Each collage generator of a model, in presentation order, as
+    (name, kind, arrow, element, source, target): the source and the
+    target are (object, element) pairs."""
     t = x.theory
-    objects = [collage_object(d, e)
-               for d in t.objects for e in x.on_objects[d]]
     tight_ids = set(t.tight_id.values())
-
-    generators = {}
     for f, (s, d) in t.tight.items():
         if f in tight_ids:
             continue
+        image = x.on_tight[f]
         for e in x.on_objects[s]:
-            generators[tight_gen(f, e)] = (
-                collage_object(s, e),
-                collage_object(d, x.on_tight[f][e]), "tight")
+            yield tight_gen(f, e), "tight", f, e, (s, e), (d, image[e])
     for m, (s, d) in t.loose.items():
         sp = x.on_loose[m]
         for xi in sp.apex:
-            generators[het_gen(m, xi)] = (
-                collage_object(s, sp.left[xi]),
-                collage_object(d, sp.right[xi]), "het")
+            yield (het_gen(m, xi), "het", m, xi, (s, sp.left[xi]),
+                   (d, sp.right[xi]))
+
+
+def _image(al, kind, arrow, element):
+    """The target collage generator that a model morphism sends the
+    source generator of (kind, arrow, element) to."""
+    if kind == "tight":
+        s = al.source.theory.tight_src(arrow)
+        return tight_gen(arrow, al.on_objects[s][element])
+    return het_gen(arrow, al.on_loose[arrow][element])
+
+
+def collage_of_model(x):
+    """The presented category of elements-and-heteromorphisms of a model.
+
+    Raises NameClash when two objects or two generators get one name,
+    which a ``|`` or an ``@`` in the model's names can cause.
+    """
+    t = x.theory
+    objects = [collage_object(d, e)
+               for d in t.objects for e in x.on_objects[d]]
+    if len(set(objects)) != len(objects):
+        clash = next(o for o in objects if objects.count(o) > 1)
+        raise NameClash("two collage objects are named {}".format(clash))
+    tight_ids = set(t.tight_id.values())
+
+    generators = {}
+    for g, kind, _, _, src, dst in _generators(x):
+        if g in generators:
+            raise NameClash("two collage generators are named {}".format(g))
+        generators[g] = (collage_object(*src), collage_object(*dst), kind)
 
     def tight_word(f, e):
         return () if f in tight_ids else (tight_gen(f, e),)
@@ -102,12 +132,8 @@ def collage_of_model(x):
             add(collage_object(d, e), collage_object(d, e),
                 (het_gen(lid, x.unitors[d][e]),), ())
 
-    seen, unique = set(), []
-    for r in relations:
-        if r not in seen:
-            seen.add(r)
-            unique.append(r)
-    return PresentedCategory(objects, generators, unique)
+    return PresentedCategory(objects, generators,
+                             list(dict.fromkeys(relations)))
 
 
 def close_presented_category(p, bound, max_classes=10000):
@@ -133,20 +159,13 @@ def instance_to_copresheaf(h, closure):
             on_objects[collage_object(d, e)] = FiniteSet(fiber)
             fibers[collage_object(d, e)] = fiber
 
-    # one table per generator, built with the loops of collage_of_model
     steps = {}
-    tight_ids = set(t.tight_id.values())
-    for f, (s, _) in t.tight.items():
-        if f in tight_ids:
-            continue
-        for e in x.on_objects[s]:
-            steps[tight_gen(f, e)] = h.tight_cells[f]
-    for m, (s, _) in t.loose.items():
-        sp = x.on_loose[m]
-        for xi in sp.apex:
-            steps[het_gen(m, xi)] = {
-                p: h.actions[m][(p, xi)]
-                for p in fibers[collage_object(s, sp.left[xi])]}
+    for g, kind, arrow, xi, src, _ in _generators(x):
+        if kind == "tight":
+            steps[g] = h.tight_cells[arrow]
+        else:
+            steps[g] = {p: h.actions[arrow][(p, xi)]
+                        for p in fibers[collage_object(*src)]}
 
     on_morphisms = {}
     for mor, (s, d) in cat.morphisms.items():
@@ -211,19 +230,8 @@ def collage_object_map(al):
 def collage_generator_map(al):
     """Generator assignment of the collage of a model morphism: words in
     the target presentation (empty for collapsed identities)."""
-    x, y = al.source, al.target
-    t = x.theory
-    tight_ids = set(t.tight_id.values())
-    out = {}
-    for f, (s, d) in t.tight.items():
-        if f in tight_ids:
-            continue
-        for e in x.on_objects[s]:
-            out[tight_gen(f, e)] = (tight_gen(f, al.on_objects[s][e]),)
-    for m in t.loose:
-        for xi in x.on_loose[m].apex:
-            out[het_gen(m, xi)] = (het_gen(m, al.on_loose[m][xi]),)
-    return out
+    return {g: (_image(al, kind, arrow, e),)
+            for g, kind, arrow, e, _, _ in _generators(al.source)}
 
 
 def collage_of_morphism(al, closure_src, closure_tgt):

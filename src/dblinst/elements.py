@@ -7,7 +7,7 @@ instance back off a discrete opfibration through the witness
 bijections.  Both directions are direct formulas on pairs, no search.
 """
 
-from .errors import NoExtension, NotDiscreteOpfibration
+from .errors import NoExtension, NotDiscreteOpfibration, PartialMorphism
 from .finset import FiniteSet, Span, fibers, pair_label
 from .instance import Instance
 from .model import ModelMorphism, SpanModel, validate_model_morphism
@@ -64,9 +64,18 @@ def is_discrete_opfibration(p):
     Returns a DopfCheck: on success the witness records the lift of
     every (base heteromorphism, source element over its source); on
     failure the counterexample is (m, heteromorphism, element, lifts).
+    Raises PartialMorphism when a component leaves an element out.
     """
     e_model, b_model = p.source, p.target
     t = e_model.theory
+    components = [("object", d, p.on_objects.get(d), e_model.on_objects[d])
+                  for d in t.objects]
+    components += [("loose arrow", m, p.on_loose.get(m),
+                     e_model.on_loose[m].apex) for m in t.loose]
+    for kind, name, table, carrier in components:
+        if table is None or any(e not in table for e in carrier):
+            raise PartialMorphism(
+                "component at {} {} not total".format(kind, name))
     bijections = {}
     for m, (s, d) in t.loose.items():
         esp, bsp = e_model.on_loose[m], b_model.on_loose[m]

@@ -64,3 +64,11 @@ class MarkedSquareNotPullback(DblinstError):
 
 class UnknownVerb(DblinstError):
     """The CLI was invoked with an unrecognized subcommand."""
+
+
+class NameClash(DblinstError):
+    """Two generators, or two objects, of one presentation got one name."""
+
+
+class PartialMorphism(DblinstError):
+    """A model morphism leaves an element without an image."""

@@ -38,13 +38,6 @@ class FinCategory:
         assert self.dst(f) == self.src(g), "morphisms not composable"
         return self.comp[(f, g)]
 
-    def compose_word(self, obj, word):
-        """Compose a list of morphism names starting at ``obj``."""
-        out = self.identity[obj]
-        for f in word:
-            out = self.compose(out, f)
-        return out
-
     def validate(self):
         """Report violations of the category axioms (exhaustive)."""
         report = []

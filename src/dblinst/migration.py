@@ -17,9 +17,9 @@ target category.
 import itertools
 from collections import Counter
 
-from .collage import (close_presented_category, collage_object,
-                      collage_of_model, collage_of_morphism, copresheaf_to_instance,
-                      het_gen, instance_to_copresheaf, tight_gen)
+from .collage import (_generators, _image, close_presented_category,
+                      collage_object, collage_of_model, collage_of_morphism,
+                      copresheaf_to_instance, instance_to_copresheaf)
 from .elements import elements
 from .errors import (HomSetTooLarge, MiddleNotCartesian, NotCartesian,
                      NotDiscreteOpfibration, SquareNotCommutative)
@@ -237,28 +237,17 @@ def reflect_into_dopf(f, bound=8):
     t = x.theory
     closure = close_presented_category(collage_of_model(b), bound)
     cat = closure.category
-    tight_ids = set(t.tight_id.values())
 
     location = {}
     for d in t.objects:
         for e in x.on_objects[d]:
             location[(d, e)] = collage_object(d, f.on_objects[d][e])
 
-    base = []
-    for u, (s, d) in t.tight.items():
-        if u in tight_ids:
-            continue
-        for e in x.on_objects[s]:
-            w = closure.word_class(location[(s, e)],
-                                   (tight_gen(u, f.on_objects[s][e]),))
-            base.append(((s, e), w, (d, x.on_tight[u][e])))
-    for m, (s, d) in t.loose.items():
-        sp = x.on_loose[m]
-        for xi in sp.apex:
-            e = sp.left[xi]
-            w = closure.word_class(location[(s, e)],
-                                   (het_gen(m, f.on_loose[m][xi]),))
-            base.append(((s, e), w, (d, sp.right[xi])))
+    # each upstairs generator is pushed forward along its image, which
+    # is computed from its structure: the source collage is never built
+    base = [(src, closure.word_class(location[src],
+                                     (_image(f, kind, arrow, e),)), dst)
+            for _, kind, arrow, e, src, dst in _generators(x)]
     cp, label = _evaluate_presented(
         cat, location, base,
         lambda g, mor: "[{}.{}|{}]".format(g[0], g[1], mor))

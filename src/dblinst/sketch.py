@@ -7,30 +7,39 @@ cells, the laxator and unitor comparison arrows, and the unit and
 associativity comparisons; marked squares single out the pair and
 triple sorts as pullbacks.  Set-valued sketch models are exactly
 models of the theory, checked relation-locally without closing hom-sets.
+
+Every sort and generator is named ``kind[part,...]`` by ``_name``, and
+every reader fetches a table through it; no name is parsed back apart.
 """
 
 
 from .collage import PresentedCategory
-from .errors import MarkedSquareNotPullback
+from .errors import MarkedSquareNotPullback, NameClash
 from .finset import FiniteSet, Span, fibers, pair_label, pullback_pairs
 from .model import SpanModel
 from .search import solutions
 
 
+def _name(kind, *parts):
+    # concatenation, not str.format: every sketch round trip flattens
+    # its theory, and so builds every name through here
+    return kind + "[" + ",".join(parts) + "]"
+
+
 def ob_sort(x):
-    return "O[{}]".format(x)
+    return _name("O", x)
 
 
 def loose_sort(m):
-    return "L[{}]".format(m)
+    return _name("L", m)
 
 
 def pair_sort(m, n):
-    return "P[{},{}]".format(m, n)
+    return _name("P", m, n)
 
 
 def triple_sort(m, n, p):
-    return "T[{},{},{}]".format(m, n, p)
+    return _name("T", m, n, p)
 
 
 class LimitSketch:
@@ -59,6 +68,16 @@ class SketchModel:
         return table
 
 
+def _words(t):
+    """The sketch words of the tight arrows and of the cells: one
+    generator each, and the empty word for an identity."""
+    tight_ids = set(t.tight_id.values())
+    cell_ids = set(t.cell_id_loose.values())
+    tight = {f: () if f in tight_ids else (_name("ar", f),) for f in t.tight}
+    cells = {a: () if a in cell_ids else (_name("cell", a),) for a in t.cells}
+    return tight, cells
+
+
 def _triples(t):
     out = []
     for (m, n), mn in t.loose_comp.items():
@@ -68,12 +87,24 @@ def _triples(t):
     return out
 
 
+def _hpairs(t):
+    """The horizontally composable cells whose tops and bottoms both
+    compose: one ``cell2`` generator each."""
+    return [(a, b) for a, b in t.cell_hcomp
+            if (t.cell_top(a), t.cell_top(b)) in t.loose_comp
+            and (t.cell_bottom(a), t.cell_bottom(b)) in t.loose_comp]
+
+
 def flatten_theory(t):
-    """The finite-limit sketch of a double theory."""
-    tight_ids = set(t.tight_id.values())
-    cell_ids = set(t.cell_id_loose.values())
+    """The finite-limit sketch of a double theory.
+
+    Raises NameClash when two generators get one name, which a comma in
+    a loose arrow's or a cell's name can cause.
+    """
+    tight_word, cell_word = _words(t)
     pairs = sorted(t.loose_comp)
     triples = sorted(_triples(t))
+    hpairs = _hpairs(t)
 
     objects = [ob_sort(x) for x in t.objects]
     objects += [loose_sort(m) for m in t.loose]
@@ -82,50 +113,43 @@ def flatten_theory(t):
 
     gens = {}
 
-    def tight_word(f):
-        return () if f in tight_ids else ("ar[{}]".format(f),)
-
-    def cell_word(a):
-        return () if a in cell_ids else ("cell[{}]".format(a),)
+    def gen(name, src, dst):
+        if name in gens:
+            raise NameClash("two sketch generators are named {}".format(name))
+        gens[name] = (src, dst, "plain")
 
     for f, (x, y) in t.tight.items():
-        if f not in tight_ids:
-            gens["ar[{}]".format(f)] = (ob_sort(x), ob_sort(y), "plain")
+        if tight_word[f]:
+            gen(tight_word[f][0], ob_sort(x), ob_sort(y))
     for m, (x, y) in t.loose.items():
-        gens["src[{}]".format(m)] = (loose_sort(m), ob_sort(x), "plain")
-        gens["tgt[{}]".format(m)] = (loose_sort(m), ob_sort(y), "plain")
+        gen(_name("src", m), loose_sort(m), ob_sort(x))
+        gen(_name("tgt", m), loose_sort(m), ob_sort(y))
     for m, n in pairs:
-        gens["p1[{},{}]".format(m, n)] = (pair_sort(m, n), loose_sort(m), "plain")
-        gens["p2[{},{}]".format(m, n)] = (pair_sort(m, n), loose_sort(n), "plain")
-        gens["lax[{},{}]".format(m, n)] = (
-            pair_sort(m, n), loose_sort(t.loose_comp[(m, n)]), "plain")
+        gen(_name("p1", m, n), pair_sort(m, n), loose_sort(m))
+        gen(_name("p2", m, n), pair_sort(m, n), loose_sort(n))
+        gen(_name("lax", m, n), pair_sort(m, n),
+            loose_sort(t.loose_comp[(m, n)]))
     for a, (f, g, m, n) in t.cells.items():
-        if a not in cell_ids:
-            gens["cell[{}]".format(a)] = (loose_sort(m), loose_sort(n), "plain")
-    hpairs = []
-    for (a, b), ab in t.cell_hcomp.items():
-        ma, mb = t.cell_top(a), t.cell_top(b)
-        na, nb = t.cell_bottom(a), t.cell_bottom(b)
-        if (ma, mb) in t.loose_comp and (na, nb) in t.loose_comp:
-            hpairs.append((a, b))
-            gens["cell2[{},{}]".format(a, b)] = (
-                pair_sort(ma, mb), pair_sort(na, nb), "plain")
+        if cell_word[a]:
+            gen(cell_word[a][0], loose_sort(m), loose_sort(n))
+    for a, b in hpairs:
+        gen(_name("cell2", a, b), pair_sort(t.cell_top(a), t.cell_top(b)),
+            pair_sort(t.cell_bottom(a), t.cell_bottom(b)))
     for x in t.objects:
-        gens["unit[{}]".format(x)] = (
-            ob_sort(x), loose_sort(t.loose_id[x]), "plain")
+        gen(_name("unit", x), ob_sort(x), loose_sort(t.loose_id[x]))
     for m, (x, y) in t.loose.items():
         lm, rm = t.loose_id[x], t.loose_id[y]
         if (lm, m) in t.loose_comp:
-            gens["lu[{}]".format(m)] = (loose_sort(m), pair_sort(lm, m), "plain")
+            gen(_name("lu", m), loose_sort(m), pair_sort(lm, m))
         if (m, rm) in t.loose_comp:
-            gens["ru[{}]".format(m)] = (loose_sort(m), pair_sort(m, rm), "plain")
+            gen(_name("ru", m), loose_sort(m), pair_sort(m, rm))
     for m, n, p in triples:
         tr = triple_sort(m, n, p)
         mn, np = t.loose_comp[(m, n)], t.loose_comp[(n, p)]
-        gens["p12[{},{},{}]".format(m, n, p)] = (tr, pair_sort(m, n), "plain")
-        gens["p23[{},{},{}]".format(m, n, p)] = (tr, pair_sort(n, p), "plain")
-        gens["lassoc[{},{},{}]".format(m, n, p)] = (tr, pair_sort(mn, p), "plain")
-        gens["rassoc[{},{},{}]".format(m, n, p)] = (tr, pair_sort(m, np), "plain")
+        gen(_name("p12", m, n, p), tr, pair_sort(m, n))
+        gen(_name("p23", m, n, p), tr, pair_sort(n, p))
+        gen(_name("lassoc", m, n, p), tr, pair_sort(mn, p))
+        gen(_name("rassoc", m, n, p), tr, pair_sort(m, np))
 
     relations = []
 
@@ -136,112 +160,93 @@ def flatten_theory(t):
     # (1) tight functoriality
     for (f, g), fg in t.tight_comp.items():
         add(ob_sort(t.tight_src(f)), ob_sort(t.tight_dst(g)),
-            tight_word(f) + tight_word(g), tight_word(fg))
+            tight_word[f] + tight_word[g], tight_word[fg])
     # (2) span maps from cells, laxators, unitors
     for a, (f, g, m, n) in t.cells.items():
         add(loose_sort(m), ob_sort(t.loose_src(n)),
-            cell_word(a) + ("src[{}]".format(n),),
-            ("src[{}]".format(m),) + tight_word(f))
+            cell_word[a] + (_name("src", n),),
+            (_name("src", m),) + tight_word[f])
         add(loose_sort(m), ob_sort(t.loose_dst(n)),
-            cell_word(a) + ("tgt[{}]".format(n),),
-            ("tgt[{}]".format(m),) + tight_word(g))
+            cell_word[a] + (_name("tgt", n),),
+            (_name("tgt", m),) + tight_word[g])
     for m, n in pairs:
         mn = t.loose_comp[(m, n)]
-        lax = "lax[{},{}]".format(m, n)
+        lax = _name("lax", m, n)
         add(pair_sort(m, n), ob_sort(t.loose_src(m)),
-            (lax, "src[{}]".format(mn)),
-            ("p1[{},{}]".format(m, n), "src[{}]".format(m)))
+            (lax, _name("src", mn)), (_name("p1", m, n), _name("src", m)))
         add(pair_sort(m, n), ob_sort(t.loose_dst(n)),
-            (lax, "tgt[{}]".format(mn)),
-            ("p2[{},{}]".format(m, n), "tgt[{}]".format(n)))
+            (lax, _name("tgt", mn)), (_name("p2", m, n), _name("tgt", n)))
     for x in t.objects:
         lid = t.loose_id[x]
-        u = "unit[{}]".format(x)
-        add(ob_sort(x), ob_sort(x), (u, "src[{}]".format(lid)), ())
-        add(ob_sort(x), ob_sort(x), (u, "tgt[{}]".format(lid)), ())
+        u = _name("unit", x)
+        add(ob_sort(x), ob_sort(x), (u, _name("src", lid)), ())
+        add(ob_sort(x), ob_sort(x), (u, _name("tgt", lid)), ())
     # (3) functoriality of the cell assignment
     for (a, b), ab in t.cell_vcomp.items():
         add(loose_sort(t.cell_top(a)), loose_sort(t.cell_bottom(b)),
-            cell_word(a) + cell_word(b), cell_word(ab))
+            cell_word[a] + cell_word[b], cell_word[ab])
     for a, b in hpairs:
         ma, mb = t.cell_top(a), t.cell_top(b)
         na, nb = t.cell_bottom(a), t.cell_bottom(b)
-        g2 = "cell2[{},{}]".format(a, b)
+        g2 = _name("cell2", a, b)
         add(pair_sort(ma, mb), loose_sort(na),
-            (g2, "p1[{},{}]".format(na, nb)),
-            ("p1[{},{}]".format(ma, mb),) + cell_word(a))
+            (g2, _name("p1", na, nb)), (_name("p1", ma, mb),) + cell_word[a])
         add(pair_sort(ma, mb), loose_sort(nb),
-            (g2, "p2[{},{}]".format(na, nb)),
-            ("p2[{},{}]".format(ma, mb),) + cell_word(b))
+            (g2, _name("p2", na, nb)), (_name("p2", ma, mb),) + cell_word[b])
         add(pair_sort(ma, mb), loose_sort(t.loose_comp[(na, nb)]),
-            (g2, "lax[{},{}]".format(na, nb)),
-            ("lax[{},{}]".format(ma, mb),) + cell_word(t.cell_hcomp[(a, b)]))
+            (g2, _name("lax", na, nb)),
+            (_name("lax", ma, mb),) + cell_word[t.cell_hcomp[(a, b)]])
     # (4) associativity comparisons
     for m, n, p in triples:
         tr = triple_sort(m, n, p)
         mn, np = t.loose_comp[(m, n)], t.loose_comp[(n, p)]
-        p12 = "p12[{},{},{}]".format(m, n, p)
-        p23 = "p23[{},{},{}]".format(m, n, p)
-        la = "lassoc[{},{},{}]".format(m, n, p)
-        ra = "rassoc[{},{},{}]".format(m, n, p)
+        p12, p23 = _name("p12", m, n, p), _name("p23", m, n, p)
+        la, ra = _name("lassoc", m, n, p), _name("rassoc", m, n, p)
         add(tr, loose_sort(n),
-            (p12, "p2[{},{}]".format(m, n)), (p23, "p1[{},{}]".format(n, p)))
+            (p12, _name("p2", m, n)), (p23, _name("p1", n, p)))
         add(tr, loose_sort(mn),
-            (la, "p1[{},{}]".format(mn, p)), (p12, "lax[{},{}]".format(m, n)))
+            (la, _name("p1", mn, p)), (p12, _name("lax", m, n)))
         add(tr, loose_sort(p),
-            (la, "p2[{},{}]".format(mn, p)), (p23, "p2[{},{}]".format(n, p)))
+            (la, _name("p2", mn, p)), (p23, _name("p2", n, p)))
         add(tr, loose_sort(m),
-            (ra, "p1[{},{}]".format(m, np)), (p12, "p1[{},{}]".format(m, n)))
+            (ra, _name("p1", m, np)), (p12, _name("p1", m, n)))
         add(tr, loose_sort(np),
-            (ra, "p2[{},{}]".format(m, np)), (p23, "lax[{},{}]".format(n, p)))
+            (ra, _name("p2", m, np)), (p23, _name("lax", n, p)))
         if (mn, p) in t.loose_comp and (m, np) in t.loose_comp:
             add(tr, loose_sort(t.loose_comp[(mn, p)]),
-                (la, "lax[{},{}]".format(mn, p)),
-                (ra, "lax[{},{}]".format(m, np)))
+                (la, _name("lax", mn, p)), (ra, _name("lax", m, np)))
     # (5) unit comparisons
     for m, (x, y) in t.loose.items():
         lm, rm = t.loose_id[x], t.loose_id[y]
         if (lm, m) in t.loose_comp:
-            lu = "lu[{}]".format(m)
+            lu = _name("lu", m)
             add(loose_sort(m), loose_sort(lm),
-                (lu, "p1[{},{}]".format(lm, m)),
-                ("src[{}]".format(m), "unit[{}]".format(x)))
-            add(loose_sort(m), loose_sort(m),
-                (lu, "p2[{},{}]".format(lm, m)), ())
+                (lu, _name("p1", lm, m)), (_name("src", m), _name("unit", x)))
+            add(loose_sort(m), loose_sort(m), (lu, _name("p2", lm, m)), ())
             add(loose_sort(m), loose_sort(t.loose_comp[(lm, m)]),
-                (lu, "lax[{},{}]".format(lm, m)), ())
+                (lu, _name("lax", lm, m)), ())
         if (m, rm) in t.loose_comp:
-            ru = "ru[{}]".format(m)
-            add(loose_sort(m), loose_sort(m),
-                (ru, "p1[{},{}]".format(m, rm)), ())
+            ru = _name("ru", m)
+            add(loose_sort(m), loose_sort(m), (ru, _name("p1", m, rm)), ())
             add(loose_sort(m), loose_sort(rm),
-                (ru, "p2[{},{}]".format(m, rm)),
-                ("tgt[{}]".format(m), "unit[{}]".format(y)))
+                (ru, _name("p2", m, rm)), (_name("tgt", m), _name("unit", y)))
             add(loose_sort(m), loose_sort(t.loose_comp[(m, rm)]),
-                (ru, "lax[{},{}]".format(m, rm)), ())
+                (ru, _name("lax", m, rm)), ())
     # (6) commuting candidate squares
     for m, n in pairs:
         add(pair_sort(m, n), ob_sort(t.loose_dst(m)),
-            ("p1[{},{}]".format(m, n), "tgt[{}]".format(m)),
-            ("p2[{},{}]".format(m, n), "src[{}]".format(n)))
+            (_name("p1", m, n), _name("tgt", m)),
+            (_name("p2", m, n), _name("src", n)))
 
-    marked = []
-    for m, n in pairs:
-        marked.append((pair_sort(m, n),
-                       "p1[{},{}]".format(m, n), "p2[{},{}]".format(m, n),
-                       "tgt[{}]".format(m), "src[{}]".format(n)))
-    for m, n, p in triples:
-        marked.append((triple_sort(m, n, p),
-                       "p12[{},{},{}]".format(m, n, p),
-                       "p23[{},{},{}]".format(m, n, p),
-                       "p2[{},{}]".format(m, n), "p1[{},{}]".format(n, p)))
+    marked = [(pair_sort(m, n), _name("p1", m, n), _name("p2", m, n),
+               _name("tgt", m), _name("src", n)) for m, n in pairs]
+    marked += [(triple_sort(m, n, p), _name("p12", m, n, p),
+                _name("p23", m, n, p), _name("p2", m, n), _name("p1", n, p))
+               for m, n, p in triples]
 
-    seen, unique = set(), []
-    for r in relations:
-        if r not in seen:
-            seen.add(r)
-            unique.append(r)
-    sk = LimitSketch(PresentedCategory(objects, gens, unique), marked)
+    sk = LimitSketch(PresentedCategory(objects, gens,
+                                       list(dict.fromkeys(relations))),
+                     marked)
     sk.theory = t
     return sk
 
@@ -254,24 +259,16 @@ def flatten_cartesian_theory(t):
     """
     sk = flatten_theory(t)
     c = t.cartesian
-    tight_ids = set(t.tight_id.values())
-    cell_ids = set(t.cell_id_loose.values())
-
-    def tight_leg(f):
-        word = () if f in tight_ids else ("ar[{}]".format(f),)
-        return (word, ob_sort(t.tight_dst(f)))
-
-    def cell_leg(a):
-        word = () if a in cell_ids else ("cell[{}]".format(a),)
-        return (word, loose_sort(t.cell_bottom(a)))
-
+    tight_word, cell_word = _words(t)
     products = [(ob_sort(c.terminal_object), ())]
     for (d1, d2), p in c.product_object.items():
-        p1, p2 = c.proj_tight[(d1, d2)]
-        products.append((ob_sort(p), (tight_leg(p1), tight_leg(p2))))
+        products.append((ob_sort(p), tuple(
+            (tight_word[f], ob_sort(t.tight_dst(f)))
+            for f in c.proj_tight[(d1, d2)])))
     for (m1, m2), m12 in c.product_loose.items():
-        c1, c2 = c.proj_cells[(m1, m2)]
-        products.append((loose_sort(m12), (cell_leg(c1), cell_leg(c2))))
+        products.append((loose_sort(m12), tuple(
+            (cell_word[a], loose_sort(t.cell_bottom(a)))
+            for a in c.proj_cells[(m1, m2)])))
     sk.marked_products = products
     return sk
 
@@ -320,8 +317,7 @@ def validate_sketch_model(s):
 def model_to_sketch_model(x, sk):
     """Tabulate a model of the flattened theory as a sketch model."""
     t = sk.theory
-    tight_ids = set(t.tight_id.values())
-    cell_ids = set(t.cell_id_loose.values())
+    tight_word, cell_word = _words(t)
 
     on_objects = {ob_sort(d): x.on_objects[d] for d in t.objects}
     for m in t.loose:
@@ -345,48 +341,42 @@ def model_to_sketch_model(x, sk):
         triple_elems[(m, n, p)] = dom
 
     on_gens = {}
-    for f in t.tight:
-        if f not in tight_ids:
-            on_gens["ar[{}]".format(f)] = dict(x.on_tight[f])
+    for f, word in tight_word.items():
+        if word:
+            on_gens[word[0]] = dict(x.on_tight[f])
     for m in t.loose:
         sp = x.on_loose[m]
-        on_gens["src[{}]".format(m)] = dict(sp.left)
-        on_gens["tgt[{}]".format(m)] = dict(sp.right)
-    for a in t.cells:
-        if a not in cell_ids:
-            on_gens["cell[{}]".format(a)] = dict(x.on_cells[a])
+        on_gens[_name("src", m)] = dict(sp.left)
+        on_gens[_name("tgt", m)] = dict(sp.right)
+    for a, word in cell_word.items():
+        if word:
+            on_gens[word[0]] = dict(x.on_cells[a])
     for (m, n) in t.loose_comp:
         p1, p2, lax = {}, {}, {}
         for a, b in pair_elems[(m, n)]:
             lab = pair_label(a, b)
             p1[lab], p2[lab] = a, b
             lax[lab] = x.laxators[(m, n)][(a, b)]
-        on_gens["p1[{},{}]".format(m, n)] = p1
-        on_gens["p2[{},{}]".format(m, n)] = p2
-        on_gens["lax[{},{}]".format(m, n)] = lax
-    for g in sk.presented.generators:
-        if not g.startswith("cell2["):
-            continue
-        a, b = g[6:-1].split(",", 1)
-        ma, mb = t.cell_top(a), t.cell_top(b)
-        na, nb = t.cell_bottom(a), t.cell_bottom(b)
-        on_gens[g] = {
+        on_gens[_name("p1", m, n)] = p1
+        on_gens[_name("p2", m, n)] = p2
+        on_gens[_name("lax", m, n)] = lax
+    for a, b in _hpairs(t):
+        on_gens[_name("cell2", a, b)] = {
             pair_label(u, v): pair_label(x.on_cells[a][u], x.on_cells[b][v])
-            for u, v in pair_elems[(ma, mb)]}
+            for u, v in pair_elems[(t.cell_top(a), t.cell_top(b))]}
     for d in t.objects:
-        on_gens["unit[{}]".format(d)] = dict(x.unitors[d])
+        on_gens[_name("unit", d)] = dict(x.unitors[d])
     for m, (dx, dy) in t.loose.items():
         lm, rm = t.loose_id[dx], t.loose_id[dy]
         if (lm, m) in t.loose_comp:
-            on_gens["lu[{}]".format(m)] = {
+            on_gens[_name("lu", m)] = {
                 a: pair_label(x.unitors[dx][x.on_loose[m].left[a]], a)
                 for a in x.on_loose[m].apex}
         if (m, rm) in t.loose_comp:
-            on_gens["ru[{}]".format(m)] = {
+            on_gens[_name("ru", m)] = {
                 a: pair_label(a, x.unitors[dy][x.on_loose[m].right[a]])
                 for a in x.on_loose[m].apex}
     for m, n, p in _triples(t):
-        mn, np = t.loose_comp[(m, n)], t.loose_comp[(n, p)]
         p12, p23, la, ra = {}, {}, {}, {}
         for a, b, c in triple_elems[(m, n, p)]:
             lab = pair_label(pair_label(a, b), c)
@@ -394,10 +384,10 @@ def model_to_sketch_model(x, sk):
             p23[lab] = pair_label(b, c)
             la[lab] = pair_label(x.laxators[(m, n)][(a, b)], c)
             ra[lab] = pair_label(a, x.laxators[(n, p)][(b, c)])
-        on_gens["p12[{},{},{}]".format(m, n, p)] = p12
-        on_gens["p23[{},{},{}]".format(m, n, p)] = p23
-        on_gens["lassoc[{},{},{}]".format(m, n, p)] = la
-        on_gens["rassoc[{},{},{}]".format(m, n, p)] = ra
+        on_gens[_name("p12", m, n, p)] = p12
+        on_gens[_name("p23", m, n, p)] = p23
+        on_gens[_name("lassoc", m, n, p)] = la
+        on_gens[_name("rassoc", m, n, p)] = ra
     return SketchModel(sk, on_objects, on_gens)
 
 
@@ -407,35 +397,32 @@ def sketch_model_to_model(s):
     Raises MarkedSquareNotPullback when a pair sort fails its marking;
     the laxators are transported through the pullback bijections.
     """
-    sk = s.sketch
-    t = sk.theory
-    tight_ids = set(t.tight_id.values())
-    cell_ids = set(t.cell_id_loose.values())
+    t = s.sketch.theory
+    tight_word, cell_word = _words(t)
+    on_gens = s.on_generators
 
     on_objects = {d: s.on_objects[ob_sort(d)] for d in t.objects}
     on_tight = {}
     for f, (dx, _) in t.tight.items():
-        if f in tight_ids:
-            on_tight[f] = {e: e for e in on_objects[dx]}
-        else:
-            on_tight[f] = dict(s.on_generators["ar[{}]".format(f)])
+        word = tight_word[f]
+        on_tight[f] = dict(on_gens[word[0]]) if word else \
+            {e: e for e in on_objects[dx]}
     on_loose = {}
     for m, (dx, dy) in t.loose.items():
         on_loose[m] = Span(on_objects[dx], on_objects[dy],
                            s.on_objects[loose_sort(m)],
-                           dict(s.on_generators["src[{}]".format(m)]),
-                           dict(s.on_generators["tgt[{}]".format(m)]))
+                           dict(on_gens[_name("src", m)]),
+                           dict(on_gens[_name("tgt", m)]))
     on_cells = {}
     for a, (f, g, m, n) in t.cells.items():
-        if a in cell_ids:
-            on_cells[a] = {e: e for e in on_loose[m].apex}
-        else:
-            on_cells[a] = dict(s.on_generators["cell[{}]".format(a)])
+        word = cell_word[a]
+        on_cells[a] = dict(on_gens[word[0]]) if word else \
+            {e: e for e in on_loose[m].apex}
     laxators = {}
     for (m, n), mn in t.loose_comp.items():
-        p1 = s.on_generators["p1[{},{}]".format(m, n)]
-        p2 = s.on_generators["p2[{},{}]".format(m, n)]
-        lax = s.on_generators["lax[{},{}]".format(m, n)]
+        p1 = on_gens[_name("p1", m, n)]
+        p2 = on_gens[_name("p2", m, n)]
+        lax = on_gens[_name("lax", m, n)]
         witness = {}
         for e in s.on_objects[pair_sort(m, n)]:
             witness[(p1[e], p2[e])] = e
@@ -446,8 +433,7 @@ def sketch_model_to_model(s):
                 "pair sort of ({},{}) is not the materialized pullback"
                 .format(m, n))
         laxators[(m, n)] = {pair: lax[witness[pair]] for pair in dom}
-    unitors = {d: dict(s.on_generators["unit[{}]".format(d)])
-               for d in t.objects}
+    unitors = {d: dict(on_gens[_name("unit", d)]) for d in t.objects}
     return SpanModel(t, on_objects, on_tight, on_loose, on_cells,
                      laxators, unitors)
 
@@ -456,20 +442,18 @@ def enumerate_sketch_model_morphisms(s1, s2):
     """All natural families between sketch models, in search order.
 
     One search variable ``(o, e)`` per element e of s1 at the sort o,
-    ranging over s2 at o in label order: the object and loose sorts
-    first, in presented order, then the pair and triple sorts.  Every
-    generator gives a naturality constraint per element, and the legs
-    of its marked pullback pin each element of a pair or triple sort.
+    ranging over s2 at o in label order: the sorts that are no marked
+    pullback's apex first (the object and loose sorts of a flattened
+    theory), in presented order, then the apexes (its pair and triple
+    sorts).  Every generator gives a naturality constraint per element,
+    and the legs of its marked pullback pin each element of an apex.
     """
     sk = s1.sketch
     gens = sk.presented.generators
-    free = [o for o in sk.presented.objects
-            if o.startswith("O[") or o.startswith("L[")]
-    derived = [o for o in sk.presented.objects if o not in set(free)]
     marking = {apex: (l1, l2)
                for apex, l1, l2, _, _ in reversed(sk.marked_pullbacks)}
-    if any(o not in marking for o in derived):
-        return []
+    free = [o for o in sk.presented.objects if o not in marking]
+    derived = [o for o in sk.presented.objects if o in marking]
     domains = [((o, e), s2.on_objects[o])
                for o in free + derived for e in s1.on_objects[o]]
     # (u, v) are the images of e and of its image under g

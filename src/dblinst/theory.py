@@ -18,9 +18,8 @@ class CartesianStructure:
 
     Products are extra data, not a search: the theory declares its
     terminal object, binary product objects with tight projections, and
-    binary products of loose arrows with projection cells.  Pairing
-    tables are derived by uniqueness search at validation time and
-    cached on the structure.
+    binary products of loose arrows with projection cells.  Validation
+    checks by search that every pairing exists and is unique.
     """
 
     def __init__(self, terminal_object, terminal_tight, product_object,
@@ -31,8 +30,6 @@ class CartesianStructure:
         self.proj_tight = dict(proj_tight)              # (d1,d2) -> (p1,p2)
         self.product_loose = dict(product_loose)        # (m1,m2) -> m1xm2
         self.proj_cells = dict(proj_cells)              # (m1,m2) -> (c1,c2)
-        self.pair_tight = {}
-        self.pair_cells = {}
 
 
 class DoubleTheory:
@@ -316,8 +313,6 @@ def _check_cartesian(report, t):
                 if len(pairs) != 1:
                     report.append("cartesian: pairing of ({},{}) not unique"
                                   .format(f, g))
-                else:
-                    c.pair_tight[(f, g)] = pairs[0]
     for (m1, m2), m12 in c.product_loose.items():
         c1, c2 = c.proj_cells[(m1, m2)]
         ok = (t.cells.get(c1) is not None and t.cells.get(c2) is not None
@@ -338,12 +333,10 @@ def _check_cartesian(report, t):
                          and t.cell_bottom(h) == m12
                          and t.cell_vcomp.get((h, c1)) == a
                          and t.cell_vcomp.get((h, c2)) == b]
-                if len(pairs) == 1:
-                    c.pair_cells[(a, b)] = pairs[0]
-                elif len(pairs) > 1:
+                if len(pairs) > 1:
                     report.append("cartesian: cell pairing of ({},{}) ambiguous"
                                   .format(a, b))
                 # a missing pairing can be legitimate in a truncated theory
-                elif not t.partial:
+                elif not pairs and not t.partial:
                     report.append("cartesian: cell pairing of ({},{}) missing"
                                   .format(a, b))

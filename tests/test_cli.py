@@ -147,6 +147,32 @@ def test_flatten_writes_a_sketch(tmp_path, capsys):
     assert load_document(sk)["kind"] == "sketch"
 
 
+def test_collage_name_clash_exits_two(tmp_path, capsys):
+    from dblinst.fixtures import walking_loose_model
+    x = walking_loose_model(["a0@h0"], ["b0"], [("h0", "a0@h0", "b0")])
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(document_of(x)).replace('"l"', '"id:dom@a0"'))
+    code, out, err = run(capsys, "collage", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == \
+        "error: two collage generators are named h{id:dom@a0@h0}"
+
+
+def test_check_dopf_names_a_partial_component(tmp_path, capsys):
+    from dblinst.fixtures import walking_loose_model
+    from dblinst.model import ModelMorphism, terminal_model
+    x = walking_loose_model(["a0", "a1"], ["b"], [("h", "a0", "b")])
+    f = ModelMorphism(x, terminal_model(x.theory),
+                      {"dom": {"a0": "*"}, "cod": {"b": "*"}},
+                      {"id:dom": {"a0": "*", "a1": "*"},
+                       "id:cod": {"b": "*"}, "l": {"h": "*"}})
+    path = tmp_path / "partial.json"
+    save_document(document_of(f), path)
+    code, _, err = run(capsys, "check-dopf", str(path))
+    assert code == 2
+    assert err.strip() == "error: component at object dom not total"
+
+
 def test_unknown_verb_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-verb"])

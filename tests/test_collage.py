@@ -1,18 +1,25 @@
+import json
+
+import pytest
 
 from dblinst.collage import (close_presented_category, collage_object,
                              collage_of_model, collage_of_morphism,
                              copresheaf_to_instance, het_gen,
                              instance_to_copresheaf)
+from dblinst.errors import NameClash
 from dblinst.fincat import enumerate_natural_transformations
 from dblinst.fixtures import (category_as_model, chain_category,
                               cyclic_translation_model,
                               cyclic_quotient_morphism,
                               profunctor_instance_fixture,
                               standard_instance_corpus,
-                              tautological_instance, weighted_graph_instance,
-                              weighted_graph_schema)
+                              tautological_instance, walking_loose_model,
+                              weighted_graph_instance, weighted_graph_schema)
 from dblinst.instance import (enumerate_instance_morphisms,
                               find_instance_isomorphism, validate_instance)
+from dblinst.migration import reflect_into_dopf
+from dblinst.model import ModelMorphism, terminal_model, validate_model
+from dblinst.serialize import document_of, object_of
 
 
 def test_collage_objects_are_model_elements():
@@ -103,3 +110,46 @@ def test_collage_functor_of_quotient_is_isomorphism():
     assert sorted(set(fun.on_morphisms.values())) == \
         sorted(c2.category.morphisms)
     assert len(fun.on_morphisms) == len(set(fun.on_morphisms.values()))
+
+
+def _at_clash(element):
+    """A walking-loose model with loose arrow ``id:dom@a0`` and one
+    heteromorphism ``h0`` out of ``element``."""
+    x = walking_loose_model([element], ["b0"], [("h0", element, "b0")])
+    return object_of(json.loads(
+        json.dumps(document_of(x)).replace('"l"', '"id:dom@a0"')))
+
+
+def test_generators_sharing_a_name_are_a_name_clash():
+    # h0 on "id:dom@a0" and the identity heteromorphism at "a0@h0" are
+    # both named h{id:dom@a0@h0}
+    x = _at_clash("a0@h0")
+    assert validate_model(x) == []
+    with pytest.raises(NameClash, match=r"h\{id:dom@a0@h0\}"):
+        collage_of_model(x)
+
+
+def test_objects_sharing_a_name_are_a_name_clash():
+    # element "y|z" of object "x" and element "z" of object "x|y"
+    x = walking_loose_model(["y|z"], ["z"], [])
+    x = object_of(json.loads(json.dumps(document_of(x)).replace(
+        '"dom"', '"x"').replace('"cod"', '"x|y"')))
+    assert validate_model(x) == []
+    with pytest.raises(NameClash, match=r"x\|y\|z"):
+        collage_of_model(x)
+
+
+def test_reflection_does_not_name_source_generators():
+    # the reflection never builds the source collage, so a name clash
+    # there only renames its answer
+    docs = []
+    for element in ("a0@h0", "a0"):
+        x = _at_clash(element)
+        to_terminal = ModelMorphism(
+            x, terminal_model(x.theory),
+            {d: {e: "*" for e in s} for d, s in x.on_objects.items()},
+            {m: {xi: "*" for xi in sp.apex} for m, sp in x.on_loose.items()})
+        inst, _, _ = reflect_into_dopf(to_terminal, 4)
+        assert validate_instance(inst) == []
+        docs.append(json.dumps(document_of(inst), sort_keys=True))
+    assert docs[0].replace("a0@h0", "a0") == docs[1]

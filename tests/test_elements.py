@@ -4,7 +4,8 @@ from dblinst.elements import (canonical_elements_comparison,
                               dopf_morphism_from_objects, elements,
                               is_discrete_opfibration,
                               kappa_creates_dopf_check, nabla)
-from dblinst.errors import NoExtension, NotDiscreteOpfibration
+from dblinst.errors import (NoExtension, NotDiscreteOpfibration,
+                            PartialMorphism)
 from dblinst.fixtures import (category_as_model, chain_category,
                               coproduct_instance, empty_instance, representable_instances,
                               standard_instance_corpus,
@@ -12,7 +13,8 @@ from dblinst.fixtures import (category_as_model, chain_category,
                               weighted_graph_instance, weighted_graph_schema)
 from dblinst.instance import find_instance_isomorphism, validate_instance
 from dblinst.model import (ModelMorphism, compose_model_morphisms,
-                           validate_model, validate_model_morphism)
+                           terminal_model, validate_model,
+                           validate_model_morphism)
 
 
 def test_elements_produces_valid_model_and_projection():
@@ -57,6 +59,16 @@ def test_non_dopf_detected():
     assert not check.ok and check.counterexample is not None
     with pytest.raises(NotDiscreteOpfibration):
         nabla(fold)
+
+
+def test_partial_morphism_is_refused_by_name():
+    x = walking_loose_model(["a0", "a1"], ["b"], [("h", "a0", "b")])
+    f = ModelMorphism(x, terminal_model(x.theory),
+                      {"dom": {"a0": "*"}, "cod": {"b": "*"}},
+                      {"id:dom": {"a0": "*", "a1": "*"},
+                       "id:cod": {"b": "*"}, "l": {"h": "*"}})
+    with pytest.raises(PartialMorphism, match="component at object dom"):
+        is_discrete_opfibration(f)
 
 
 def test_kappa_creation_agreement_on_mixed_examples():

@@ -1,14 +1,19 @@
+import json
+
 import pytest
 
-from dblinst.errors import MarkedSquareNotPullback
+from dblinst.errors import MarkedSquareNotPullback, NameClash
 from dblinst.fixtures import (builtin_multicategory, standard_instance_corpus,
-                              walking_loose_model, weighted_graph_schema)
+                              walking_loose_model, walking_square_model,
+                              weighted_graph_schema)
 from dblinst.model import enumerate_model_morphisms, validate_model
+from dblinst.serialize import document_of, object_of
 from dblinst.sketch import (enumerate_sketch_model_morphisms, flatten_theory,
                             flatten_cartesian_theory, loose_sort,
                             model_to_sketch_model, ob_sort, pair_sort,
                             sketch_model_to_model, validate_sketch_model)
 from dblinst.theories import builtin_theory
+from dblinst.theory import validate_theory
 
 EXPECTED_SIZES = {
     # theory name -> (sketch objects, generators, relations)
@@ -135,3 +140,33 @@ def test_sort_carriers_match_the_model():
         assert sorted(s.on_objects[ob_sort(d)]) == sorted(x.on_objects[d])
     for m in x.theory.loose:
         assert len(s.on_objects[loose_sort(m)]) == len(x.on_loose[m].apex)
+
+
+def _renamed(obj, old, new):
+    """The object of a document with ``old`` replaced by ``new``."""
+    return object_of(json.loads(
+        json.dumps(document_of(obj)).replace(old, new)))
+
+
+def test_comma_in_a_cell_name_round_trips_through_the_sketch():
+    x = _renamed(walking_square_model(
+        {"tl": ["1", "1x"], "tr": ["2"], "bl": ["3"], "br": ["4"]},
+        {"1": "3", "1x": "3"}, {"2": "4"},
+        [("t", "1", "2"), ("t2", "1x", "2")],
+        [("b", "3", "4")], {"t": "b", "t2": "b"}), "|", ",")
+    assert "c[l,r,top,bot]" in x.theory.cells
+    assert validate_theory(x.theory) == [] and validate_model(x) == []
+    s = model_to_sketch_model(x, flatten_theory(x.theory))
+    assert validate_sketch_model(s) == []
+    back = sketch_model_to_model(s)
+    assert validate_model(back) == []
+    _assert_same_model(x, back)
+
+
+def test_loose_names_that_share_a_pair_sort_are_a_name_clash():
+    # the pairs (a, "a,a") and ("a,a", a) are both named "a,a,a"
+    t = _renamed(_renamed(builtin_theory("signed"), "sigma", "a,a"),
+                 "id:*", "a")
+    assert validate_theory(t) == []
+    with pytest.raises(NameClash, match=r"p1\[a,a,a\]"):
+        flatten_theory(t)
