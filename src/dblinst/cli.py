@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .errors import DblinstError, UnknownVerb
+from .errors import DblinstError, InvalidTheory, UnknownVerb
 from . import fixtures as fx
 from .serialize import (document_of, load_document, object_of,
                         save_document, FORMAT_VERSION)
@@ -189,7 +189,12 @@ def cmd_check_cartesian(args):
 
 def cmd_flatten(args):
     from .sketch import flatten_cartesian_theory, flatten_theory
+    from .theory import validate_theory
     t = _load(args.file, {"theory"})
+    report = validate_theory(t)
+    if report:
+        raise InvalidTheory("{} is not a valid theory: {}".format(
+            args.file, "; ".join(report[:3])))
     flatten = flatten_cartesian_theory if args.cartesian else flatten_theory
     return _write(args, flatten(t))
 

@@ -192,31 +192,24 @@ def copresheaf_to_instance(c, x, closure):
                 lab[name] = e
         carriers[d] = FiniteSet(elems)
         labels[d] = lab
-    tight_ids = set(t.tight_id.values())
-    tight_cells = {}
-    for f, (s, d) in t.tight.items():
-        table = {}
-        for e in x.on_objects[s]:
-            if f in tight_ids:
-                word = ()
-            else:
-                word = (tight_gen(f, e),)
-            mor = closure.word_class(collage_object(s, e), word)
-            for v in c.on_objects[collage_object(s, e)]:
-                table[pair_label(e, v)] = pair_label(
-                    x.on_tight[f][e], c.on_morphisms[mor][v])
-        tight_cells[f] = table
-    actions = {}
-    for m, (s, d) in t.loose.items():
-        sp = x.on_loose[m]
-        table = {}
-        for xi in sp.apex:
-            e = sp.left[xi]
-            mor = closure.word_class(collage_object(s, e), (het_gen(m, xi),))
-            for v in c.on_objects[collage_object(s, e)]:
-                table[(pair_label(e, v), xi)] = pair_label(
-                    sp.right[xi], c.on_morphisms[mor][v])
-        actions[m] = table
+    tight_cells = {f: {} for f in t.tight}
+    actions = {m: {} for m in t.loose}
+
+    def act(table, word, src, dst, key=lambda p: p):
+        source = collage_object(*src)
+        mor = c.on_morphisms[closure.word_class(source, word)]
+        for v in c.on_objects[source]:
+            table[key(pair_label(src[1], v))] = pair_label(dst[1], mor[v])
+
+    # identity tight arrows are not generators: they act by the empty word
+    for d, f in t.tight_id.items():
+        for e in x.on_objects[d]:
+            act(tight_cells[f], (), (d, e), (d, e))
+    for g, kind, arrow, xi, src, dst in _generators(x):
+        if kind == "tight":
+            act(tight_cells[arrow], (g,), src, dst)
+        else:
+            act(actions[arrow], (g,), src, dst, lambda p, xi=xi: (p, xi))
     return Instance(x, carriers, labels, tight_cells, actions)
 
 

@@ -204,12 +204,7 @@ def dopf_morphism_from_objects(p, q, witness_q, on_objects):
             table[em] = witness_q.bijections[m][key]
         on_loose[m] = table
     mor = ModelMorphism(e_model, f_model, on_objects, on_loose)
-    try:
-        problems = validate_model_morphism(mor)
-    except KeyError as exc:
-        # forced components can escape span fibers entirely when the
-        # object components only commute by label coincidence
-        raise NoExtension("forced components are incompatible: {}".format(exc))
+    problems = validate_model_morphism(mor)
     if problems:
         raise NoExtension("; ".join(problems[:3]))
     return mor

@@ -46,6 +46,10 @@ class NoExtension(DblinstError):
     """Object components do not extend to a morphism of discrete opfibrations."""
 
 
+class InvalidTheory(DblinstError):
+    """A theory given to a construction fails its axiom check."""
+
+
 class NotCartesian(DblinstError):
     """An endpoint of a cartesian factorization is not a cartesian model."""
 

@@ -5,7 +5,8 @@ identity per object, and a total composition table.  Composition is
 written diagrammatically throughout: ``comp[(f, g)]`` is "f then g".
 """
 
-from .finset import FiniteSet, compose_tables, identity_table, is_function
+from .finset import (FiniteSet, compose_tables, fibers, identity_table,
+                     is_function)
 from .search import solutions
 
 
@@ -40,33 +41,64 @@ class FinCategory:
 
     def validate(self):
         """Report violations of the category axioms (exhaustive)."""
-        report = []
-        for o in self.objects:
-            i = self.identity.get(o)
-            if i is None or self.morphisms.get(i) != (o, o):
-                report.append("identity of {} ill-formed".format(o))
-        for f, (s, d) in self.morphisms.items():
-            if s not in self.objects or d not in self.objects:
-                report.append("morphism {} has unknown endpoints".format(f))
-            if self.comp.get((self.identity[s], f)) != f:
-                report.append("left unit fails at {}".format(f))
-            if self.comp.get((f, self.identity[d])) != f:
-                report.append("right unit fails at {}".format(f))
-        for f, (fs, fd) in self.morphisms.items():
-            for g, (gs, gd) in self.morphisms.items():
-                if fd != gs:
+        return category_report(self.objects, self.morphisms, self.identity,
+                               self.comp)
+
+
+def category_report(objects, arrows, identity, comp, partial=False):
+    """Check the category axioms of tabulated arrows; returns a report.
+
+    ``arrows`` maps names to (source, target), ``identity`` objects to
+    arrow names and ``comp`` composable pairs to their composite.  In
+    order: identities (stopping at the first bad one), endpoints and
+    unit laws (an arrow with an unknown endpoint is reported and left
+    out of every later check), the endpoints of every table entry,
+    missing composites (unless the table is ``partial``, as in a
+    truncated theory), and associativity wherever the composites it
+    reads are tabulated.  Each arrow is joined only with the arrows out
+    of its target, in table order.
+    """
+    report = []
+    known = set(objects)
+    for o in objects:
+        i = identity.get(o)
+        if i is None or arrows.get(i) != (o, o):
+            report.append("identity of {} ill-formed".format(o))
+            return report
+    placed = {}
+    for f, (s, d) in arrows.items():
+        if s not in known or d not in known:
+            report.append("endpoints of {} unknown".format(f))
+            continue
+        placed[f] = s, d
+        if comp.get((identity[s], f)) != f:
+            report.append("left unit fails at {}".format(f))
+        if comp.get((f, identity[d])) != f:
+            report.append("right unit fails at {}".format(f))
+    for (f, g), h in comp.items():
+        fe, ge = arrows.get(f), arrows.get(g)
+        if fe is None or ge is None or fe[1] != ge[0]:
+            report.append("table entry ({},{}) not composable".format(f, g))
+        elif arrows.get(h) != (fe[0], ge[1]):
+            report.append("composite of ({},{}) has wrong endpoints"
+                          .format(f, g))
+    out = fibers({f: s for f, (s, _) in placed.items()}, placed)
+    for f, (_, fd) in placed.items():
+        for g in out.get(fd, ()):
+            fg = comp.get((f, g))
+            if fg is None:
+                if not partial:
+                    report.append("missing composite ({},{})".format(f, g))
+                continue
+            for h in out.get(placed[g][1], ()):
+                gh = comp.get((g, h))
+                if gh is None:
                     continue
-                fg = self.comp.get((f, g))
-                if fg is None or self.morphisms.get(fg) != (fs, gd):
-                    report.append("composite {};{} ill-formed".format(f, g))
-                    continue
-                for h, (hs, hd) in self.morphisms.items():
-                    if gd != hs:
-                        continue
-                    if self.comp[(fg, h)] != self.comp[(f, self.comp[(g, h)])]:
-                        report.append(
-                            "associativity fails at ({},{},{})".format(f, g, h))
-        return report
+                left, right = comp.get((fg, h)), comp.get((f, gh))
+                if left is not None and right is not None and left != right:
+                    report.append("associativity fails at ({},{},{})"
+                                  .format(f, g, h))
+    return report
 
 
 class FinFunctor:

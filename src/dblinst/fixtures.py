@@ -261,7 +261,6 @@ def copresheaf_as_instance(cp, xm):
         (pair_label(cat.src(g), e), g):
             pair_label(cat.dst(g), cp.on_morphisms[g][e])
         for g in cat.morphisms for e in cp.on_objects[cat.src(g)]}}
-    t = xm.theory
     return Instance(xm, {"*": FiniteSet(carrier)}, {"*": label},
                     {"id:*": {e: e for e in carrier}}, actions)
 

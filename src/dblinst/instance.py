@@ -186,13 +186,15 @@ def compose_instance_morphisms(mu, nu):
          for d, t in mu.components.items()})
 
 
-def _search_problem(h, k, objects):
+def _search_problem(h, k):
     """The search for instance morphisms h -> k, as (domains,
     constraints).
 
     One search variable ``(d, e)`` per element e of h at the object d,
-    objects in the order given; its values are the elements of k in
-    the same label fibre, in label order.  Naturality at tight arrows
+    in ``component_key`` order: objects sorted, elements in label
+    order; its values are the elements of k in the same label fibre,
+    in label order.  So the search yields the morphisms sorted by
+    their component tables.  Naturality at tight arrows
     and equivariance at loose arrows are checked element by element.
     Raises ``ModelMismatch`` when h and k live over models with
     different carriers, tight functions or spans.
@@ -207,7 +209,7 @@ def _search_problem(h, k, objects):
                             .format(", ".join(differ)))
     t = x.theory
     domains = []
-    for d in objects:
+    for d in sorted(t.objects):
         over = fibers(k.labels[d], k.carriers[d])
         domains += [((d, e), over.get(h.labels[d][e], ()))
                     for e in h.carriers[d]]
@@ -230,30 +232,26 @@ def _morphism(h, k, sol):
 def enumerate_instance_morphisms(h, k):
     """All instance morphisms h -> k, sorted by component tables.
 
-    Searched element by element, objects in theory order (see
-    ``_search_problem``).  Raises ``ModelMismatch`` when h and k live
-    over different models.
+    Searched element by element in ``component_key`` order (see
+    ``_search_problem``), so nothing sorts them afterwards.  Raises
+    ``ModelMismatch`` when h and k live over different models.
     """
-    results = [_morphism(h, k, sol) for sol in
-               solutions(*_search_problem(h, k, h.model.theory.objects))]
-    results.sort(key=lambda f: f.component_key())
-    return results
+    return [_morphism(h, k, sol) for sol in solutions(*_search_problem(h, k))]
 
 
 def find_instance_isomorphism(h, k):
     """The first isomorphism h -> k in sorted order (bijective
     components), or None.
 
-    The search lists its variables in ``component_key`` order (objects
-    sorted, elements and values in label order) and rejects a repeated
-    value within a label fibre as soon as it is assigned, so it yields
-    the bijective morphisms in sorted order and returns the first one
-    instead of building the whole hom-set.
+    The search is the one of ``enumerate_instance_morphisms``, after a
+    check that the label fibres have matching sizes, and rejects a
+    repeated value within a label fibre as soon as it is assigned, so
+    it returns the first bijective morphism instead of building the
+    whole hom-set.
     """
-    objects = sorted(h.model.theory.objects)
-    domains, constraints = _search_problem(h, k, objects)
+    domains, constraints = _search_problem(h, k)
     groups = []
-    for d in objects:
+    for d in h.model.theory.objects:
         over_h = fibers(h.labels[d], h.carriers[d])
         over_k = fibers(k.labels[d], k.carriers[d])
         if {b: len(f) for b, f in over_h.items()} != \

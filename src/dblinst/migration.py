@@ -123,7 +123,8 @@ def kan_extend_right(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
     The value at d is the set of compatible families: a choice of value
     in cp(c) for every slot, an arrow g: d -> Fc, commuting with every
     arrow of the source category.  The families are searched with one
-    variable per slot and kept sorted; more than ``max_hom_card``
+    variable per slot, slots sorted and values in label order, so they
+    come out of the search in sorted order; more than ``max_hom_card``
     families at one object raise ``HomSetTooLarge``.
     """
     c_cat, d_cat = fun.source, fun.target
@@ -148,7 +149,7 @@ def kan_extend_right(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
             if len(found) > max_hom_card:
                 raise HomSetTooLarge(
                     "right extension at {} exceeds the family cap".format(d))
-        families[d] = sorted(found)
+        families[d] = found
 
     def label(fam):
         return "[" + "|".join(fam) + "]" if fam else "[()]"

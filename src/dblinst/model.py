@@ -9,8 +9,8 @@ tabulated composites are checked.
 Morphisms are the strict tight transformations: a function per object
 and an apex function per loose arrow, natural in every direction.  They
 are enumerated by the element-level search of ``dblinst.search``, one
-variable per element of a carrier or apex, and returned sorted by their
-component tables.
+variable per element of a carrier or apex, listed in the order of their
+component tables, so they come out of the search in that order.
 """
 
 from .errors import TheoryMismatch
@@ -272,7 +272,9 @@ def validate_model_morphism(al):
     for (m, n), mn in t.loose_comp.items():
         for (xi, zeta) in x.laxator_domain(m, n):
             lhs = al.on_loose[mn][x.laxators[(m, n)][(xi, zeta)]]
-            rhs = y.laxators[(m, n)][(al.on_loose[m][xi], al.on_loose[n][zeta])]
+            # a pair that breaks a leg is not in the target's pullback
+            rhs = y.laxators[(m, n)].get((al.on_loose[m][xi],
+                                          al.on_loose[n][zeta]))
             if lhs != rhs:
                 report.append("laxator compatibility fails at ({},{}) on ({},{})"
                               .format(m, n, xi, zeta))
@@ -299,13 +301,15 @@ def compose_model_morphisms(f, g):
         {m: compose_tables(t, g.on_loose[m]) for m, t in f.on_loose.items()})
 
 
-def _search_problem(a, b, objects):
+def _search_problem(a, b):
     """The search for morphisms a -> b, as (domains, constraints).
 
-    One search variable per element: ``("ob", d, e)`` for the image of
-    e at the object d, objects in the order given, then ``("lo", m,
-    xi)`` for the image of the heteromorphism xi at the loose arrow m,
-    loose arrows in sorted order.  Tight naturality, the legs, the
+    One search variable per element, in ``component_key`` order:
+    ``("ob", d, e)`` for the image of e at the object d, objects
+    sorted, then ``("lo", m, xi)`` for the image of the heteromorphism
+    xi at the loose arrow m, loose arrows sorted; elements and values
+    come in label order.  So the search yields the morphisms sorted by
+    their component tables.  Tight naturality, the legs, the
     cells, the laxators and the unitors are checked element by element,
     each as soon as the elements it reads are assigned.  Raises
     ``TheoryMismatch`` when the two models live over different
@@ -320,7 +324,7 @@ def _search_problem(a, b, objects):
         raise TheoryMismatch("the models live over theories with different {}"
                              .format(", ".join(differ)))
     domains = [(("ob", d, e), b.on_objects[d])
-               for d in objects for e in a.on_objects[d]]
+               for d in sorted(t.objects) for e in a.on_objects[d]]
     domains += [(("lo", m, xi), b.on_loose[m].apex)
                 for m in sorted(t.loose) for xi in a.on_loose[m].apex]
     # (u, v) are the images of the two elements read: tb sends u to v
@@ -366,14 +370,12 @@ def _morphism(a, b, sol):
 def enumerate_model_morphisms(a, b):
     """All strict morphisms a -> b, sorted by component tables.
 
-    Searched element by element, objects in theory order (see
-    ``_search_problem``).  Raises ``TheoryMismatch`` when the two
-    models live over different theories.
+    Searched element by element in ``component_key`` order (see
+    ``_search_problem``), so nothing sorts them afterwards.  Raises
+    ``TheoryMismatch`` when the two models live over different
+    theories.
     """
-    results = [_morphism(a, b, sol) for sol in
-               solutions(*_search_problem(a, b, a.theory.objects))]
-    results.sort(key=lambda f: f.component_key())
-    return results
+    return [_morphism(a, b, sol) for sol in solutions(*_search_problem(a, b))]
 
 
 def find_model_isomorphism(a, b):
@@ -381,23 +383,21 @@ def find_model_isomorphism(a, b):
     components, or None.
 
     A bijective strict transformation is an isomorphism: its inverse
-    tables form a morphism again (checked).  The search lists its
-    variables in ``component_key`` order (objects sorted, then loose
-    arrows sorted, elements and values in label order) and rejects a
+    tables form a morphism again (checked).  The search is the one of
+    ``enumerate_model_morphisms``, after a size check, and rejects a
     repeated value within a component as soon as it is assigned, so it
-    yields the bijective morphisms in sorted order and stops at the
-    first isomorphism instead of building the whole hom-set.
+    stops at the first isomorphism instead of building the whole
+    hom-set.
     """
     from .finset import inverse_table
     t = a.theory
-    objects = sorted(t.objects)
-    domains, constraints = _search_problem(a, b, objects)
-    if any(len(a.on_objects[d]) != len(b.on_objects[d]) for d in objects) \
+    domains, constraints = _search_problem(a, b)
+    if any(len(a.on_objects[d]) != len(b.on_objects[d]) for d in t.objects) \
             or any(len(sp.apex) != len(b.on_loose[m].apex)
                    for m, sp in a.on_loose.items()):
         return None
     constraints += distinct(
-        [[("ob", d, e) for e in a.on_objects[d]] for d in objects]
+        [[("ob", d, e) for e in a.on_objects[d]] for d in t.objects]
         + [[("lo", m, xi) for xi in a.on_loose[m].apex] for m in t.loose])
     for sol in solutions(domains, constraints):
         f = _morphism(a, b, sol)

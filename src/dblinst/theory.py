@@ -12,6 +12,9 @@ from the tables and the theory carries a ``partial`` flag.  Validation
 only checks tabulated composites in that case.
 """
 
+from .fincat import category_report
+from .finset import fibers
+
 
 class CartesianStructure:
     """Designated finite products for a double theory.
@@ -80,62 +83,19 @@ class DoubleTheory:
     def cell_bottom(self, a):
         return self.cells[a][3]
 
-    def composable_loose_pairs(self):
-        return [(m, n) for m in self.loose for n in self.loose
-                if self.loose_dst(m) == self.loose_src(n)
-                and (m, n) in self.loose_comp]
-
     def __repr__(self):
         return "DoubleTheory(objects={}, tight={}, loose={}, cells={})".format(
             len(self.objects), len(self.tight), len(self.loose), len(self.cells))
 
 
-def _check_category(report, kind, objects, arrows, ident, comp, partial):
-    for o in objects:
-        i = ident.get(o)
-        if i is None or arrows.get(i) != (o, o):
-            report.append("{}: identity of {} ill-formed".format(kind, o))
-            return
-    for f, (s, d) in arrows.items():
-        if s not in objects or d not in objects:
-            report.append("{}: endpoints of {} unknown".format(kind, f))
-        if comp.get((ident[s], f)) != f:
-            report.append("{}: left unit fails at {}".format(kind, f))
-        if comp.get((f, ident[d])) != f:
-            report.append("{}: right unit fails at {}".format(kind, f))
-    for (f, g), h in comp.items():
-        if arrows[f][1] != arrows[g][0]:
-            report.append("{}: table entry ({},{}) not composable".format(kind, f, g))
-        elif arrows.get(h) != (arrows[f][0], arrows[g][1]):
-            report.append("{}: composite of ({},{}) has wrong endpoints".format(kind, f, g))
-    for f, (fs, fd) in arrows.items():
-        for g, (gs, gd) in arrows.items():
-            if fd != gs:
-                continue
-            if (f, g) not in comp:
-                if not partial:
-                    report.append("{}: missing composite ({},{})".format(kind, f, g))
-                continue
-            fg = comp[(f, g)]
-            for h, (hs, hd) in arrows.items():
-                if gd != hs:
-                    continue
-                if (g, h) not in comp:
-                    continue
-                gh = comp[(g, h)]
-                if (fg, h) in comp and (f, gh) in comp:
-                    if comp[(fg, h)] != comp[(f, gh)]:
-                        report.append("{}: associativity fails at ({},{},{})"
-                                      .format(kind, f, g, h))
-
-
 def validate_theory(t):
     """Exhaustive strict-double-category axiom check; returns a report."""
     report = []
-    _check_category(report, "tight", t.objects, t.tight, t.tight_id,
-                    t.tight_comp, t.partial)
-    _check_category(report, "loose", t.objects, t.loose, t.loose_id,
-                    t.loose_comp, t.partial)
+    for kind, arrows, ident, comp in (
+            ("tight", t.tight, t.tight_id, t.tight_comp),
+            ("loose", t.loose, t.loose_id, t.loose_comp)):
+        report += ["{}: {}".format(kind, entry) for entry in category_report(
+            t.objects, arrows, ident, comp, t.partial)]
     for d, m in t.loose_id.items():
         if t.loose.get(m) != (d, d):
             report.append("loose identity of {} has wrong endpoints".format(d))
@@ -165,16 +125,14 @@ def validate_theory(t):
         if t.cell_id_loose.get(t.loose_id[d]) != t.cell_id_tight.get(t.tight_id[d]):
             report.append("identity cells disagree at object {}".format(d))
 
-    # vertical composition
-    def v_composable(a, b):
-        return t.cell_bottom(a) == t.cell_top(b)
-
-    for a in t.cells:
-        for b in t.cells:
-            if not v_composable(a, b):
-                continue
-            lf = t.tight_comp.get((t.cell_left(a), t.cell_left(b)))
-            rf = t.tight_comp.get((t.cell_right(a), t.cell_right(b)))
+    # vertical composition: a cell is joined with the cells whose top
+    # is its bottom, in cell order
+    below = fibers({a: bnd[2] for a, bnd in t.cells.items()}, t.cells)
+    for a, (fa, ga, ma, na) in t.cells.items():
+        for b in below.get(na, ()):
+            fb, gb, _, nb = t.cells[b]
+            lf = t.tight_comp.get((fa, fb))
+            rf = t.tight_comp.get((ga, gb))
             if lf is None or rf is None:
                 if not t.partial and (a, b) in t.cell_vcomp:
                     report.append("vertical composite ({},{}) over missing tights"
@@ -185,42 +143,35 @@ def validate_theory(t):
                 if not t.partial:
                     report.append("missing vertical composite ({},{})".format(a, b))
                 continue
-            want = (lf, rf, t.cell_top(a), t.cell_bottom(b))
-            if t.cells.get(c) != want:
+            if t.cells.get(c) != (lf, rf, ma, nb):
                 report.append("vertical composite ({},{}) has wrong boundary"
                               .format(a, b))
-        ia = t.cell_id_loose.get(t.cell_top(a))
-        ib = t.cell_id_loose.get(t.cell_bottom(a))
+        ia = t.cell_id_loose.get(ma)
+        ib = t.cell_id_loose.get(na)
         if ia and t.cell_vcomp.get((ia, a)) != a:
             report.append("vertical unit fails at {}".format(a))
         if ib and t.cell_vcomp.get((a, ib)) != a:
             report.append("vertical unit fails at {}".format(a))
 
-    # horizontal composition
-    def h_composable(a, b):
-        return (t.cell_right(a) == t.cell_left(b)
-                and (t.cell_top(a), t.cell_top(b)) in t.loose_comp
-                and (t.cell_bottom(a), t.cell_bottom(b)) in t.loose_comp)
-
-    for a in t.cells:
-        for b in t.cells:
-            if t.cell_right(a) != t.cell_left(b):
-                continue
-            if not h_composable(a, b):
+    # horizontal composition: a cell is joined with the cells whose
+    # left is its right, in cell order
+    beside = fibers({a: bnd[0] for a, bnd in t.cells.items()}, t.cells)
+    for a, (fa, ga, ma, na) in t.cells.items():
+        for b in beside.get(ga, ()):
+            _, gb, mb, nb = t.cells[b]
+            top, bottom = t.loose_comp.get((ma, mb)), t.loose_comp.get((na, nb))
+            if top is None or bottom is None:
                 continue
             c = t.cell_hcomp.get((a, b))
             if c is None:
                 if not t.partial:
                     report.append("missing horizontal composite ({},{})".format(a, b))
                 continue
-            want = (t.cell_left(a), t.cell_right(b),
-                    t.loose_comp[(t.cell_top(a), t.cell_top(b))],
-                    t.loose_comp[(t.cell_bottom(a), t.cell_bottom(b))])
-            if t.cells.get(c) != want:
+            if t.cells.get(c) != (fa, gb, top, bottom):
                 report.append("horizontal composite ({},{}) has wrong boundary"
                               .format(a, b))
-        la = t.cell_id_tight.get(t.cell_left(a))
-        ra = t.cell_id_tight.get(t.cell_right(a))
+        la = t.cell_id_tight.get(fa)
+        ra = t.cell_id_tight.get(ga)
         if la and t.cell_hcomp.get((la, a)) != a:
             report.append("horizontal unit fails at {}".format(a))
         if ra and t.cell_hcomp.get((a, ra)) != a:
@@ -280,19 +231,21 @@ def _by_first(comp):
 
 
 def _check_cartesian(report, t):
+    """Terminal maps, pairings and cell pairings, found through tight
+    arrows indexed by (source, target) and cells by (top, bottom)."""
     c = t.cartesian
     if c.terminal_object not in t.objects:
         report.append("cartesian: unknown terminal object")
         return
+    hom = fibers(t.tight, t.tight)
+    into = fibers({f: d for f, (_, d) in t.tight.items()}, t.tight)
     for d in t.objects:
         f = c.terminal_tight.get(d)
         if f is None or t.tight.get(f) != (d, c.terminal_object):
             report.append("cartesian: terminal arrow at {} ill-formed".format(d))
             continue
         # uniqueness of the map to the terminal object
-        others = [g for g, (s, e) in t.tight.items()
-                  if s == d and e == c.terminal_object]
-        if others != [f] and len(others) != 1:
+        if len(hom[(d, c.terminal_object)]) != 1:
             report.append("cartesian: map {} -> terminal not unique".format(d))
     for (d1, d2), p in c.product_object.items():
         p1, p2 = c.proj_tight[(d1, d2)]
@@ -300,19 +253,18 @@ def _check_cartesian(report, t):
             report.append("cartesian: projections of {}x{} ill-formed"
                           .format(d1, d2))
             continue
-        for f, (fs, fd) in t.tight.items():
-            if fd != d1:
-                continue
-            for g, (gs, gd) in t.tight.items():
-                if gd != d2 or gs != fs:
-                    continue
-                pairs = [h for h, (hs, hd) in t.tight.items()
-                         if hs == fs and hd == p
-                         and t.tight_comp.get((h, p1)) == f
+        for f in into.get(d1, ()):
+            fs = t.tight[f][0]
+            for g in hom.get((fs, d2), ()):
+                pairs = [h for h in hom.get((fs, p), ())
+                         if t.tight_comp.get((h, p1)) == f
                          and t.tight_comp.get((h, p2)) == g]
                 if len(pairs) != 1:
                     report.append("cartesian: pairing of ({},{}) not unique"
                                   .format(f, g))
+    spans = fibers({a: (bnd[2], bnd[3]) for a, bnd in t.cells.items()},
+                   t.cells)
+    over = fibers({a: bnd[3] for a, bnd in t.cells.items()}, t.cells)
     for (m1, m2), m12 in c.product_loose.items():
         c1, c2 = c.proj_cells[(m1, m2)]
         ok = (t.cells.get(c1) is not None and t.cells.get(c2) is not None
@@ -322,16 +274,11 @@ def _check_cartesian(report, t):
             report.append("cartesian: projection cells of {}x{} ill-formed"
                           .format(m1, m2))
             continue
-        for a in t.cells:
-            if t.cell_bottom(a) != m1:
-                continue
-            for b in t.cells:
-                if t.cell_bottom(b) != m2 or t.cell_top(a) != t.cell_top(b):
-                    continue
-                pairs = [h for h in t.cells
-                         if t.cell_top(h) == t.cell_top(a)
-                         and t.cell_bottom(h) == m12
-                         and t.cell_vcomp.get((h, c1)) == a
+        for a in over.get(m1, ()):
+            top = t.cell_top(a)
+            for b in spans.get((top, m2), ()):
+                pairs = [h for h in spans.get((top, m12), ())
+                         if t.cell_vcomp.get((h, c1)) == a
                          and t.cell_vcomp.get((h, c2)) == b]
                 if len(pairs) > 1:
                     report.append("cartesian: cell pairing of ({},{}) ambiguous"

@@ -246,3 +246,30 @@ def test_count_morphisms_across_theories_is_a_typed_error(
     assert err.strip() == ("error: the models live over theories with "
                            "different objects, tight arrows, loose arrows, "
                            "cells")
+
+
+def test_validate_theory_reports_an_arrow_to_an_unknown_object(tmp_path,
+                                                               capsys):
+    from dblinst.theories import builtin_theory
+    t = builtin_theory("walking_tight")
+    t.tight["ghost"] = ("top", "nowhere")
+    path = tmp_path / "ghost.json"
+    save_document(document_of(t), path)
+    code, out, err = run(capsys, "validate-theory", str(path))
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["tight: endpoints of ghost unknown"]
+
+
+def test_flatten_refuses_an_invalid_theory(tmp_path, capsys):
+    from dblinst.theories import builtin_theory
+    t = builtin_theory("walking_tight")
+    t.tight_comp[("id:top", "t")] = "ghost"
+    path = tmp_path / "ghost.json"
+    save_document(document_of(t), path)
+    code, out, err = run(capsys, "flatten", str(path),
+                         "-o", str(tmp_path / "sk.json"))
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        "error: {} is not a valid theory: tight: left unit fails at t; "
+        "tight: composite of (id:top,t) has wrong endpoints".format(path))
+    assert not (tmp_path / "sk.json").exists()

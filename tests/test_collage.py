@@ -7,10 +7,13 @@ from dblinst.collage import (close_presented_category, collage_object,
                              copresheaf_to_instance, het_gen,
                              instance_to_copresheaf)
 from dblinst.errors import NameClash
-from dblinst.fincat import enumerate_natural_transformations
+from dblinst.fincat import Copresheaf, enumerate_natural_transformations
+from dblinst.finset import FiniteSet, pair_label
 from dblinst.fixtures import (category_as_model, chain_category,
+                              copresheaf_as_instance,
                               cyclic_translation_model,
                               cyclic_quotient_morphism,
+                              parallel_pair_category,
                               profunctor_instance_fixture,
                               standard_instance_corpus,
                               tautological_instance, walking_loose_model,
@@ -153,3 +156,25 @@ def test_reflection_does_not_name_source_generators():
         assert validate_instance(inst) == []
         docs.append(json.dumps(document_of(inst), sort_keys=True))
     assert docs[0].replace("a0@h0", "a0") == docs[1]
+
+
+def test_copresheaf_as_instance_of_the_category_model():
+    # copresheaves on a category are instances of its model, and the
+    # collage of that model recovers the category
+    cat = parallel_pair_category()
+    c1 = Copresheaf(cat,
+                    {"a": FiniteSet(["x"]), "b": FiniteSet(["u", "v"])},
+                    {"id:a": {"x": "x"}, "id:b": {"u": "u", "v": "v"},
+                     "f": {"x": "u"}, "g": {"x": "v"}})
+    xm = category_as_model(cat)
+    h = copresheaf_as_instance(c1, xm)
+    assert validate_instance(h) == []
+    closure = close_presented_category(collage_of_model(xm), 8)
+    cp = instance_to_copresheaf(h, closure)
+    assert {o: list(s) for o, s in cp.on_objects.items()} == {
+        "*|a": ["(a,x)"], "*|b": ["(b,u)", "(b,v)"]}
+    for g, (s, d) in cat.morphisms.items():
+        mor = closure.word_class(collage_object("*", s), (het_gen("id:*", g),))
+        assert cp.on_morphisms[mor] == {
+            pair_label(s, v): pair_label(d, w)
+            for v, w in c1.on_morphisms[g].items()}

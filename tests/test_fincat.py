@@ -91,3 +91,9 @@ def test_copresheaf_validation_and_nat_transformations():
     nts_back = enumerate_natural_transformations(c2, c1)
     # w must go somewhere both f and g hit compatibly with x |-> y: none
     assert len(nts_back) == 0
+
+
+def test_validate_reports_a_missing_composite():
+    cat = chain_category(3)
+    del cat.comp[("0<1", "1<2")]
+    assert cat.validate() == ["missing composite (0<1,1<2)"]

@@ -3,9 +3,9 @@ from dblinst import model as model_module
 from dblinst.fixtures import (category_as_model, chain_category,
                               cyclic_translation_model, signed_fixture_models,
                               standard_instance_corpus, walking_loose_model, walking_tight_model, weighted_graph_schema)
-from dblinst.model import (compose_model_morphisms, enumerate_model_morphisms,
-                           find_model_isomorphism, identity_morphism,
-                           terminal_model, validate_model,
+from dblinst.model import (ModelMorphism, compose_model_morphisms,
+                           enumerate_model_morphisms, find_model_isomorphism,
+                           identity_morphism, terminal_model, validate_model,
                            validate_model_morphism)
 from dblinst.theories import builtin_theory
 
@@ -133,3 +133,17 @@ def test_search_depth_does_not_grow_with_the_elements():
                             [("h{}".format(i), "a{}".format(i), "b")
                              for i in range(n)])
     assert len(enumerate_model_morphisms(x, terminal_model(x.theory))) == 1
+
+
+def test_morphism_that_breaks_legs_is_reported_not_raised():
+    # swapping the two heteromorphisms breaks both left legs, so their
+    # laxator pairs leave the target's pullback
+    x = walking_loose_model(["a0", "a1"], ["b0"],
+                            [("h0", "a0", "b0"), ("h1", "a1", "b0")])
+    ident = identity_morphism(x)
+    swap = ModelMorphism(x, x, ident.on_objects,
+                         dict(ident.on_loose, l={"h0": "h1", "h1": "h0"}))
+    assert validate_model_morphism(swap) == [
+        "left leg broken at l on h0", "left leg broken at l on h1",
+        "laxator compatibility fails at (id:dom,l) on (a0,h0)",
+        "laxator compatibility fails at (id:dom,l) on (a1,h1)"]
