@@ -233,7 +233,7 @@ def enumerate_instance_morphisms(h, k):
     """All instance morphisms h -> k, sorted by component tables.
 
     Searched element by element in ``component_key`` order (see
-    ``_search_problem``), so nothing sorts them afterwards.  Raises
+    ``_search_problem``), so they come out of the search sorted.  Raises
     ``ModelMismatch`` when h and k live over different models.
     """
     return [_morphism(h, k, sol) for sol in solutions(*_search_problem(h, k))]

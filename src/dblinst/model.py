@@ -371,7 +371,7 @@ def enumerate_model_morphisms(a, b):
     """All strict morphisms a -> b, sorted by component tables.
 
     Searched element by element in ``component_key`` order (see
-    ``_search_problem``), so nothing sorts them afterwards.  Raises
+    ``_search_problem``), so they come out of the search sorted.  Raises
     ``TheoryMismatch`` when the two models live over different
     theories.
     """
