@@ -53,9 +53,9 @@ def compose_tables(f, g):
 
 def is_function(table, src, dst):
     """Check that ``table`` is a total function src -> dst."""
-    if set(table.keys()) != set(src.labels):
-        return False
-    return all(v in dst for v in table.values())
+    # set operations on the frozensets the FiniteSets hold, run in C
+    return (table.keys() == src._members
+            and dst._members.issuperset(table.values()))
 
 
 def is_bijection(table, src, dst):

@@ -15,7 +15,8 @@ every reader fetches a table through it; no name is parsed back apart.
 
 from .collage import PresentedCategory
 from .errors import MarkedSquareNotPullback, NameClash
-from .finset import FiniteSet, Span, fibers, pair_label, pullback_pairs
+from .finset import (FiniteSet, Span, fibers, is_function, pair_label,
+                     pullback_pairs)
 from .model import SpanModel
 from .search import solutions
 
@@ -53,19 +54,13 @@ class LimitSketch:
 
 class SketchModel:
     """Sets per sketch object and tables per generator; identity tights
-    and identity cells are represented by omission (empty words)."""
+    and identity cells are represented by omission (empty words).
+    ``validate_sketch_model`` evaluates words over these tables."""
 
     def __init__(self, sketch, on_objects, on_generators):
         self.sketch = sketch
         self.on_objects = dict(on_objects)
         self.on_generators = {g: dict(t) for g, t in on_generators.items()}
-
-    def eval_word(self, src, word):
-        table = {v: v for v in self.on_objects[src]}
-        for g in word:
-            step = self.on_generators[g]
-            table = {v: step[w] for v, w in table.items()}
-        return table
 
 
 def _words(t):
@@ -273,19 +268,49 @@ def flatten_cartesian_theory(t):
     return sk
 
 
+def _word_evaluator(s):
+    """Evaluate words of a sketch model over shared prefixes.
+
+    Returns ``evaluate(src, word)``, the table of ``word`` on the sort
+    ``src``.  A one-letter word is the generator's own table, and a
+    longer one extends the table of its prefix by one step, so a prefix
+    shared by several words is composed once.  The tables live in a
+    dict local to the caller and are read, never written.
+    """
+    gens, tables = s.on_generators, {}
+
+    def evaluate(src, word):
+        key = (src, word)
+        table = tables.get(key)
+        if table is None:
+            if not word:
+                table = {v: v for v in s.on_objects[src]}
+            elif len(word) == 1:
+                table = gens[word[0]]
+            else:
+                step = gens[word[-1]]
+                table = {v: step[w]
+                         for v, w in evaluate(src, word[:-1]).items()}
+            tables[key] = table
+        return table
+
+    return lambda src, word: evaluate(src, tuple(word))
+
+
 def validate_sketch_model(s):
     """Relation-local validation plus marked-cone checks."""
     sk = s.sketch
     report = []
     for g, (src, dst, _) in sk.presented.generators.items():
         table = s.on_generators.get(g)
-        if table is None or set(table.keys()) != set(s.on_objects[src].labels) \
-                or any(v not in s.on_objects[dst] for v in table.values()):
+        if table is None or not is_function(table, s.on_objects[src],
+                                            s.on_objects[dst]):
             report.append("generator {} not a total function".format(g))
     if report:
         return report
+    evaluate = _word_evaluator(s)
     for src, dst, w1, w2 in sk.presented.relations:
-        if s.eval_word(src, w1) != s.eval_word(src, w2):
+        if evaluate(src, w1) != evaluate(src, w2):
             report.append("relation {} = {} fails at {}".format(w1, w2, src))
     for apex, l1, l2, f, g in sk.marked_pullbacks:
         fs = s.on_generators[f]
@@ -302,7 +327,7 @@ def validate_sketch_model(s):
             if len(s.on_objects[apex]) != 1:
                 report.append("marked point at {} is not a singleton".format(apex))
             continue
-        tables = [s.eval_word(apex, word) for word, _ in legs]
+        tables = [evaluate(apex, word) for word, _ in legs]
         cmp_t = {e: tuple(tb[e] for tb in tables)
                  for e in s.on_objects[apex]}
         sizes = 1
@@ -315,30 +340,41 @@ def validate_sketch_model(s):
 
 
 def model_to_sketch_model(x, sk):
-    """Tabulate a model of the flattened theory as a sketch model."""
+    """Tabulate a model of the flattened theory as a sketch model.
+
+    Each element of a pair or triple sort is labelled once, in a dict
+    from its components to its label; the generators into those sorts
+    look labels up there.  Only a model that ``validate_model`` rejects
+    can send an element outside its target pair sort: that value is
+    labelled as usual, and ``validate_sketch_model`` reports it.
+    """
     t = sk.theory
     tight_word, cell_word = _words(t)
+
+    def label(labels, a, b):
+        return labels.get((a, b)) or pair_label(a, b)
 
     on_objects = {ob_sort(d): x.on_objects[d] for d in t.objects}
     for m in t.loose:
         on_objects[loose_sort(m)] = x.on_loose[m].apex
-    pair_elems = {}
+    # (m, n) -> {(a, b): label}, in laxator-domain order
+    pair_labels = {}
     for (m, n) in t.loose_comp:
-        dom = x.laxator_domain(m, n)
-        on_objects[pair_sort(m, n)] = FiniteSet(
-            [pair_label(a, b) for a, b in dom])
-        pair_elems[(m, n)] = dom
-    triple_elems = {}
+        labels = {(a, b): pair_label(a, b) for a, b in x.laxator_domain(m, n)}
+        on_objects[pair_sort(m, n)] = FiniteSet(labels.values())
+        pair_labels[(m, n)] = labels
+    # (m, n, p) -> {((a, b), c): label}
+    triple_labels = {}
     for m, n, p in _triples(t):
         # each pair is joined with the fiber of p's left leg over the
         # right end of its second component
         over = fibers(x.on_loose[p].left, x.on_loose[p].apex)
         right_n = x.on_loose[n].right
-        dom = [(a, b, c) for (a, b) in pair_elems[(m, n)]
-               for c in over.get(right_n[b], ())]
-        on_objects[triple_sort(m, n, p)] = FiniteSet(
-            [pair_label(pair_label(a, b), c) for a, b, c in dom])
-        triple_elems[(m, n, p)] = dom
+        labels = {(ab, c): pair_label(lab, c)
+                  for ab, lab in pair_labels[(m, n)].items()
+                  for c in over.get(right_n[ab[1]], ())}
+        on_objects[triple_sort(m, n, p)] = FiniteSet(labels.values())
+        triple_labels[(m, n, p)] = labels
 
     on_gens = {}
     for f, word in tight_word.items():
@@ -351,39 +387,44 @@ def model_to_sketch_model(x, sk):
     for a, word in cell_word.items():
         if word:
             on_gens[word[0]] = dict(x.on_cells[a])
-    for (m, n) in t.loose_comp:
-        p1, p2, lax = {}, {}, {}
-        for a, b in pair_elems[(m, n)]:
-            lab = pair_label(a, b)
-            p1[lab], p2[lab] = a, b
-            lax[lab] = x.laxators[(m, n)][(a, b)]
-        on_gens[_name("p1", m, n)] = p1
-        on_gens[_name("p2", m, n)] = p2
-        on_gens[_name("lax", m, n)] = lax
+    for (m, n), labels in pair_labels.items():
+        lax = x.laxators[(m, n)]
+        on_gens[_name("p1", m, n)] = {lab: a for (a, _), lab in labels.items()}
+        on_gens[_name("p2", m, n)] = {lab: b for (_, b), lab in labels.items()}
+        on_gens[_name("lax", m, n)] = {lab: lax[ab]
+                                       for ab, lab in labels.items()}
     for a, b in _hpairs(t):
+        ca, cb = x.on_cells[a], x.on_cells[b]
+        bottom = pair_labels[(t.cell_bottom(a), t.cell_bottom(b))]
         on_gens[_name("cell2", a, b)] = {
-            pair_label(u, v): pair_label(x.on_cells[a][u], x.on_cells[b][v])
-            for u, v in pair_elems[(t.cell_top(a), t.cell_top(b))]}
+            lab: label(bottom, ca[u], cb[v])
+            for (u, v), lab in pair_labels[(t.cell_top(a), t.cell_top(b))]
+            .items()}
     for d in t.objects:
         on_gens[_name("unit", d)] = dict(x.unitors[d])
     for m, (dx, dy) in t.loose.items():
         lm, rm = t.loose_id[dx], t.loose_id[dy]
+        sp = x.on_loose[m]
         if (lm, m) in t.loose_comp:
+            labels, unit = pair_labels[(lm, m)], x.unitors[dx]
             on_gens[_name("lu", m)] = {
-                a: pair_label(x.unitors[dx][x.on_loose[m].left[a]], a)
-                for a in x.on_loose[m].apex}
+                a: label(labels, unit[sp.left[a]], a) for a in sp.apex}
         if (m, rm) in t.loose_comp:
+            labels, unit = pair_labels[(m, rm)], x.unitors[dy]
             on_gens[_name("ru", m)] = {
-                a: pair_label(a, x.unitors[dy][x.on_loose[m].right[a]])
-                for a in x.on_loose[m].apex}
-    for m, n, p in _triples(t):
+                a: label(labels, a, unit[sp.right[a]]) for a in sp.apex}
+    for (m, n, p), labels in triple_labels.items():
+        mn, np = t.loose_comp[(m, n)], t.loose_comp[(n, p)]
+        lax_mn, lax_np = x.laxators[(m, n)], x.laxators[(n, p)]
+        to_mn, to_np = pair_labels[(m, n)], pair_labels[(n, p)]
+        to_la = pair_labels[(mn, p)]
+        to_ra = pair_labels.get((m, np), {})
         p12, p23, la, ra = {}, {}, {}, {}
-        for a, b, c in triple_elems[(m, n, p)]:
-            lab = pair_label(pair_label(a, b), c)
-            p12[lab] = pair_label(a, b)
-            p23[lab] = pair_label(b, c)
-            la[lab] = pair_label(x.laxators[(m, n)][(a, b)], c)
-            ra[lab] = pair_label(a, x.laxators[(n, p)][(b, c)])
+        for ((a, b), c), lab in labels.items():
+            p12[lab] = to_mn[(a, b)]
+            p23[lab] = to_np[(b, c)]
+            la[lab] = label(to_la, lax_mn[(a, b)], c)
+            ra[lab] = label(to_ra, a, lax_np[(b, c)])
         on_gens[_name("p12", m, n, p)] = p12
         on_gens[_name("p23", m, n, p)] = p23
         on_gens[_name("lassoc", m, n, p)] = la

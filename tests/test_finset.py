@@ -63,6 +63,23 @@ def test_is_function_totality():
     assert is_function({"a": "x", "b": "x"}, s, t)
     assert not is_function({"a": "x"}, s, t)
     assert not is_function({"a": "x", "b": "z"}, s, t)
+    # a key outside the source, even with every source key present
+    assert not is_function({"a": "x", "b": "x", "c": "x"}, s, t)
+    assert not is_function({"a": "x", "c": "x"}, s, t)
+    # a missing key
+    assert not is_function({"b": "x"}, s, t)
+    assert not is_function({}, s, t)
+    # a value outside the target
+    assert not is_function({"a": "z", "b": "x"}, s, t)
+    # the empty table is the function out of the empty set
+    empty = FiniteSet([])
+    assert is_function({}, empty, t)
+    assert is_function({}, empty, empty)
+    assert not is_function({"a": "x"}, empty, t)
+    # labels are strings, so a non-string value is never in the target
+    assert not is_function({"a": "x", "b": 0}, s, t)
+    assert not is_function({"a": "x", "b": None}, s, t)
+    assert not is_function({"x": 0}, t, FiniteSet(["0"]))
 
 
 def test_pullback_pairs_matches_brute_force():

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -8,10 +9,11 @@ from dblinst.fixtures import (builtin_multicategory, standard_instance_corpus,
                               weighted_graph_schema)
 from dblinst.model import enumerate_model_morphisms, validate_model
 from dblinst.serialize import document_of, object_of
-from dblinst.sketch import (enumerate_sketch_model_morphisms, flatten_theory,
-                            flatten_cartesian_theory, loose_sort,
-                            model_to_sketch_model, ob_sort, pair_sort,
-                            sketch_model_to_model, validate_sketch_model)
+from dblinst.sketch import (SketchModel, enumerate_sketch_model_morphisms,
+                            flatten_theory, flatten_cartesian_theory,
+                            loose_sort, model_to_sketch_model, ob_sort,
+                            pair_sort, sketch_model_to_model,
+                            validate_sketch_model)
 from dblinst.theories import builtin_theory
 from dblinst.theory import validate_theory
 
@@ -130,6 +132,55 @@ def test_non_pullback_pair_sort_is_rejected():
     assert validate_sketch_model(s) != []
     with pytest.raises(MarkedSquareNotPullback):
         sketch_model_to_model(s)
+
+
+def test_unitors_outside_the_pair_sorts_are_reported():
+    # swapping two unitor values sends elements outside the pair sorts
+    # of lu and ru: tabulating must not raise, and validation reports it
+    x = walking_loose_model(["a{}".format(i) for i in range(6)],
+                            ["b{}".format(i) for i in range(6)],
+                            [("h{}".format(i), "a{}".format(i),
+                              "b{}".format(i)) for i in range(6)])
+    unit = x.unitors["dom"]
+    unit["a0"], unit["a1"] = unit["a1"], unit["a0"]
+    assert validate_model(x) != []
+    s = model_to_sketch_model(x, flatten_theory(x.theory))
+    assert validate_sketch_model(s) == [
+        "generator lu[id:dom] not a total function",
+        "generator ru[id:dom] not a total function",
+        "generator lu[l] not a total function",
+    ]
+
+
+def _swapped(table):
+    """``table`` with the values at its two least keys exchanged."""
+    keys = sorted(table)
+    other = next(k for k in keys if table[k] != table[keys[0]])
+    return dict(table, **{keys[0]: table[other], other: table[keys[0]]})
+
+
+def test_validation_writes_nothing_into_the_sketch_model():
+    from dblinst.cartesian import multicategory_to_model
+    x = walking_loose_model(["a0", "a1", "a2"], ["b0", "b1"],
+                            [("h0", "a0", "b0"), ("h1", "a1", "b1"),
+                             ("h2", "a2", "b1"), ("h3", "a2", "b0")])
+    s = model_to_sketch_model(x, flatten_theory(x.theory))
+    bad = SketchModel(s.sketch, s.on_objects,
+                      dict(s.on_generators,
+                           **{"src[l]": _swapped(s.on_generators["src[l]"])}))
+    t = builtin_theory("prom_trunc", 2)
+    cart = model_to_sketch_model(
+        multicategory_to_model(builtin_multicategory("two_object"), t),
+        flatten_cartesian_theory(t))
+    for model, valid in ((s, True), (bad, False), (cart, True)):
+        generators = copy.deepcopy(model.on_generators)
+        objects = copy.deepcopy(model.on_objects)
+        attributes = (set(vars(model)), set(vars(model.sketch)))
+        for _ in range(2):
+            assert (validate_sketch_model(model) == []) == valid
+        assert model.on_generators == generators
+        assert model.on_objects == objects
+        assert (set(vars(model)), set(vars(model.sketch))) == attributes
 
 
 def test_sort_carriers_match_the_model():
