@@ -17,7 +17,7 @@ import itertools
 from .finset import FiniteSet, Span, pair_label
 from .instance import Instance
 from .model import SpanModel
-from .search import solutions
+from .search import distinct, solutions
 from .theories import map_blocks, p_arrow
 
 
@@ -258,8 +258,6 @@ def multicategory_to_model(mc, t):
               for i in range(k + 1)}
     on_objects = {obj[i]: FiniteSet([_tuple_label(tp) for tp in tuples[i]])
                   for i in range(k + 1)}
-    tup_of = {obj[i]: {_tuple_label(tp): tp for tp in tuples[i]}
-              for i in range(k + 1)}
 
     on_tight = {}
     for f, (a, b, pf) in t.tight_data.items():
@@ -320,7 +318,6 @@ def multicategory_to_model(mc, t):
     x = SpanModel(t, on_objects, on_tight, on_loose, on_cells,
                   laxators, unitors)
     x.multicategory = mc
-    x.tuple_of = tup_of
     x.mm_of = mm_of
     return x
 
@@ -402,8 +399,7 @@ def multicategories_isomorphic(mc1, mc2):
     mms = [("mm", m) for m in sorted(mc1.multimorphisms)]
     domains = [(v, mc2.objects) for v in obs]
     domains += [(v, mc2.by_arity(mc1.arity(v[1]))) for v in mms]
-    constraints = [(group[:i + 1], lambda *vs: vs[-1] not in vs[:-1])
-                   for group in (obs, mms) for i in range(1, len(group))]
+    constraints = distinct([obs, mms])
     for m, (dom, cod) in mc1.multimorphisms.items():
         constraints.append(
             ([("ob", o) for o in dom + (cod,)] + [("mm", m)],
@@ -514,13 +510,12 @@ def multifunctor_to_instance(fm, x):
     def elem_label(tp):
         return _tuple_label(tuple(pair_label(o, v) for o, v in tp))
 
-    carriers, labels, tup_of = {}, {}, {}
+    carriers, labels = {}, {}
     for i in range(k + 1):
         ob = "x{}".format(i)
         carriers[ob] = FiniteSet([elem_label(tp) for tp in elems[i]])
         labels[ob] = {elem_label(tp): _tuple_label(tuple(o for o, _ in tp))
                       for tp in elems[i]}
-        tup_of[ob] = {elem_label(tp): tp for tp in elems[i]}
 
     tight_cells = {}
     for f, (a, b, pf) in t.tight_data.items():
@@ -629,5 +624,4 @@ def build_cocartesian_example(t, monoid=None):
 
     x = SpanModel(t, on_objects, on_tight, on_loose, on_cells,
                   laxators, unitors)
-    x.op_of = op_of
     return x

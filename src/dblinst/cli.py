@@ -8,14 +8,13 @@ closures, unknown verbs).
 """
 
 import argparse
-import json
 import os
 import sys
 
 from .errors import DblinstError, InvalidTheory, UnknownVerb
 from . import fixtures as fx
 from .serialize import (document_of, load_document, object_of,
-                        save_document, FORMAT_VERSION)
+                        save_document, write_document, FORMAT_VERSION)
 
 
 def _bound(args):
@@ -34,8 +33,7 @@ def _emit_report(args, entries, extra=None):
         doc = {"kind": "report", "format_version": FORMAT_VERSION,
                "ok": not entries, "entries": entries}
         doc.update(extra or {})
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        write_document(doc, sys.stdout)
     else:
         for entry in entries:
             print(entry)
@@ -49,8 +47,7 @@ def _write(args, obj):
     if args.output:
         save_document(doc, args.output)
     else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        write_document(doc, sys.stdout)
     return 0
 
 

@@ -153,16 +153,27 @@ def elements(p_inst):
     return e_model, pi, DopfWitness(pi, bijections)
 
 
-def nabla(p, witness=None):
-    """The instance of the base read off a discrete opfibration."""
+def _checked_witness(p, witness):
+    """The witness of p: computed when None, else validated once.
+    Raises NotDiscreteOpfibration when p or the witness fails."""
     if witness is None:
         check = is_discrete_opfibration(p)
         if not check.ok:
             raise NotDiscreteOpfibration(str(check.counterexample))
-        witness = check.witness
-    elif witness.validate():
-        raise NotDiscreteOpfibration(
-            "; ".join(witness.validate()))
+        return check.witness
+    problems = witness.validate()
+    if problems:
+        raise NotDiscreteOpfibration("; ".join(problems))
+    return witness
+
+
+def nabla(p, witness=None):
+    """The instance of the base read off a discrete opfibration."""
+    return _instance_of(p, _checked_witness(p, witness))
+
+
+def _instance_of(p, witness):
+    """The instance read off p through a checked witness."""
     e_model, b_model = p.source, p.target
     t = e_model.theory
     carriers = {d: e_model.on_objects[d] for d in t.objects}
@@ -216,12 +227,8 @@ def canonical_elements_comparison(p, witness=None):
     Identity on objects; on a loose apex it sends the pair (element,
     base heteromorphism) to the witnessed lift.
     """
-    if witness is None:
-        check = is_discrete_opfibration(p)
-        if not check.ok:
-            raise NotDiscreteOpfibration(str(check.counterexample))
-        witness = check.witness
-    inst = nabla(p, witness)
+    witness = _checked_witness(p, witness)
+    inst = _instance_of(p, witness)
     e2, pi2, _ = elements(inst)
     t = p.source.theory
     on_objects = {d: {e: e for e in e2.on_objects[d]} for d in t.objects}

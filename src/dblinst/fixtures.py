@@ -233,12 +233,10 @@ def category_as_model(cat):
         (f, g): cat.compose(f, g)
         for f in cat.morphisms for g in cat.morphisms
         if cat.dst(f) == cat.src(g)}}
-    x = SpanModel(t, {"*": obs}, {"id:*": {o: o for o in obs}},
-                  {"id:*": span},
-                  {t.cell_id_loose["id:*"]: {f: f for f in cat.morphisms}},
-                  laxators, {"*": dict(cat.identity)})
-    x.category = cat
-    return x
+    return SpanModel(t, {"*": obs}, {"id:*": {o: o for o in obs}},
+                     {"id:*": span},
+                     {t.cell_id_loose["id:*"]: {f: f for f in cat.morphisms}},
+                     laxators, {"*": dict(cat.identity)})
 
 
 def functor_as_morphism(fun, xm=None, ym=None):
@@ -399,10 +397,8 @@ def cyclic_translation_model(n, q):
                 "alpha": {e: str((int(e) + q) % n) for e in elems}}
     laxators = {("id:*", "id:*"): {
         (a, b): str((int(a) + int(b)) % n) for a in elems for b in elems}}
-    x = SpanModel(t, {"*": pt}, {"id:*": {"*": "*"}}, {"id:*": span},
-                  on_cells, laxators, {"*": {"*": "0"}})
-    x.order, x.translation = n, q
-    return x
+    return SpanModel(t, {"*": pt}, {"id:*": {"*": "*"}}, {"id:*": span},
+                     on_cells, laxators, {"*": {"*": "0"}})
 
 
 def cyclic_quotient_morphism(x4=None, x2=None):

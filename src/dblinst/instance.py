@@ -14,7 +14,7 @@ laxators, unitality at the unitors) are checked exhaustively.
 from .errors import ModelMismatch
 from .finset import (FiniteSet, compose_tables, fibers, identity_table,
                      is_function, pair_label)
-from .search import distinct, solutions
+from .search import distinct, solutions, violations
 
 
 class Instance:
@@ -144,9 +144,13 @@ class InstanceMorphism:
 
 
 def validate_instance_morphism(mu):
+    """Report the components that are not total or break labels, or
+    else the constraints of ``_search_problem`` that they break, so
+    that validation and enumeration cannot disagree.  Raises
+    ``ModelMismatch`` when h and k live over different models."""
     h, k = mu.source, mu.target
-    x = h.model
-    t = x.theory
+    _, constraints = _search_problem(h, k)
+    t = h.model.theory
     report = []
     for d in t.objects:
         tab = mu.components.get(d)
@@ -158,19 +162,10 @@ def validate_instance_morphism(mu):
                 report.append("component at {} breaks labels at {}".format(d, e))
     if report:
         return report
-    for f, (s, d) in t.tight.items():
-        for e in h.carriers[s]:
-            if mu.components[d][h.tight_cells[f][e]] != \
-                    k.tight_cells[f][mu.components[s][e]]:
-                report.append("naturality fails at tight arrow {} on {}"
-                              .format(f, e))
-    for m, (s, d) in t.loose.items():
-        for (e, xi) in h.action_domain(m):
-            if mu.components[d][h.actions[m][(e, xi)]] != \
-                    k.actions[m][(mu.components[s][e], xi)]:
-                report.append("equivariance fails at {} on ({},{})"
-                              .format(m, e, xi))
-    return report
+    value = {(d, e): v for d, tab in mu.components.items()
+             for e, v in tab.items()}
+    return [template.format(*parts)
+            for template, *parts in violations(constraints, value)]
 
 
 def identity_instance_morphism(h):
@@ -194,10 +189,11 @@ def _search_problem(h, k):
     in ``component_key`` order: objects sorted, elements in label
     order; its values are the elements of k in the same label fibre,
     in label order.  So the search yields the morphisms sorted by
-    their component tables.  Naturality at tight arrows
-    and equivariance at loose arrows are checked element by element.
-    Raises ``ModelMismatch`` when h and k live over models with
-    different carriers, tight functions or spans.
+    their component tables.  Naturality at tight arrows and
+    equivariance at loose arrows are checked element by element, each
+    tagged with its report line.  Raises ``ModelMismatch`` when h and
+    k live over models with different carriers, tight functions or
+    spans.
     """
     x, y = h.model, k.model
     differ = [label for part, label in (
@@ -213,12 +209,14 @@ def _search_problem(h, k):
         over = fibers(k.labels[d], k.carriers[d])
         domains += [((d, e), over.get(h.labels[d][e], ()))
                     for e in h.carriers[d]]
-    # (u, v) are the images of the two elements read
+    # (u, v) are the images of the two elements read; tags are report lines
     constraints = [(((s, e), (d, h.tight_cells[f][e])),
-                    lambda u, v, tb=k.tight_cells[f]: tb[u] == v)
+                    lambda u, v, tb=k.tight_cells[f]: tb[u] == v,
+                    ("naturality fails at tight arrow {} on {}", f, e))
                    for f, (s, d) in t.tight.items() for e in h.carriers[s]]
     constraints += [(((s, e), (d, h.actions[m][(e, xi)])),
-                     lambda u, v, act=k.actions[m], xi=xi: act[(u, xi)] == v)
+                     lambda u, v, act=k.actions[m], xi=xi: act[(u, xi)] == v,
+                     ("equivariance fails at {} on ({},{})", m, e, xi))
                     for m, (s, d) in t.loose.items()
                     for e, xi in h.action_domain(m)]
     return domains, constraints

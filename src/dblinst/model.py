@@ -16,7 +16,7 @@ component tables, so they come out of the search in that order.
 from .errors import TheoryMismatch
 from .finset import (FiniteSet, Span, compose_tables, fibers, identity_table,
                      is_function, pullback_pairs)
-from .search import distinct, solutions
+from .search import distinct, solutions, violations
 
 
 class SpanModel:
@@ -237,9 +237,13 @@ class ModelMorphism:
 
 
 def validate_model_morphism(al):
+    """Report the components that are not total functions, or else the
+    constraints of ``_search_problem`` that the tables break, so that
+    validation and enumeration cannot disagree.  Raises
+    ``TheoryMismatch`` when the models live over different theories."""
     x, y = al.source, al.target
+    _, constraints = _search_problem(x, y)
     t = x.theory
-    assert t is y.theory or t.objects == y.theory.objects
     report = []
     for d in t.objects:
         tab = al.on_objects.get(d)
@@ -252,38 +256,12 @@ def validate_model_morphism(al):
             report.append("component at loose arrow {} not total".format(m))
     if report:
         return report
-    for f, (s, d) in t.tight.items():
-        lhs = compose_tables(x.on_tight[f], al.on_objects[d])
-        rhs = compose_tables(al.on_objects[s], y.on_tight[f])
-        if lhs != rhs:
-            report.append("naturality fails at tight arrow {}".format(f))
-    for m, (s, d) in t.loose.items():
-        for xi in x.on_loose[m].apex:
-            im = al.on_loose[m][xi]
-            if y.on_loose[m].left[im] != al.on_objects[s][x.on_loose[m].left[xi]]:
-                report.append("left leg broken at {} on {}".format(m, xi))
-            if y.on_loose[m].right[im] != al.on_objects[d][x.on_loose[m].right[xi]]:
-                report.append("right leg broken at {} on {}".format(m, xi))
-    for a in t.cells:
-        m, n = t.cell_top(a), t.cell_bottom(a)
-        for xi in x.on_loose[m].apex:
-            if al.on_loose[n][x.on_cells[a][xi]] != y.on_cells[a][al.on_loose[m][xi]]:
-                report.append("naturality fails at cell {} on {}".format(a, xi))
-    for (m, n), mn in t.loose_comp.items():
-        for (xi, zeta) in x.laxator_domain(m, n):
-            lhs = al.on_loose[mn][x.laxators[(m, n)][(xi, zeta)]]
-            # a pair that breaks a leg is not in the target's pullback
-            rhs = y.laxators[(m, n)].get((al.on_loose[m][xi],
-                                          al.on_loose[n][zeta]))
-            if lhs != rhs:
-                report.append("laxator compatibility fails at ({},{}) on ({},{})"
-                              .format(m, n, xi, zeta))
-    for d in t.objects:
-        lid = t.loose_id[d]
-        for e in x.on_objects[d]:
-            if al.on_loose[lid][x.unitors[d][e]] != y.unitors[d][al.on_objects[d][e]]:
-                report.append("unitor compatibility fails at {} on {}".format(d, e))
-    return report
+    value = {("ob", d, e): v for d, tab in al.on_objects.items()
+             for e, v in tab.items()}
+    value.update({("lo", m, xi): v for m, tab in al.on_loose.items()
+                  for xi, v in tab.items()})
+    return [template.format(*parts)
+            for template, *parts in violations(constraints, value)]
 
 
 def identity_morphism(x):
@@ -309,10 +287,11 @@ def _search_problem(a, b):
     sorted, then ``("lo", m, xi)`` for the image of the heteromorphism
     xi at the loose arrow m, loose arrows sorted; elements and values
     come in label order.  So the search yields the morphisms sorted by
-    their component tables.  Tight naturality, the legs, the
-    cells, the laxators and the unitors are checked element by element,
-    each as soon as the elements it reads are assigned.  Raises
-    ``TheoryMismatch`` when the two models live over different
+    their component tables.  Tight naturality, the legs, the cells,
+    the laxators and the unitors are checked element by element, each
+    as soon as the elements it reads are assigned.  Each constraint is
+    tagged with its line of the ``validate_model_morphism`` report.
+    Raises ``TheoryMismatch`` when the two models live over different
     theories.
     """
     t = a.theory
@@ -327,33 +306,43 @@ def _search_problem(a, b):
                for d in sorted(t.objects) for e in a.on_objects[d]]
     domains += [(("lo", m, xi), b.on_loose[m].apex)
                 for m in sorted(t.loose) for xi in a.on_loose[m].apex]
-    # (u, v) are the images of the two elements read: tb sends u to v
+    # (u, v) are the images of the two elements read: tb sends u to v.
+    # Tags are report lines, listed in report order; one per tight arrow
     constraints = [((("ob", s, e), ("ob", d, a.on_tight[f][e])),
-                    lambda u, v, tb=b.on_tight[f]: tb[u] == v)
+                    lambda u, v, tb=b.on_tight[f]: tb[u] == v,
+                    ("naturality fails at tight arrow {}", f))
                    for f, (s, d) in t.tight.items() for e in a.on_objects[s]]
     for m, (s, d) in t.loose.items():
         sp, spb = a.on_loose[m], b.on_loose[m]
         for xi in sp.apex:
             constraints += [
                 ((("lo", m, xi), ("ob", s, sp.left[xi])),
-                 lambda u, v, tb=spb.left: tb[u] == v),
+                 lambda u, v, tb=spb.left: tb[u] == v,
+                 ("left leg broken at {} on {}", m, xi)),
                 ((("lo", m, xi), ("ob", d, sp.right[xi])),
-                 lambda u, v, tb=spb.right: tb[u] == v)]
+                 lambda u, v, tb=spb.right: tb[u] == v,
+                 ("right leg broken at {} on {}", m, xi))]
     for c in t.cells:
         m, n = t.cell_top(c), t.cell_bottom(c)
         constraints += [((("lo", m, xi), ("lo", n, a.on_cells[c][xi])),
-                         lambda u, v, tb=b.on_cells[c]: tb[u] == v)
+                         lambda u, v, tb=b.on_cells[c]: tb[u] == v,
+                         ("naturality fails at cell {} on {}", c, xi))
                         for xi in a.on_loose[m].apex]
-    for d, lid in t.loose_id.items():
-        constraints += [((("ob", d, e), ("lo", lid, a.unitors[d][e])),
-                         lambda u, v, tb=b.unitors[d]: tb[u] == v)
-                        for e in a.on_objects[d]]
+    # a pair that breaks a leg is not in the target's pullback
     for (m, n), mn in t.loose_comp.items():
         constraints += [
             ((("lo", m, xi), ("lo", n, zeta),
               ("lo", mn, a.laxators[(m, n)][(xi, zeta)])),
-             lambda u, w, v, tb=b.laxators[(m, n)]: tb[(u, w)] == v)
+             lambda u, w, v, tb=b.laxators[(m, n)]: tb.get((u, w)) == v,
+             ("laxator compatibility fails at ({},{}) on ({},{})",
+              m, n, xi, zeta))
             for xi, zeta in a.laxator_domain(m, n)]
+    for d in t.objects:
+        lid = t.loose_id[d]
+        constraints += [((("ob", d, e), ("lo", lid, a.unitors[d][e])),
+                         lambda u, v, tb=b.unitors[d]: tb[u] == v,
+                         ("unitor compatibility fails at {} on {}", d, e))
+                        for e in a.on_objects[d]]
     return domains, constraints
 
 
@@ -382,14 +371,15 @@ def find_model_isomorphism(a, b):
     """The first morphism a -> b in sorted order with bijective
     components, or None.
 
-    A bijective strict transformation is an isomorphism: its inverse
-    tables form a morphism again (checked).  The search is the one of
+    A bijective morphism is an isomorphism: each of its conditions read
+    backwards is the same condition on the inverse tables, and each
+    pair in the target's laxator domain comes from one in the source's,
+    as the object components are injective.  The search is the one of
     ``enumerate_model_morphisms``, after a size check, and rejects a
     repeated value within a component as soon as it is assigned, so it
     stops at the first isomorphism instead of building the whole
     hom-set.
     """
-    from .finset import inverse_table
     t = a.theory
     domains, constraints = _search_problem(a, b)
     if any(len(a.on_objects[d]) != len(b.on_objects[d]) for d in t.objects) \
@@ -400,11 +390,5 @@ def find_model_isomorphism(a, b):
         [[("ob", d, e) for e in a.on_objects[d]] for d in t.objects]
         + [[("lo", m, xi) for xi in a.on_loose[m].apex] for m in t.loose])
     for sol in solutions(domains, constraints):
-        f = _morphism(a, b, sol)
-        inv = ModelMorphism(
-            b, a,
-            {d: inverse_table(tab) for d, tab in f.on_objects.items()},
-            {m: inverse_table(tab) for m, tab in f.on_loose.items()})
-        if not validate_model_morphism(inv):
-            return f
+        return _morphism(a, b, sol)
     return None

@@ -6,6 +6,10 @@ names the variables it reads and is checked as soon as the last of them
 is assigned, so a hom-set is searched element by element and no table
 product is ever built.  The search keeps an explicit stack: its
 recursion depth does not grow with the number of variables.
+
+A constraint may carry a third element, a tag for the condition it
+stands for: the search ignores it, and ``violations`` lists the tags
+a complete assignment breaks, so a validator checks the same conditions.
 """
 
 from operator import itemgetter
@@ -16,15 +20,16 @@ def solutions(domains, constraints):
 
     ``domains`` is an ordered list of (variable, collection of allowed
     values) pairs and ``constraints`` a list of (variables read, check)
-    pairs; a check is called with the values of the variables it reads,
-    in that order.  A constraint reads at least two variables: a
-    condition on one variable belongs in its value list.  Assignments
-    are dicts from variables to values, yielded in lexicographic order
-    of the variable list and of each value list.
+    pairs, each optionally tagged; a check is called with the values of
+    the variables it reads, in that order.  A constraint reads at least
+    two variables: a condition on one variable belongs in its value
+    list.  Assignments are dicts from variables to values, yielded in
+    lexicographic order of the variable list and of each value list.
     """
     position = {v: i for i, (v, _) in enumerate(domains)}
     due = [[] for _ in domains]
-    for reads, check in constraints:
+    for constraint in constraints:    # a tag, if any, is constraint[2]
+        reads, check = constraint[0], constraint[1]
         where = itemgetter(*reads)(position)
         due[max(where)].append((itemgetter(*where), check))
     if not domains:
@@ -48,6 +53,15 @@ def solutions(domains, constraints):
             stack.append(iter(domains[len(stack)][1]))
         else:
             yield dict(zip(position, chosen))
+
+
+def violations(constraints, value):
+    """The tags of the constraints that ``value``, a dict from each
+    variable read to its value, breaks: each tag once, in the order of
+    its first break."""
+    return list(dict.fromkeys(
+        tag for reads, check, tag in constraints
+        if not check(*map(value.__getitem__, reads))))
 
 
 def distinct(groups):

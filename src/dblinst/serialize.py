@@ -326,10 +326,16 @@ def object_of(doc):
     return _FROM_DOC[kind](doc)
 
 
+def write_document(doc, fh):
+    """Write a document to an open text file: keys sorted, indented by
+    two, with a trailing newline."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def save_document(doc, path):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_document(doc, fh)
 
 
 def load_document(path):

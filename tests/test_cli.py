@@ -100,6 +100,18 @@ def test_collage_close_copresheaf_round_trip(emitted, tmp_path, capsys):
     assert code == 0
 
 
+def test_collage_on_stdout_and_in_a_file_are_the_same_bytes(
+        emitted, tmp_path, capsys):
+    model, _ = emitted
+    code, out, _ = run(capsys, "collage", str(model))
+    assert code == 0
+    written = tmp_path / "collage.json"
+    code, _, _ = run(capsys, "collage", str(model), "-o", str(written))
+    assert code == 0
+    assert out.encode() == written.read_bytes()
+    assert out.endswith("}\n")
+
+
 def test_factorize_and_check_outputs(emitted, tmp_path, capsys):
     from dblinst.fixtures import (dopf_corpus_over, weighted_graph_schema)
     from dblinst.model import enumerate_model_morphisms, terminal_model

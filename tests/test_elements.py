@@ -1,6 +1,6 @@
 import pytest
 
-from dblinst.elements import (canonical_elements_comparison,
+from dblinst.elements import (DopfWitness, canonical_elements_comparison,
                               dopf_morphism_from_objects, elements,
                               is_discrete_opfibration,
                               kappa_creates_dopf_check, nabla)
@@ -59,6 +59,24 @@ def test_non_dopf_detected():
     assert not check.ok and check.counterexample is not None
     with pytest.raises(NotDiscreteOpfibration):
         nabla(fold)
+
+
+def test_a_witness_is_computed_or_validated_once(monkeypatch):
+    calls = []
+    validate = DopfWitness.validate
+    monkeypatch.setattr(DopfWitness, "validate",
+                        lambda w: calls.append(w) or validate(w))
+    _, pi, witness = elements(weighted_graph_instance(2))
+    bad = DopfWitness(pi, {m: {} for m in witness.bijections})
+    with pytest.raises(NotDiscreteOpfibration,
+                       match="not total on the pullback"):
+        nabla(pi, bad)
+    assert calls == [bad]
+    calls.clear()
+    canonical_elements_comparison(pi)
+    assert calls == []
+    canonical_elements_comparison(pi, witness)
+    assert calls == [witness]
 
 
 def test_partial_morphism_is_refused_by_name():

@@ -10,7 +10,7 @@ from dblinst.fixtures import (coproduct_instance,
                               tautological_instance, walking_loose_model,
                               weighted_graph_instance, weighted_graph_schema)
 from dblinst.finset import pair_label
-from dblinst.instance import (compose_instance_morphisms,
+from dblinst.instance import (InstanceMorphism, compose_instance_morphisms,
                               enumerate_instance_morphisms,
                               find_instance_isomorphism,
                               identity_instance_morphism, restrict_instance,
@@ -130,6 +130,16 @@ def test_morphisms_across_models_are_a_typed_error():
     other = tautological_instance(walking_loose_model(["a", "c"], ["b"], []))
     with pytest.raises(ModelMismatch, match="carriers"):
         enumerate_instance_morphisms(h, other)
+
+
+def test_validating_a_morphism_across_models_is_a_typed_error():
+    h = tautological_instance(walking_loose_model(["a"], ["b"], []))
+    k = tautological_instance(
+        walking_loose_model(["a"], ["b"], [("h", "a", "b")]))
+    mu = InstanceMorphism(h, k, {d: {e: e for e in h.carriers[d]}
+                                 for d in h.carriers})
+    with pytest.raises(ModelMismatch, match="spans"):
+        validate_instance_morphism(mu)
 
 
 def test_coproduct_instance_sizes_add():

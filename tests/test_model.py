@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 
 from dblinst import model as model_module
 from dblinst.fixtures import (category_as_model, chain_category,
@@ -147,3 +150,32 @@ def test_morphism_that_breaks_legs_is_reported_not_raised():
         "left leg broken at l on h0", "left leg broken at l on h1",
         "laxator compatibility fails at (id:dom,l) on (a0,h0)",
         "laxator compatibility fails at (id:dom,l) on (a1,h1)"]
+
+
+def test_validating_a_morphism_across_theories_is_a_typed_error():
+    """Refused with ``TheoryMismatch``, also under ``python -O``, which
+    skips asserts."""
+    package_root = os.path.dirname(os.path.dirname(model_module.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = ("from dblinst.errors import TheoryMismatch\n"
+            "from dblinst.fixtures import walking_loose_model\n"
+            "from dblinst.model import (ModelMorphism, terminal_model,\n"
+            "                           validate_model_morphism)\n"
+            "from dblinst.theories import builtin_theory\n"
+            "x = walking_loose_model(['a'], ['b'], [('h', 'a', 'b')])\n"
+            "y = terminal_model(builtin_theory('terminal'))\n"
+            "f = ModelMorphism(\n"
+            "    x, y, {d: dict.fromkeys(s, '*')\n"
+            "           for d, s in x.on_objects.items()},\n"
+            "    {m: dict.fromkeys(sp.apex, '*')\n"
+            "     for m, sp in x.on_loose.items()})\n"
+            "try:\n"
+            "    print(validate_model_morphism(f))\n"
+            "except TheoryMismatch as e:\n"
+            "    print('raised', e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.startswith(
+        "raised the models live over theories with different objects")
