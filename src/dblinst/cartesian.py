@@ -14,7 +14,7 @@ between index sets.
 
 import itertools
 
-from .finset import FiniteSet, Span, pair_label
+from .finset import FiniteSet, Span, fibers, pair_label
 from .instance import Instance
 from .model import SpanModel
 from .search import distinct, solutions
@@ -465,9 +465,8 @@ def instance_to_multifunctor(p):
     t = x.theory
     mc = x.multicategory
     x1 = "x1"
-    on_objects = {o: sorted(e for e in p.carriers[x1]
-                            if p.labels[x1][e] == o)
-                  for o in mc.objects}
+    over = fibers(p.labels[x1], p.carriers[x1])
+    on_objects = {o: sorted(over.get(o, ())) for o in mc.objects}
     inv = {}
     if 2 in {len(d) for d, _ in mc.multimorphisms.values()}:
         inv = {v: e for e, v in

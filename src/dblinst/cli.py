@@ -11,20 +11,13 @@ import argparse
 import os
 import sys
 
-from .errors import DblinstError, InvalidTheory, UnknownVerb
+from .errors import DblinstError, InvalidTheory
 from . import fixtures as fx
 from .serialize import (document_of, load_document, object_of,
                         save_document, write_document, FORMAT_VERSION)
-
-
-def _bound(args):
-    if getattr(args, "bound", None) is not None:
-        return args.bound
-    return int(os.environ.get("DBLINST_MAX_WORDLEN", "8"))
-
-
-def _max_hom_card(args):
-    return int(os.environ.get("DBLINST_MAX_HOM_CARD", "10000"))
+from .signed import walking_feedback_loop
+from .theories import builtin_theory
+from .words import DEFAULT_BOUND
 
 
 def _emit_report(args, entries, extra=None):
@@ -87,7 +80,7 @@ def cmd_collage(args):
 def cmd_close_category(args):
     from .collage import close_presented_category
     p = _load(args.file, {"presented_category"})
-    closure = close_presented_category(p, _bound(args))
+    closure = close_presented_category(p, args.bound)
     return _write(args, closure.category)
 
 
@@ -96,7 +89,7 @@ def cmd_to_copresheaf(args):
                           instance_to_copresheaf)
     h = _load(args.file, {"instance"})
     closure = close_presented_category(collage_of_model(h.model),
-                                       _bound(args))
+                                       args.bound)
     return _write(args, instance_to_copresheaf(h, closure))
 
 
@@ -105,7 +98,7 @@ def cmd_from_copresheaf(args):
                           copresheaf_to_instance)
     cp = _load(args.file, {"copresheaf"})
     x = _load(args.model, {"model"})
-    closure = close_presented_category(collage_of_model(x), _bound(args))
+    closure = close_presented_category(collage_of_model(x), args.bound)
     return _write(args, copresheaf_to_instance(cp, x, closure))
 
 
@@ -127,23 +120,21 @@ def cmd_check_dopf(args):
         ["not a discrete opfibration: {}".format(check.counterexample)]
     extra = None
     if check.ok and args.witness:
-        save_document({
-            "kind": "dopf_witness", "format_version": FORMAT_VERSION,
-            "bijections": {m: [[list(k) + [v] for k, v in sorted(t.items())]]
-                           for m, t in check.witness.bijections.items()},
-        }, args.witness)
+        save_document(document_of(check.witness), args.witness)
         extra = {"witness": args.witness}
     return _emit_report(args, entries, extra)
 
 
 def cmd_migrate(args):
-    from .migration import (MigrationContext, migrate_lan, migrate_pullback,
-                            migrate_ran)
+    from .migration import (DEFAULT_MAX_HOM_CARD, MigrationContext,
+                            migrate_lan, migrate_pullback, migrate_ran)
     al = _load(args.along, {"model_morphism"})
     h = _load(args.file, {"instance"})
     if args.mode == "delta":
         return _write(args, migrate_pullback(al, h))
-    ctx = MigrationContext(al, _bound(args), _max_hom_card(args))
+    max_hom_card = int(os.environ.get("DBLINST_MAX_HOM_CARD",
+                                      DEFAULT_MAX_HOM_CARD))
+    ctx = MigrationContext(al, args.bound, max_hom_card)
     fn = migrate_lan if args.mode == "sigma" else migrate_ran
     return _write(args, fn(al, h, context=ctx))
 
@@ -153,7 +144,7 @@ def cmd_factorize(args):
     f = _load(args.file, {"model_morphism"})
     factorize = cartesian_factorize if args.cartesian else \
         comprehensive_factorize
-    fac = factorize(f, bound=_bound(args))
+    fac = factorize(f, bound=args.bound)
     stem = args.output or os.path.splitext(args.file)[0]
     save_document(document_of(fac.initial), stem + ".initial.json")
     save_document(document_of(fac.opfibration), stem + ".dopf.json")
@@ -208,52 +199,43 @@ def cmd_count_morphisms(args):
 # fixtures
 
 
-def _fixture_documents(name):
-    from .theories import builtin_theory
-    theory_names = ("terminal", "walking_loose", "walking_tight",
-                    "walking_square", "signed", "involution_cell")
-    power_names = ("monad_trunc", "prom_trunc", "sq_finset_op")
-    if name in theory_names:
-        return {name + ".json": builtin_theory(name)}
-    if name in power_names:
-        return {name + "2.json": builtin_theory(name, 2)}
-    if name == "weighted_graph":
-        return {"weighted_graph.json": fx.weighted_graph_schema(),
-                "weighted_graph_instance.json": fx.weighted_graph_instance()}
-    if name == "profunctor_instance":
-        x, h = fx.profunctor_instance_fixture()
-        return {"profunctor_model.json": x, "profunctor_instance.json": h}
-    if name == "monad_instance":
-        x, h = fx.monad_instance_fixture()
-        return {"monad_model.json": x, "monad_instance.json": h}
-    if name == "cyclic_pair":
-        return {"cyclic_pair.json": fx.cyclic_quotient_morphism()}
-    if name == "signed_models":
-        models = fx.signed_fixture_models()
-        return {"signed_model_{}.json".format(i): m
-                for i, m in enumerate(models)}
-    if name in ("negloop1", "posloop1"):
-        from .signed import walking_feedback_loop
-        sign = -1 if name.startswith("neg") else +1
-        return {name + ".json": walking_feedback_loop(sign)}
-    if name.startswith("multicategory_"):
-        return {name + ".json": fx.builtin_multicategory(name[14:])}
-    raise DblinstError("unknown fixture {!r}".format(name))
+def _one(stem, build, *args):
+    return lambda: {stem + ".json": build(*args)}
 
 
-FIXTURE_NAMES = (
+# fixture name -> builder of {file name: object}; ``--help`` lists the
+# names in this order
+_FIXTURES = {name: _one(name, builtin_theory, name) for name in (
     "terminal", "walking_loose", "walking_tight", "walking_square",
-    "signed", "involution_cell", "monad_trunc", "prom_trunc",
-    "sq_finset_op", "weighted_graph", "profunctor_instance",
-    "monad_instance", "cyclic_pair", "signed_models", "negloop1",
-    "posloop1", "multicategory_terminal", "multicategory_join",
-    "multicategory_two_object")
+    "signed", "involution_cell")}
+_FIXTURES.update((name, _one(name + "2", builtin_theory, name, 2))
+                 for name in ("monad_trunc", "prom_trunc", "sq_finset_op"))
+_FIXTURES.update({
+    "weighted_graph": lambda: {
+        "weighted_graph.json": fx.weighted_graph_schema(),
+        "weighted_graph_instance.json": fx.weighted_graph_instance()},
+    "profunctor_instance": lambda: dict(zip(
+        ("profunctor_model.json", "profunctor_instance.json"),
+        fx.profunctor_instance_fixture())),
+    "monad_instance": lambda: dict(zip(
+        ("monad_model.json", "monad_instance.json"),
+        fx.monad_instance_fixture())),
+    "cyclic_pair": _one("cyclic_pair", fx.cyclic_quotient_morphism),
+    "signed_models": lambda: {
+        "signed_model_{}.json".format(i): m
+        for i, m in enumerate(fx.signed_fixture_models())},
+    "negloop1": _one("negloop1", walking_feedback_loop, -1),
+    "posloop1": _one("posloop1", walking_feedback_loop, +1),
+})
+_FIXTURES.update(("multicategory_" + name,
+                  _one("multicategory_" + name, fx.builtin_multicategory,
+                       name))
+                 for name in ("terminal", "join", "two_object"))
+FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def cmd_fixtures(args):
-    if args.action != "emit":
-        raise UnknownVerb("fixtures {}".format(args.action))
-    for fname, obj in sorted(_fixture_documents(args.name).items()):
+    for fname, obj in sorted(_FIXTURES[args.name]().items()):
         path = os.path.join(args.directory, fname)
         save_document(document_of(obj), path)
         print(path)
@@ -271,37 +253,40 @@ def build_parser():
                     "theories.")
     sub = parser.add_subparsers(dest="verb")
 
-    def add(verb, handler, **positionals):
+    output = (("--output", "-o"), {"default": None})
+    report = (("--json-report",), {"action": "store_true"})
+    bound = (("--bound",), {"type": int, "default": DEFAULT_BOUND})
+
+    def add(verb, handler, *flags, **positionals):
         p = sub.add_parser(verb)
         for arg, kw in positionals.items():
             p.add_argument(arg, **kw)
-        p.add_argument("--output", "-o", default=None)
-        p.add_argument("--json-report", action="store_true")
-        p.add_argument("--bound", type=int, default=None)
+        for names, kw in flags:
+            p.add_argument(*names, **kw)
         p.set_defaults(fn=handler)
         return p
 
-    add("validate-theory", cmd_validate_theory, file={})
-    add("validate-model", cmd_validate_model, file={})
-    add("validate-instance", cmd_validate_instance, file={})
-    add("collage", cmd_collage, file={})
-    add("close-category", cmd_close_category, file={})
-    add("to-copresheaf", cmd_to_copresheaf, file={})
-    p = add("from-copresheaf", cmd_from_copresheaf, file={})
+    add("validate-theory", cmd_validate_theory, report, file={})
+    add("validate-model", cmd_validate_model, report, file={})
+    add("validate-instance", cmd_validate_instance, report, file={})
+    add("collage", cmd_collage, output, file={})
+    add("close-category", cmd_close_category, output, bound, file={})
+    add("to-copresheaf", cmd_to_copresheaf, output, bound, file={})
+    p = add("from-copresheaf", cmd_from_copresheaf, output, bound, file={})
     p.add_argument("--model", required=True)
-    add("elements", cmd_elements, file={})
-    add("nabla", cmd_nabla, file={})
-    p = add("check-dopf", cmd_check_dopf, file={})
+    add("elements", cmd_elements, output, file={})
+    add("nabla", cmd_nabla, output, file={})
+    p = add("check-dopf", cmd_check_dopf, report, file={})
     p.add_argument("--witness", default=None)
-    p = add("migrate", cmd_migrate, file={})
+    p = add("migrate", cmd_migrate, output, bound, file={})
     p.add_argument("--mode", choices=("delta", "sigma", "pi"), required=True)
     p.add_argument("--along", required=True)
-    p = add("factorize", cmd_factorize, file={})
+    p = add("factorize", cmd_factorize, output, bound, file={})
     p.add_argument("--cartesian", action="store_true")
-    p = add("check-initial", cmd_check_initial, file={})
+    p = add("check-initial", cmd_check_initial, report, file={})
     p.add_argument("--corpus", required=True)
-    add("check-cartesian", cmd_check_cartesian, file={})
-    p = add("flatten", cmd_flatten, file={})
+    add("check-cartesian", cmd_check_cartesian, report, file={})
+    p = add("flatten", cmd_flatten, output, file={})
     p.add_argument("--cartesian", action="store_true")
     add("count-morphisms", cmd_count_morphisms, source={}, target={})
     p = add("fixtures", cmd_fixtures, action={"choices": ("emit",)},

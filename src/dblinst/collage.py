@@ -13,10 +13,10 @@ every reader takes a generator's structure from ``_generators``.
 """
 
 from .errors import NameClash
-from .finset import FiniteSet, pair_label
+from .finset import FiniteSet, fibers, pair_label
 from .fincat import Copresheaf
 from .instance import Instance
-from .words import ClosedWordCategory
+from .words import DEFAULT_MAX_CLASSES, ClosedWordCategory
 
 
 def collage_object(d, x):
@@ -136,7 +136,7 @@ def collage_of_model(x):
                              list(dict.fromkeys(relations)))
 
 
-def close_presented_category(p, bound, max_classes=10000):
+def close_presented_category(p, bound, max_classes=DEFAULT_MAX_CLASSES):
     """Close a presented category to an explicit finite one.
 
     Returns the closure object; its ``category`` attribute is the
@@ -152,12 +152,11 @@ def instance_to_copresheaf(h, closure):
     x = h.model
     t = x.theory
     cat = closure.category
-    on_objects, fibers = {}, {}
+    on_objects = {}
     for d in t.objects:
+        over = fibers(h.labels[d], h.carriers[d])
         for e in x.on_objects[d]:
-            fiber = [p for p in h.carriers[d] if h.labels[d][p] == e]
-            on_objects[collage_object(d, e)] = FiniteSet(fiber)
-            fibers[collage_object(d, e)] = fiber
+            on_objects[collage_object(d, e)] = FiniteSet(over.get(e, ()))
 
     steps = {}
     for g, kind, arrow, xi, src, _ in _generators(x):
@@ -165,12 +164,12 @@ def instance_to_copresheaf(h, closure):
             steps[g] = h.tight_cells[arrow]
         else:
             steps[g] = {p: h.actions[arrow][(p, xi)]
-                        for p in fibers[collage_object(*src)]}
+                        for p in on_objects[collage_object(*src)]}
 
     on_morphisms = {}
     for mor, (s, d) in cat.morphisms.items():
         src, word = closure.rep_words[mor]
-        table = {p: p for p in fibers[s]}
+        table = {p: p for p in on_objects[s]}
         for g in word:
             step = steps[g]
             table = {p: step[v] for p, v in table.items()}

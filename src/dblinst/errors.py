@@ -35,7 +35,8 @@ class TheoryMismatch(DblinstError):
 
 
 class ModelMismatch(DblinstError):
-    """Two instances compared by a morphism search live over different models."""
+    """Two instances compared by a morphism search live over different
+    models, or a composite or restriction joins objects that differ."""
 
 
 class NotDiscreteOpfibration(DblinstError):
@@ -64,10 +65,6 @@ class SquareNotCommutative(DblinstError):
 
 class MarkedSquareNotPullback(DblinstError):
     """A sketch model sends a marked square to a non-pullback."""
-
-
-class UnknownVerb(DblinstError):
-    """The CLI was invoked with an unrecognized subcommand."""
 
 
 class NameClash(DblinstError):

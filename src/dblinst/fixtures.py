@@ -16,6 +16,7 @@ from .instance import Instance
 from .model import ModelMorphism, SpanModel
 from .signed import SignedGraph, involutive_loop_category
 from .theories import builtin_theory
+from .words import DEFAULT_BOUND
 
 
 def identity_span(fs):
@@ -160,7 +161,7 @@ def tautological_instance(x):
     return Instance(x, carriers, labels, cells, actions)
 
 
-def representable_instances(x, bound=8):
+def representable_instances(x, bound=DEFAULT_BOUND):
     """One instance per object of the closed collage, via the
     corresponding representable copresheaf."""
     closure = close_presented_category(collage_of_model(x), bound)

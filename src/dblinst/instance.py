@@ -174,7 +174,9 @@ def identity_instance_morphism(h):
 
 
 def compose_instance_morphisms(mu, nu):
-    assert mu.target is nu.source or mu.target.carriers == nu.source.carriers
+    if mu.target.carriers != nu.source.carriers:
+        raise ModelMismatch("the target of the first morphism is not the "
+                            "source of the second")
     return InstanceMorphism(
         mu.source, nu.target,
         {d: compose_tables(t, nu.components[d])
@@ -268,11 +270,13 @@ def restrict_instance(al, h):
     Carriers over the source model are the pullbacks
     (x, element of h over alpha(x)), named base element first; actions
     act on the second component through alpha and carry the base
-    element along.
+    element along.  Raises ``ModelMismatch`` when h does not live over
+    the target of the morphism.
     """
     x, y = al.source, al.target
-    assert h.model is y or h.model.on_objects == y.on_objects, \
-        "instance does not live over the morphism's target"
+    if h.model.on_objects != y.on_objects:
+        raise ModelMismatch("instance does not live over the morphism's "
+                            "target")
     t = x.theory
     carriers, labels, elems = {}, {}, {}
     for d in t.objects:

@@ -28,6 +28,7 @@ from .finset import FiniteSet, pair_label
 from .instance import restrict_instance
 from .model import ModelMorphism, compose_model_morphisms
 from .search import solutions
+from .words import DEFAULT_BOUND
 
 DEFAULT_MAX_HOM_CARD = 10000
 
@@ -180,7 +181,8 @@ class MigrationContext:
     """Closed collages of both models and the induced functor, shared by
     the three migrations along one model morphism."""
 
-    def __init__(self, al, bound=8, max_hom_card=DEFAULT_MAX_HOM_CARD):
+    def __init__(self, al, bound=DEFAULT_BOUND,
+                 max_hom_card=DEFAULT_MAX_HOM_CARD):
         self.morphism = al
         self.max_hom_card = max_hom_card
         self.closure_src = close_presented_category(
@@ -191,7 +193,7 @@ class MigrationContext:
                                            self.closure_tgt)
 
 
-def migrate_pullback(al, h, context=None, bound=8):
+def migrate_pullback(al, h, context=None, bound=DEFAULT_BOUND):
     """Restriction of an instance along a model morphism.
 
     Restriction needs no closed collage: it is ``restrict_instance``.
@@ -201,7 +203,7 @@ def migrate_pullback(al, h, context=None, bound=8):
     return restrict_instance(al, h)
 
 
-def migrate_lan(al, h, context=None, bound=8):
+def migrate_lan(al, h, context=None, bound=DEFAULT_BOUND):
     """Left pushforward of an instance along a model morphism."""
     ctx = context or MigrationContext(al, bound)
     cp = instance_to_copresheaf(h, ctx.closure_src)
@@ -209,7 +211,7 @@ def migrate_lan(al, h, context=None, bound=8):
     return copresheaf_to_instance(ext, al.target, ctx.closure_tgt)
 
 
-def migrate_ran(al, h, context=None, bound=8):
+def migrate_ran(al, h, context=None, bound=DEFAULT_BOUND):
     """Right pushforward of an instance along a model morphism."""
     ctx = context or MigrationContext(al, bound)
     cp = instance_to_copresheaf(h, ctx.closure_src)
@@ -221,7 +223,7 @@ def migrate_ran(al, h, context=None, bound=8):
 # discrete-opfibration reflection and comprehensive factorization
 # ---------------------------------------------------------------------------
 
-def reflect_into_dopf(f, bound=8):
+def reflect_into_dopf(f, bound=DEFAULT_BOUND):
     """Reflect a model morphism into an instance of its target.
 
     The reflection is the copresheaf on the closed target collage
@@ -275,7 +277,7 @@ class Factorization:
         self.witness = witness
 
 
-def comprehensive_factorize(f, bound=8):
+def comprehensive_factorize(f, bound=DEFAULT_BOUND):
     """Factor a model morphism through the elements of its reflection."""
     x = f.source
     t = x.theory
@@ -297,7 +299,7 @@ def comprehensive_factorize(f, bound=8):
     return Factorization(f, middle, unit, pi, witness)
 
 
-def cartesian_factorize(f, bound=8):
+def cartesian_factorize(f, bound=DEFAULT_BOUND):
     """Comprehensive factorization with a cartesian middle object.
 
     Both endpoints must be cartesian-valid; the middle object is

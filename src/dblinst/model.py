@@ -13,7 +13,7 @@ variable per element of a carrier or apex, listed in the order of their
 component tables, so they come out of the search in that order.
 """
 
-from .errors import TheoryMismatch
+from .errors import ModelMismatch, TheoryMismatch
 from .finset import (FiniteSet, Span, compose_tables, fibers, identity_table,
                      is_function, pullback_pairs)
 from .search import distinct, solutions, violations
@@ -272,7 +272,9 @@ def identity_morphism(x):
 
 
 def compose_model_morphisms(f, g):
-    assert f.target is g.source or f.target.on_objects == g.source.on_objects
+    if f.target.on_objects != g.source.on_objects:
+        raise ModelMismatch("the target of the first morphism is not the "
+                            "source of the second")
     return ModelMorphism(
         f.source, g.target,
         {d: compose_tables(t, g.on_objects[d]) for d, t in f.on_objects.items()},

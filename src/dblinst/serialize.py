@@ -9,6 +9,7 @@ import json
 
 from .cartesian import Multicategory
 from .collage import PresentedCategory
+from .elements import DopfWitness
 from .fincat import Copresheaf, FinCategory
 from .finset import FiniteSet, Span
 from .instance import Instance
@@ -283,6 +284,12 @@ def multicategory_from_doc(doc):
         doc["truncation"])
 
 
+def witness_to_doc(w):
+    """Written by ``check-dopf --witness``; no reader exists."""
+    return {"kind": "dopf_witness", "format_version": FORMAT_VERSION,
+            "bijections": {m: [_pairs(t)] for m, t in w.bijections.items()}}
+
+
 # ---------------------------------------------------------------------------
 # container dispatch
 
@@ -297,6 +304,7 @@ _TO_DOC = [
     (LimitSketch, sketch_to_doc),
     (PresentedCategory, presented_to_doc),
     (Multicategory, multicategory_to_doc),
+    (DopfWitness, witness_to_doc),
 ]
 
 _FROM_DOC = {

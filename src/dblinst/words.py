@@ -26,13 +26,16 @@ from .errors import HomSetNotFinite, HomSetTooLarge, IllFormedRelation
 from .fincat import FinCategory
 
 _WORD_SEP = ";"
+DEFAULT_BOUND = 8
+DEFAULT_MAX_CLASSES = 10000
 
 
 class ClosedWordCategory:
     """The result of closing a presentation: an explicit finite category
     together with the map from generator words to morphism names."""
 
-    def __init__(self, objects, generators, relations, bound, max_classes=10000):
+    def __init__(self, objects, generators, relations, bound,
+                 max_classes=DEFAULT_MAX_CLASSES):
         assert bound >= 1
         self.objects = list(objects)
         self.generators = dict(generators)

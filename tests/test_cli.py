@@ -1,10 +1,38 @@
+import argparse
 import json
 import os
+import shlex
 
 import pytest
 
-from dblinst.cli import main
-from dblinst.serialize import document_of, load_document, save_document
+from dblinst.cli import build_parser, main
+from dblinst.elements import is_discrete_opfibration
+from dblinst.serialize import (document_of, load_document, object_of,
+                               save_document)
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+# every option of every verb, -h/--help aside
+VERB_OPTIONS = {
+    "validate-theory": {"--json-report"},
+    "validate-model": {"--json-report"},
+    "validate-instance": {"--json-report"},
+    "collage": {"--output", "-o"},
+    "close-category": {"--output", "-o", "--bound"},
+    "to-copresheaf": {"--output", "-o", "--bound"},
+    "from-copresheaf": {"--output", "-o", "--bound", "--model"},
+    "elements": {"--output", "-o"},
+    "nabla": {"--output", "-o"},
+    "check-dopf": {"--json-report", "--witness"},
+    "migrate": {"--output", "-o", "--bound", "--mode", "--along"},
+    "factorize": {"--output", "-o", "--bound", "--cartesian"},
+    "check-initial": {"--json-report", "--corpus"},
+    "check-cartesian": {"--json-report"},
+    "flatten": {"--output", "-o", "--cartesian"},
+    "count-morphisms": set(),
+    "fixtures": {"--directory"},
+}
 
 
 def run(capsys, *argv):
@@ -285,3 +313,77 @@ def test_flatten_refuses_an_invalid_theory(tmp_path, capsys):
         "error: {} is not a valid theory: tight: left unit fails at t; "
         "tight: composite of (id:top,t) has wrong endpoints".format(path))
     assert not (tmp_path / "sk.json").exists()
+
+
+def test_each_verb_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    verbs = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    options = {verb: {o for a in p._actions for o in a.option_strings}
+               - {"-h", "--help"} for verb, p in verbs.items()}
+    assert options == VERB_OPTIONS
+    shared = {"--output", "--json-report", "--bound"}
+    assert sum(len(o & shared) for o in options.values()) == 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate-model", "F.json", "--bound", "3"],
+    ["elements", "H.json", "--json-report"],
+    ["count-morphisms", "A.json", "B.json", "-o", "out.json"],
+    ["fixtures", "emit", "terminal", "-o", "D"]])
+def test_a_flag_the_verb_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_the_bound_has_no_second_way_in(emitted, tmp_path, capsys,
+                                        monkeypatch):
+    model, _ = emitted
+    presented = tmp_path / "presented.json"
+    code, _, _ = run(capsys, "collage", str(model), "-o", str(presented))
+    assert code == 0
+    monkeypatch.setenv("DBLINST_MAX_WORDLEN", "1")
+    code, out, err = run(capsys, "close-category", str(presented))
+    assert code == 0 and err == ""
+    assert json.loads(out)["kind"] == "fincategory"
+
+
+def test_check_dopf_writes_the_witness_bijections(emitted, tmp_path,
+                                                  capsys):
+    _, instance = emitted
+    proj, witness = tmp_path / "proj.json", tmp_path / "witness.json"
+    code, _, _ = run(capsys, "elements", str(instance), "-o", str(proj))
+    assert code == 0
+    code, out, _ = run(capsys, "check-dopf", str(proj), "--witness",
+                       str(witness), "--json-report")
+    assert code == 0 and json.loads(out)["witness"] == str(witness)
+    doc = load_document(witness)
+    assert doc["kind"] == "dopf_witness"
+    check = is_discrete_opfibration(object_of(load_document(proj)))
+    assert {m: {tuple(e[:2]): e[2] for e in entries}
+            for m, (entries,) in doc["bijections"].items()} == \
+        check.witness.bijections
+
+
+def test_the_readme_command_line_block_parses_and_runs(tmp_path, capsys):
+    with open(README) as fh:
+        text = fh.read().split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.replace("/tmp/demo", str(tmp_path))
+             for line in block.splitlines()
+             if line and not line.startswith("#")]
+    verbs = set()
+    for line in lines:
+        argv = shlex.split(line)
+        if argv[:2] == ["mkdir", "-p"]:
+            os.makedirs(argv[2], exist_ok=True)
+            continue
+        assert argv[0] == "dblinst"
+        build_parser().parse_args(argv[1:])
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (line, err)
+        verbs.add(argv[1])
+    # no fixture is a cartesian model or instance
+    assert verbs == set(VERB_OPTIONS) - {"check-cartesian"}

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from dblinst import instance as instance_module
@@ -140,6 +144,43 @@ def test_validating_a_morphism_across_models_is_a_typed_error():
                                  for d in h.carriers})
     with pytest.raises(ModelMismatch, match="spans"):
         validate_instance_morphism(mu)
+
+
+def test_composing_or_restricting_across_models_is_a_typed_error():
+    """Refused with ``ModelMismatch``, also under ``python -O``, which
+    skips asserts."""
+    package_root = os.path.dirname(os.path.dirname(instance_module.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = ("from dblinst.errors import ModelMismatch\n"
+            "from dblinst.fixtures import (tautological_instance,\n"
+            "                              walking_loose_model)\n"
+            "from dblinst.instance import (compose_instance_morphisms,\n"
+            "                              identity_instance_morphism,\n"
+            "                              restrict_instance)\n"
+            "from dblinst.model import (compose_model_morphisms,\n"
+            "                           identity_morphism)\n"
+            "x = walking_loose_model(['a'], ['b'], [('h', 'a', 'b')])\n"
+            "y = walking_loose_model(['a', 'c'], ['b'], [('h', 'a', 'b')])\n"
+            "hx, hy = tautological_instance(x), tautological_instance(y)\n"
+            "for call in (\n"
+            "        lambda: compose_model_morphisms(identity_morphism(x),\n"
+            "                                        identity_morphism(y)),\n"
+            "        lambda: compose_instance_morphisms(\n"
+            "            identity_instance_morphism(hx),\n"
+            "            identity_instance_morphism(hy)),\n"
+            "        lambda: restrict_instance(identity_morphism(x), hy)):\n"
+            "    try:\n"
+            "        print('returned', call())\n"
+            "    except ModelMismatch as e:\n"
+            "        print('raised', e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "raised the target of the first morphism is not the source of the "
+        "second"] * 2 + [
+        "raised instance does not live over the morphism's target"]
 
 
 def test_coproduct_instance_sizes_add():
