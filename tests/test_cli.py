@@ -387,3 +387,52 @@ def test_the_readme_command_line_block_parses_and_runs(tmp_path, capsys):
         verbs.add(argv[1])
     # no fixture is a cartesian model or instance
     assert verbs == set(VERB_OPTIONS) - {"check-cartesian"}
+
+
+def _outcome(capsys, call, argv):
+    """Exit code, stdout and stderr of ``call(argv)``, whether it returns
+    or exits."""
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _full_parse(argv):
+    """What ``main`` does with ``argv`` when it parses with every verb's
+    parser: only argvs that stop in the parser are passed here."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    assert args.verb is None, argv
+    parser.print_help()
+    return 2
+
+
+USAGE_ERRORS = [
+    ["bogus-verb"],
+    ["bogus-verb", "--help"],
+    ["--bogus"],
+    ["validate-model"],
+    ["count-morphisms", "A.json"],
+    ["migrate", "H.json", "--along", "A.json"],
+    ["fixtures", "emit"],
+    ["elements", "H.json", "--json-report"],
+    ["validate-model", "F.json", "--bound", "3"],
+    ["count-morphisms", "A.json", "B.json", "-o", "out.json"],
+    ["elements", "H.json", "extra.json"],
+    ["migrate", "H.json", "--along", "A.json", "--mode", "gamma"],
+    ["close-category", "P.json", "--bound", "many"],
+    ["fixtures", "emit", "no_such_fixture"],
+    ["fixtures", "print", "terminal"],
+]
+
+
+@pytest.mark.parametrize("argv", [[verb, "--help"] for verb in VERB_OPTIONS]
+                         + [["migrate", "-h"], [], ["--help"], ["-h"]]
+                         + USAGE_ERRORS, ids=" ".join)
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
+    expected = _outcome(capsys, _full_parse, argv)
+    assert expected[0] in (0, 2)
+    assert _outcome(capsys, main, argv) == expected

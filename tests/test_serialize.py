@@ -1,14 +1,17 @@
+import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dblinst.collage import collage_of_model
 from dblinst.elements import elements
 from dblinst.fincat import Copresheaf
 from dblinst.fixtures import (builtin_multicategory, chain_category,
                               weighted_graph_instance, weighted_graph_schema)
+from dblinst.cli import FIXTURE_NAMES, _FIXTURES
 from dblinst.serialize import (document_of, load_document, object_of,
-                               save_document)
+                               save_document, write_document)
 from dblinst.sketch import flatten_theory
 from dblinst.theories import builtin_theory
 
@@ -68,3 +71,40 @@ def test_documents_are_plain_json():
     for obj in _samples().values():
         doc = document_of(obj)
         json.dumps(doc)  # raises if anything non-serializable leaks in
+
+
+def _written(doc):
+    fh = io.StringIO()
+    write_document(doc, fh)
+    return fh.getvalue()
+
+
+def _reference(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_written_fixture_documents_are_the_json_module_bytes(name, tmp_path):
+    for fname, obj in sorted(_FIXTURES[name]().items()):
+        doc = document_of(obj)
+        assert _written(doc) == _reference(doc), fname
+        save_document(doc, tmp_path / fname)
+        assert (tmp_path / fname).read_bytes() == _reference(doc).encode()
+
+
+# strings with non-ASCII characters, astral code points, quotes,
+# backslashes and control characters; integers far outside 64 bits
+_strings = st.text() | st.text(
+    alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600ab')
+_scalars = (st.none() | st.booleans() | _strings | st.integers()
+            | st.integers(min_value=-2 ** 80, max_value=2 ** 80))
+_documents = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_strings, inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(_documents)
+def test_written_documents_are_the_json_module_bytes(doc):
+    assert _written(doc) == _reference(doc)
