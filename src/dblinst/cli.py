@@ -246,68 +246,85 @@ def cmd_fixtures(args):
 # dispatch
 
 
-def build_parser():
+_OUTPUT = (("--output", "-o"), {"default": None})
+_REPORT = (("--json-report",), {"action": "store_true"})
+_BOUND = (("--bound",), {"type": int, "default": DEFAULT_BOUND})
+_FILE = (("file",), {})
+_CARTESIAN = (("--cartesian",), {"action": "store_true"})
+
+# verb -> (handler, shared flags, extra arguments); ``--help`` lists the
+# verbs in this order
+VERBS = {
+    "validate-theory": (cmd_validate_theory, (_REPORT,), (_FILE,)),
+    "validate-model": (cmd_validate_model, (_REPORT,), (_FILE,)),
+    "validate-instance": (cmd_validate_instance, (_REPORT,), (_FILE,)),
+    "collage": (cmd_collage, (_OUTPUT,), (_FILE,)),
+    "close-category": (cmd_close_category, (_OUTPUT, _BOUND), (_FILE,)),
+    "to-copresheaf": (cmd_to_copresheaf, (_OUTPUT, _BOUND), (_FILE,)),
+    "from-copresheaf": (cmd_from_copresheaf, (_OUTPUT, _BOUND), (
+        _FILE, (("--model",), {"required": True}))),
+    "elements": (cmd_elements, (_OUTPUT,), (_FILE,)),
+    "nabla": (cmd_nabla, (_OUTPUT,), (_FILE,)),
+    "check-dopf": (cmd_check_dopf, (_REPORT,), (
+        _FILE, (("--witness",), {"default": None}))),
+    "migrate": (cmd_migrate, (_OUTPUT, _BOUND), (
+        _FILE,
+        (("--mode",), {"choices": ("delta", "sigma", "pi"),
+                       "required": True}),
+        (("--along",), {"required": True}))),
+    "factorize": (cmd_factorize, (_OUTPUT, _BOUND), (_FILE, _CARTESIAN)),
+    "check-initial": (cmd_check_initial, (_REPORT,), (
+        _FILE, (("--corpus",), {"required": True}))),
+    "check-cartesian": (cmd_check_cartesian, (_REPORT,), (_FILE,)),
+    "flatten": (cmd_flatten, (_OUTPUT,), (_FILE, _CARTESIAN)),
+    "count-morphisms": (cmd_count_morphisms, (), (
+        (("source",), {}), (("target",), {}))),
+    "fixtures": (cmd_fixtures, (), (
+        (("action",), {"choices": ("emit",)}),
+        (("name",), {"choices": FIXTURE_NAMES}),
+        (("--directory",), {"default": "."}))),
+}
+
+
+def build_parser(verb=None):
+    """The parser of every verb, or of ``verb`` alone.
+
+    A one-verb parser parses that verb's argv, and prints its help and
+    its usage errors, with the same bytes as the full parser: the
+    top-level usage line still lists every verb.
+    """
     parser = argparse.ArgumentParser(
         prog="dblinst",
         description="Finite models, instances, and migrations of double "
                     "theories.")
-    sub = parser.add_subparsers(dest="verb")
-
-    output = (("--output", "-o"), {"default": None})
-    report = (("--json-report",), {"action": "store_true"})
-    bound = (("--bound",), {"type": int, "default": DEFAULT_BOUND})
-
-    def add(verb, handler, *flags, **positionals):
-        p = sub.add_parser(verb)
-        for arg, kw in positionals.items():
-            p.add_argument(arg, **kw)
-        for names, kw in flags:
+    if verb is None:
+        sub, verbs = parser.add_subparsers(dest="verb"), VERBS
+    else:
+        sub = parser.add_subparsers(
+            dest="verb", metavar="{" + ",".join(VERBS) + "}")
+        verbs = {verb: VERBS[verb]}
+    for name, (handler, flags, extras) in verbs.items():
+        p = sub.add_parser(name)
+        for names, kw in flags + extras:
             p.add_argument(*names, **kw)
         p.set_defaults(fn=handler)
-        return p
-
-    add("validate-theory", cmd_validate_theory, report, file={})
-    add("validate-model", cmd_validate_model, report, file={})
-    add("validate-instance", cmd_validate_instance, report, file={})
-    add("collage", cmd_collage, output, file={})
-    add("close-category", cmd_close_category, output, bound, file={})
-    add("to-copresheaf", cmd_to_copresheaf, output, bound, file={})
-    p = add("from-copresheaf", cmd_from_copresheaf, output, bound, file={})
-    p.add_argument("--model", required=True)
-    add("elements", cmd_elements, output, file={})
-    add("nabla", cmd_nabla, output, file={})
-    p = add("check-dopf", cmd_check_dopf, report, file={})
-    p.add_argument("--witness", default=None)
-    p = add("migrate", cmd_migrate, output, bound, file={})
-    p.add_argument("--mode", choices=("delta", "sigma", "pi"), required=True)
-    p.add_argument("--along", required=True)
-    p = add("factorize", cmd_factorize, output, bound, file={})
-    p.add_argument("--cartesian", action="store_true")
-    p = add("check-initial", cmd_check_initial, report, file={})
-    p.add_argument("--corpus", required=True)
-    add("check-cartesian", cmd_check_cartesian, report, file={})
-    p = add("flatten", cmd_flatten, output, file={})
-    p.add_argument("--cartesian", action="store_true")
-    add("count-morphisms", cmd_count_morphisms, source={}, target={})
-    p = add("fixtures", cmd_fixtures, action={"choices": ("emit",)},
-            name={"choices": FIXTURE_NAMES})
-    p.add_argument("--directory", default=".")
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    # a call that names a verb builds only that verb's parser
+    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args = parser.parse_args(argv)
     if args.verb is None:
         parser.print_help()
         return 2
     try:
         return args.fn(args)
-    except DblinstError as e:
+    except (DblinstError, OSError) as e:
         print("error: {}".format(e), file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError, AssertionError) as e:
+    except (ValueError, KeyError, AssertionError) as e:
         print("error: {!r}".format(e), file=sys.stderr)
         return 2
 

@@ -52,7 +52,9 @@ class InvalidTheory(DblinstError):
 
 
 class NotCartesian(DblinstError):
-    """An endpoint of a cartesian factorization is not a cartesian model."""
+    """A construction that needs cartesian structure was given a theory
+    without it, or an endpoint of a cartesian factorization that is not
+    a cartesian model."""
 
 
 class MiddleNotCartesian(DblinstError):
@@ -73,3 +75,11 @@ class NameClash(DblinstError):
 
 class PartialMorphism(DblinstError):
     """A model morphism leaves an element without an image."""
+
+
+class DuplicateLabel(DblinstError):
+    """A finite set was given the same label twice."""
+
+
+class NotAFunction(DblinstError):
+    """A leg of a span is not a total function between its sets."""

@@ -7,6 +7,8 @@ label order, so constructions that pick representatives are
 deterministic.
 """
 
+from .errors import DuplicateLabel, NotAFunction
+
 
 def pair_label(a, b):
     """Canonical label for an element of a materialized pullback/product."""
@@ -19,7 +21,12 @@ class FiniteSet:
     def __init__(self, labels):
         labels = [str(x) for x in labels]
         self._members = frozenset(labels)
-        assert len(self._members) == len(labels), "duplicate labels"
+        if len(self._members) != len(labels):
+            labels.sort()
+            raise DuplicateLabel("label {!r} is repeated in a finite set"
+                                 .format(next(a for a, b in
+                                              zip(labels, labels[1:])
+                                              if a == b)))
         self.labels = tuple(sorted(labels))
 
     def __contains__(self, x):
@@ -77,8 +84,12 @@ class Span:
         assert isinstance(src_set, FiniteSet)
         assert isinstance(dst_set, FiniteSet)
         assert isinstance(apex, FiniteSet)
-        assert is_function(left, apex, src_set), "left leg not total"
-        assert is_function(right, apex, dst_set), "right leg not total"
+        if not is_function(left, apex, src_set):
+            raise NotAFunction("left leg of a span is not a total function "
+                               "from its apex to its source")
+        if not is_function(right, apex, dst_set):
+            raise NotAFunction("right leg of a span is not a total function "
+                               "from its apex to its target")
         self.src_set = src_set
         self.dst_set = dst_set
         self.apex = apex

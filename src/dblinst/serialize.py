@@ -6,6 +6,7 @@ lists so that emission is deterministic and diffs stay readable.
 """
 
 import json
+from json.encoder import encode_basestring_ascii as _encode
 
 from .cartesian import Multicategory
 from .collage import PresentedCategory
@@ -18,6 +19,8 @@ from .sketch import LimitSketch
 from .theory import CartesianStructure, DoubleTheory
 
 FORMAT_VERSION = 1
+
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _pairs(table):
@@ -336,9 +339,52 @@ def object_of(doc):
 
 def write_document(doc, fh):
     """Write a document to an open text file: keys sorted, indented by
-    two, with a trailing newline."""
-    json.dump(doc, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    two, with a trailing newline.
+
+    The bytes are those of ``json.dump(doc, fh, indent=2,
+    sort_keys=True)`` followed by a newline, but the document is
+    streamed: each string, number or bracket goes to ``fh`` with the
+    separator and indentation before it, so no copy of the document is
+    ever held as one string.  Strings, ints, ``True``, ``False``,
+    ``None``, lists, tuples and dicts with string keys are written; any
+    other value, a float included, raises ``TypeError``.
+    """
+    write = fh.write
+
+    def emit(head, o, pad):
+        if isinstance(o, str):
+            write(head + _encode(o))
+        elif isinstance(o, dict):
+            if not o:
+                write(head + "{}")
+                return
+            inner, sep = pad + "  ", head + "{"
+            for k in sorted(o):
+                if not isinstance(k, str):
+                    raise TypeError("document keys must be str, not "
+                                    + type(k).__name__)
+                emit(sep + inner + _encode(k) + ": ", o[k], inner)
+                sep = ","
+            write(pad + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                write(head + "[]")
+                return
+            inner, sep = pad + "  ", head + "["
+            for v in o:
+                emit(sep + inner, v, inner)
+                sep = ","
+            write(pad + "]")
+        elif o is None or o is True or o is False:
+            write(head + _LITERALS[o])
+        elif isinstance(o, int):
+            write(head + int.__repr__(o))
+        else:
+            raise TypeError("no document encoding for "
+                            + type(o).__name__)
+
+    emit("", doc, "\n")
+    write("\n")
 
 
 def save_document(doc, path):

@@ -14,7 +14,7 @@ every reader fetches a table through it; no name is parsed back apart.
 
 
 from .collage import PresentedCategory
-from .errors import MarkedSquareNotPullback, NameClash
+from .errors import MarkedSquareNotPullback, NameClash, NotCartesian
 from .finset import (FiniteSet, Span, fibers, is_function, pair_label,
                      pullback_pairs)
 from .model import SpanModel
@@ -250,8 +250,12 @@ def flatten_cartesian_theory(t):
     """Flatten plus marked product cones on object and loose sorts.
 
     A cone leg is a word (identity tights and cells flatten to empty
-    words) together with its target sort.
+    words) together with its target sort.  A theory without cartesian
+    structure is refused with ``NotCartesian``.
     """
+    if t.cartesian is None:
+        raise NotCartesian("theory on objects {} carries no cartesian "
+                           "structure".format(", ".join(t.objects)))
     sk = flatten_theory(t)
     c = t.cartesian
     tight_word, cell_word = _words(t)

@@ -2,9 +2,13 @@ import argparse
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import dblinst
+from dblinst import cli
 from dblinst.cli import build_parser, main
 from dblinst.elements import is_discrete_opfibration
 from dblinst.serialize import (document_of, load_document, object_of,
@@ -436,3 +440,72 @@ def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
     expected = _outcome(capsys, _full_parse, argv)
     assert expected[0] in (0, 2)
     assert _outcome(capsys, main, argv) == expected
+
+
+def test_a_call_that_names_a_verb_builds_only_that_verb(tmp_path, capsys,
+                                                        monkeypatch):
+    built = []
+
+    def recording(verb=None):
+        built.append(verb)
+        return build_parser(verb)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    code, out, _ = run(capsys, "fixtures", "emit", "terminal",
+                       "--directory", str(tmp_path))
+    assert code == 0 and out.strip() == str(tmp_path / "terminal.json")
+    assert _outcome(capsys, main, ["--help"])[0] == 0
+    assert built == ["fixtures", None]
+    for verb in VERB_OPTIONS:
+        verbs = next(a for a in build_parser(verb)._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices
+        assert list(verbs) == [verb]
+
+
+def test_flatten_cartesian_refuses_a_theory_without_products(tmp_path,
+                                                             capsys):
+    code, _, _ = run(capsys, "fixtures", "emit", "walking_square",
+                     "--directory", str(tmp_path))
+    assert code == 0
+    sk = tmp_path / "sk.json"
+    code, out, err = run(capsys, "flatten",
+                         str(tmp_path / "walking_square.json"),
+                         "--cartesian", "-o", str(sk))
+    assert code == 2 and out == "" and not sk.exists()
+    assert err == ("error: theory on objects tl, tr, bl, br carries no "
+                   "cartesian structure\n")
+
+
+def test_a_missing_directory_is_named_in_the_error(emitted, tmp_path,
+                                                   capsys):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, "fixtures", "emit", "walking_square",
+                         "--directory", str(missing))
+    assert code == 2 and out == ""
+    assert err == "error: [Errno 2] No such file or directory: {!r}\n".format(
+        str(missing / "walking_square.json"))
+    _, instance = emitted
+    code, out, err = run(capsys, "elements", str(instance),
+                         "-o", str(missing / "proj.json"))
+    assert code == 2 and out == ""
+    assert err == "error: [Errno 2] No such file or directory: {!r}\n".format(
+        str(missing / "proj.json"))
+
+
+def test_a_repeated_label_is_a_typed_error_also_without_asserts(emitted,
+                                                                tmp_path):
+    """``python -O`` skips asserts, so this runs the console entry point
+    in a subprocess with that flag."""
+    model, _ = emitted
+    doc = load_document(model)
+    doc["on_objects"]["dom"] = ["E", "V", "E"]
+    broken = tmp_path / "repeated.json"
+    save_document(doc, broken)
+    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "dblinst.cli", "validate-model",
+         str(broken)], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: label 'E' is repeated in a finite set\n")

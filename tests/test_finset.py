@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from dblinst.errors import DuplicateLabel, NotAFunction
 from dblinst.finset import (FiniteSet, Span, compose_tables, identity_table,
                             inverse_table, is_bijection, is_function,
                             pair_label, product_set, pullback_pairs)
@@ -17,8 +18,18 @@ def test_finite_set_orders_labels():
 
 
 def test_duplicate_labels_rejected():
-    with pytest.raises(AssertionError):
-        FiniteSet(["a", "a"])
+    with pytest.raises(DuplicateLabel, match="^label 'a' is repeated"):
+        FiniteSet(["b", "a", "c", "a"])
+
+
+@pytest.mark.parametrize("left, right, match", [
+    ({"p": "s"}, {"p": "t", "q": "t"}, "^left leg "),
+    ({"p": "s", "q": "x"}, {"p": "t", "q": "t"}, "^left leg "),
+    ({"p": "s", "q": "s"}, {"p": "t", "q": "t", "r": "t"}, "^right leg ")])
+def test_span_legs_must_be_total_functions(left, right, match):
+    with pytest.raises(NotAFunction, match=match):
+        Span(FiniteSet(["s"]), FiniteSet(["t"]), FiniteSet(["p", "q"]),
+             left, right)
 
 
 @given(labels, labels)

@@ -108,3 +108,31 @@ _documents = st.recursive(
 @given(_documents)
 def test_written_documents_are_the_json_module_bytes(doc):
     assert _written(doc) == _reference(doc)
+
+
+@pytest.mark.parametrize("doc", [{"weight": 1.5}, [0.0], {1: "one"},
+                                 {"nested": {(0, 1): "pair"}}, {"s": {"a"}}],
+                         ids=["float", "float in list", "int key",
+                              "tuple key", "set"])
+def test_values_outside_the_document_format_are_refused(doc):
+    with pytest.raises(TypeError):
+        _written(doc)
+
+
+class _Pieces:
+    """A text sink that keeps only the count and longest of its writes."""
+
+    def __init__(self):
+        self.count = self.longest = 0
+
+    def write(self, text):
+        self.count += 1
+        self.longest = max(self.longest, len(text))
+
+
+def test_a_large_document_is_streamed_in_small_pieces():
+    doc = document_of(flatten_theory(builtin_theory("prom_trunc", 2)))
+    sink = _Pieces()
+    write_document(doc, sink)
+    assert len(_reference(doc)) > 700000
+    assert sink.count > 10000 and sink.longest < 1000
