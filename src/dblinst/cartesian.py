@@ -404,8 +404,7 @@ def multicategories_isomorphic(mc1, mc2):
         constraints.append(
             ([("ob", o) for o in dom + (cod,)] + [("mm", m)],
              lambda *vs: mc2.multimorphisms[vs[-1]] == (vs[:-2], vs[-2])))
-    constraints += [((("ob", o), ("mm", i)),
-                     lambda p, q: mc2.identities[p] == q)
+    constraints += [((("ob", o), ("mm", i)), mc2.identities)
                     for o, i in mc1.identities.items()]
     constraints += [([("mm", n) for n in (outer,) + inners + (res,)],
                      lambda *vs: mc2.comp.get((vs[0], vs[1:-1])) == vs[-1])

@@ -46,6 +46,8 @@ def _write(args, obj):
 
 def _load(path, kinds):
     doc = load_document(path)
+    if not isinstance(doc, dict):
+        raise DblinstError("{}: not a JSON object".format(path))
     if doc.get("kind") not in kinds:
         raise DblinstError("{}: expected one of {}, found {!r}"
                            .format(path, sorted(kinds), doc.get("kind")))
@@ -164,15 +166,11 @@ def cmd_check_initial(args):
 
 def cmd_check_cartesian(args):
     from .cartesian import validate_cartesian_instance, validate_cartesian_model
-    doc = load_document(args.file)
-    obj = object_of(doc)
-    if doc["kind"] == "model":
-        report = validate_cartesian_model(obj)
-    elif doc["kind"] == "instance":
-        report = validate_cartesian_instance(obj)
-    else:
-        raise DblinstError("check-cartesian expects a model or instance")
-    return _emit_report(args, report)
+    from .model import SpanModel
+    obj = _load(args.file, {"model", "instance"})
+    validate = validate_cartesian_model if isinstance(obj, SpanModel) \
+        else validate_cartesian_instance
+    return _emit_report(args, validate(obj))
 
 
 def cmd_flatten(args):
@@ -188,10 +186,10 @@ def cmd_flatten(args):
 
 
 def cmd_count_morphisms(args):
-    from .model import enumerate_model_morphisms
+    from .model import MorphismSearch
     a = _load(args.source, {"model"})
     b = _load(args.target, {"model"})
-    print(len(enumerate_model_morphisms(a, b)))
+    print(MorphismSearch(a, b).count())
     return 0
 
 

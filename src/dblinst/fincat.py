@@ -201,9 +201,9 @@ def enumerate_natural_transformations(c1, c2):
     base = c1.base
     domains = [((o, v), c2.on_objects[o])
                for o in base.objects for v in c1.on_objects[o]]
-    # (u, w) are the images of v and of its pushforward along f
+    # f acting in c2 sends the image of v to the image of its pushforward
     constraints = [(((s, v), (d, c1.on_morphisms[f][v])),
-                    lambda u, w, tb=c2.on_morphisms[f]: tb[u] == w)
+                    c2.on_morphisms[f])
                    for f, (s, d) in base.morphisms.items()
                    for v in c1.on_objects[s]]
     return [{o: {v: sol[(o, v)] for v in c1.on_objects[o]}

@@ -13,8 +13,9 @@ from .collage import close_presented_category, collage_of_model
 from .fincat import Copresheaf, FinCategory
 from .finset import FiniteSet, Span, pair_label
 from .instance import Instance
-from .model import ModelMorphism, SpanModel
-from .signed import SignedGraph, involutive_loop_category
+from .model import ModelMorphism, MorphismSearch, SpanModel
+from .signed import (SignedGraph, involutive_loop_category,
+                     walking_feedback_loop)
 from .theories import builtin_theory
 from .words import DEFAULT_BOUND
 
@@ -458,10 +459,8 @@ def signed_cycle_oracle(graph, sign):
 
 
 def feedback_loop_count(model, sign):
-    """Count feedback loops by model-morphism search."""
-    from .model import enumerate_model_morphisms
-    from .signed import walking_feedback_loop
-    return len(enumerate_model_morphisms(walking_feedback_loop(sign), model))
+    """Count feedback loops by model-morphism search, streamed."""
+    return MorphismSearch(walking_feedback_loop(sign), model).count()
 
 
 # ---------------------------------------------------------------------------

@@ -211,13 +211,19 @@ def _search_problem(h, k):
         over = fibers(k.labels[d], k.carriers[d])
         domains += [((d, e), over.get(h.labels[d][e], ()))
                     for e in h.carriers[d]]
-    # (u, v) are the images of the two elements read; tags are report lines
-    constraints = [(((s, e), (d, h.tight_cells[f][e])),
-                    lambda u, v, tb=k.tight_cells[f]: tb[u] == v,
+    # each check is a table of k that sends the image of the first
+    # element read to the image of the second: a tight cell, or the
+    # action of one heteromorphism xi, split out of k's action at m once
+    acting = {}
+    for m, act in k.actions.items():
+        for (u, xi), v in act.items():
+            acting.setdefault((m, xi), {})[u] = v
+    # tags are report lines
+    constraints = [(((s, e), (d, h.tight_cells[f][e])), k.tight_cells[f],
                     ("naturality fails at tight arrow {} on {}", f, e))
                    for f, (s, d) in t.tight.items() for e in h.carriers[s]]
     constraints += [(((s, e), (d, h.actions[m][(e, xi)])),
-                     lambda u, v, act=k.actions[m], xi=xi: act[(u, xi)] == v,
+                     acting.setdefault((m, xi), {}),
                      ("equivariance fails at {} on ({},{})", m, e, xi))
                     for m, (s, d) in t.loose.items()
                     for e, xi in h.action_domain(m)]

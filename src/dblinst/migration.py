@@ -14,19 +14,19 @@ presented copresheaves are evaluated by one routine on the explicit
 target category.
 """
 
-import itertools
 from collections import Counter
 
 from .collage import (_generators, _image, close_presented_category,
                       collage_object, collage_of_model, collage_of_morphism,
                       copresheaf_to_instance, instance_to_copresheaf)
-from .elements import elements
+from .elements import elements, is_discrete_opfibration
 from .errors import (HomSetTooLarge, MiddleNotCartesian, NotCartesian,
                      NotDiscreteOpfibration, SquareNotCommutative)
 from .fincat import Copresheaf
 from .finset import FiniteSet, pair_label
 from .instance import restrict_instance
-from .model import ModelMorphism, compose_model_morphisms
+from .model import (ModelMorphism, MorphismSearch, compose_model_morphisms,
+                    enumerate_model_morphisms)
 from .search import solutions
 from .words import DEFAULT_BOUND
 
@@ -140,7 +140,7 @@ def kan_extend_right(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
         slot_lists[d] = slots
         # the value at (us, g) pushed along u is the value at (ud, g;Fu)
         constraints = [(((us, g), (ud, d_cat.comp[(g, fun.on_morphisms[u])])),
-                        lambda v, w, tb=cp.on_morphisms[u]: tb[v] == w)
+                        cp.on_morphisms[u])
                        for u, (us, ud) in c_cat.morphisms.items()
                        for g in hom.get((d, fun.on_objects[us]), ())]
         found = []
@@ -338,24 +338,33 @@ class LiftingProblem:
                 "square against {} does not commute".format(right))
 
     def fillers(self):
-        from .model import enumerate_model_morphisms
-        out = []
-        for w in enumerate_model_morphisms(self.left.target, self.right.source):
-            if compose_model_morphisms(self.left, w) == self.top and \
-                    compose_model_morphisms(w, self.right) == self.bottom:
-                out.append(w)
-        return out
+        """The fillers w: E -> A, with e;w = u and w;q = v, in the order
+        of ``enumerate_model_morphisms``.
+
+        Searched over the base: each element of E takes its values in
+        the q-fibre over its v-image, and an element in the image of e
+        only the value u gives its preimages, so no other morphism
+        E -> A is built or composed.
+        """
+        search = MorphismSearch(self.left.target, self.right.source,
+                                over=self.right)
+        return list(search.morphisms(base=self.bottom,
+                                     pin=(self.left, self.top)))
 
 
 def check_initial(e, dopf_corpus):
     """Test a morphism for initiality against a corpus of discrete
     opfibrations: every commutative square must have exactly one filler.
 
+    For each corpus entry q and each top u, the bottoms v that make the
+    square commute are searched with v pinned to u;q on the image of e,
+    and the fillers of each square are searched over the base and
+    counted as they stream (see ``LiftingProblem.fillers``).  Squares
+    are met tops first, then bottoms, both in search order.
+
     The corpus is a sound but incomplete surrogate for the full class;
     an empty report means no violation was found.
     """
-    from .elements import is_discrete_opfibration
-    from .model import enumerate_model_morphisms
     report = []
     for i, q in enumerate(dopf_corpus):
         check = is_discrete_opfibration(q)
@@ -363,13 +372,13 @@ def check_initial(e, dopf_corpus):
             raise NotDiscreteOpfibration(
                 "corpus entry {} is not a discrete opfibration; "
                 "counterexample {}".format(i, check.counterexample))
-        tops = enumerate_model_morphisms(e.source, q.source)
-        bottoms = enumerate_model_morphisms(e.target, q.target)
-        for u, v in itertools.product(tops, bottoms):
-            if compose_model_morphisms(e, v) != compose_model_morphisms(u, q):
-                continue
-            n = len(LiftingProblem(e, q, u, v).fillers())
-            if n != 1:
-                report.append("square against {} has {} fillers"
-                              .format(q, n))
+        bottoms = MorphismSearch(e.target, q.target)
+        lifts = MorphismSearch(e.target, q.source, over=q)
+        for u in enumerate_model_morphisms(e.source, q.source):
+            uq = compose_model_morphisms(u, q)
+            for v in bottoms.morphisms(pin=(e, uq)):
+                n = lifts.count(base=v, pin=(e, u))
+                if n != 1:
+                    report.append("square against {} has {} fillers"
+                                  .format(q, n))
     return report

@@ -256,10 +256,8 @@ def validate_model_morphism(al):
             report.append("component at loose arrow {} not total".format(m))
     if report:
         return report
-    value = {("ob", d, e): v for d, tab in al.on_objects.items()
+    value = {key + (e,): v for key, tab in _components(al).items()
              for e, v in tab.items()}
-    value.update({("lo", m, xi): v for m, tab in al.on_loose.items()
-                  for xi, v in tab.items()})
     return [template.format(*parts)
             for template, *parts in violations(constraints, value)]
 
@@ -308,26 +306,26 @@ def _search_problem(a, b):
                for d in sorted(t.objects) for e in a.on_objects[d]]
     domains += [(("lo", m, xi), b.on_loose[m].apex)
                 for m in sorted(t.loose) for xi in a.on_loose[m].apex]
-    # (u, v) are the images of the two elements read: tb sends u to v.
-    # Tags are report lines, listed in report order; one per tight arrow
+    # each check is a table of b that sends the image of the first
+    # element read to the image of the second (of a pair, for the
+    # laxators).  Tags are report lines, listed in report order; one per
+    # tight arrow
     constraints = [((("ob", s, e), ("ob", d, a.on_tight[f][e])),
-                    lambda u, v, tb=b.on_tight[f]: tb[u] == v,
+                    b.on_tight[f],
                     ("naturality fails at tight arrow {}", f))
                    for f, (s, d) in t.tight.items() for e in a.on_objects[s]]
     for m, (s, d) in t.loose.items():
         sp, spb = a.on_loose[m], b.on_loose[m]
         for xi in sp.apex:
             constraints += [
-                ((("lo", m, xi), ("ob", s, sp.left[xi])),
-                 lambda u, v, tb=spb.left: tb[u] == v,
+                ((("lo", m, xi), ("ob", s, sp.left[xi])), spb.left,
                  ("left leg broken at {} on {}", m, xi)),
-                ((("lo", m, xi), ("ob", d, sp.right[xi])),
-                 lambda u, v, tb=spb.right: tb[u] == v,
+                ((("lo", m, xi), ("ob", d, sp.right[xi])), spb.right,
                  ("right leg broken at {} on {}", m, xi))]
     for c in t.cells:
         m, n = t.cell_top(c), t.cell_bottom(c)
         constraints += [((("lo", m, xi), ("lo", n, a.on_cells[c][xi])),
-                         lambda u, v, tb=b.on_cells[c]: tb[u] == v,
+                         b.on_cells[c],
                          ("naturality fails at cell {} on {}", c, xi))
                         for xi in a.on_loose[m].apex]
     # a pair that breaks a leg is not in the target's pullback
@@ -335,17 +333,85 @@ def _search_problem(a, b):
         constraints += [
             ((("lo", m, xi), ("lo", n, zeta),
               ("lo", mn, a.laxators[(m, n)][(xi, zeta)])),
-             lambda u, w, v, tb=b.laxators[(m, n)]: tb.get((u, w)) == v,
+             b.laxators[(m, n)],
              ("laxator compatibility fails at ({},{}) on ({},{})",
               m, n, xi, zeta))
             for xi, zeta in a.laxator_domain(m, n)]
     for d in t.objects:
         lid = t.loose_id[d]
         constraints += [((("ob", d, e), ("lo", lid, a.unitors[d][e])),
-                         lambda u, v, tb=b.unitors[d]: tb[u] == v,
+                         b.unitors[d],
                          ("unitor compatibility fails at {} on {}", d, e))
                         for e in a.on_objects[d]]
     return domains, constraints
+
+
+def _components(f):
+    """The component tables of a model morphism, keyed by the first two
+    parts of their search variables: ``("ob", d)`` and ``("lo", m)``."""
+    out = {("ob", d): tab for d, tab in f.on_objects.items()}
+    out.update({("lo", m): tab for m, tab in f.on_loose.items()})
+    return out
+
+
+class MorphismSearch:
+    """The search for morphisms a -> b, built once and run as often as
+    needed, optionally over a base.
+
+    Given ``over``, a morphism q: b -> c, a run may ask for the
+    morphisms w with w;q = p for a morphism p: a -> c, and with e;w = u
+    for morphisms e: s -> a and u: s -> b.  Each variable's value list
+    is then cut down before the search: to the q-fibre over its p-image,
+    and, on the image of e, to the value that u gives its preimages (to
+    none when two preimages disagree).  A cut-down list is a
+    subsequence of the full one in the same order, so a run yields the
+    morphisms of ``enumerate_model_morphisms(a, b)`` that satisfy the
+    conditions, in the order that lists them.
+    """
+
+    def __init__(self, a, b, over=None):
+        self.source, self.target = a, b
+        self.domains, self.constraints = _search_problem(a, b)
+        self.fibres = None
+        if over is not None:
+            values = {("ob", d): s for d, s in b.on_objects.items()}
+            values.update({("lo", m): sp.apex
+                           for m, sp in b.on_loose.items()})
+            self.fibres = {key: fibers(tab, values[key])
+                           for key, tab in _components(over).items()}
+
+    def _domains(self, base, pin):
+        domains = self.domains
+        if base is not None:
+            image = _components(base)
+            domains = [((kind, c, x), self.fibres[kind, c].get(
+                            image[kind, c][x], ()))
+                       for (kind, c, x), _ in domains]
+        if pin is None:
+            return domains
+        e, u = pin
+        given = _components(u)
+        pinned = {}
+        for key, tab in _components(e).items():
+            for z, x in tab.items():
+                pinned.setdefault(key + (x,), set()).add(given[key][z])
+        return [(var, [w for w in values if pinned[var] == {w}])
+                if var in pinned else (var, values)
+                for var, values in domains]
+
+    def morphisms(self, base=None, pin=None):
+        """Yield the morphisms w: a -> b, with w;q = ``base`` when
+        given (only a search built ``over`` q takes one), and e;w = u
+        when ``pin`` = (e, u) is given."""
+        a, b = self.source, self.target
+        for sol in solutions(self._domains(base, pin), self.constraints):
+            yield _morphism(a, b, sol)
+
+    def count(self, base=None, pin=None):
+        """The number of morphisms ``morphisms`` yields, counted as
+        the search streams them, without building any."""
+        return sum(1 for _ in solutions(self._domains(base, pin),
+                                        self.constraints))
 
 
 def _morphism(a, b, sol):

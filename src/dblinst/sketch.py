@@ -501,19 +501,19 @@ def enumerate_sketch_model_morphisms(s1, s2):
     derived = [o for o in sk.presented.objects if o in marking]
     domains = [((o, e), s2.on_objects[o])
                for o in free + derived for e in s1.on_objects[o]]
-    # (u, v) are the images of e and of its image under g
+    # g's table in s2 sends the image of e to the image of g(e)
     constraints = [(((src, e), (dst, s1.on_generators[g][e])),
-                    lambda u, v, tb=s2.on_generators[g]: tb[u] == v)
+                    s2.on_generators[g])
                    for g, (src, dst, _) in gens.items()
                    for e in s1.on_objects[src]]
     for o in derived:
         l1, l2 = marking[o]
         pins = {(s2.on_generators[l1][v], s2.on_generators[l2][v]): v
                 for v in s2.on_objects[o]}
+        # the images of e's two legs pin the image of e
         constraints += [
             (((gens[l1][1], s1.on_generators[l1][e]),
-              (gens[l2][1], s1.on_generators[l2][e]), (o, e)),
-             lambda p, q, v, pins=pins: pins.get((p, q)) == v)
+              (gens[l2][1], s1.on_generators[l2][e]), (o, e)), pins)
             for e in s1.on_objects[o]]
     return [{o: {e: sol[(o, e)] for e in s1.on_objects[o]}
              for o in free + derived}

@@ -462,6 +462,29 @@ def test_a_call_that_names_a_verb_builds_only_that_verb(tmp_path, capsys,
         assert list(verbs) == [verb]
 
 
+@pytest.mark.parametrize("text", ["[1]", "3", '"x"'])
+@pytest.mark.parametrize("verb", ["validate-model", "check-cartesian",
+                                  "elements"])
+def test_a_document_that_is_not_an_object_is_a_typed_error(
+        tmp_path, capsys, verb, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, verb, str(path))
+    assert (code, out, err) == (
+        2, "", "error: {}: not a JSON object\n".format(path))
+
+
+def test_check_cartesian_names_the_kinds_it_reads(tmp_path, capsys):
+    code, _, _ = run(capsys, "fixtures", "emit", "walking_square",
+                     "--directory", str(tmp_path))
+    assert code == 0
+    path = tmp_path / "walking_square.json"
+    code, out, err = run(capsys, "check-cartesian", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: {}: expected one of ['instance', 'model'], "
+                   "found 'theory'\n".format(path))
+
+
 def test_flatten_cartesian_refuses_a_theory_without_products(tmp_path,
                                                              capsys):
     code, _, _ = run(capsys, "fixtures", "emit", "walking_square",

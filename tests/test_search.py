@@ -1,0 +1,149 @@
+"""The search engine on its own: table constraints against the callables
+they stand for, on seeded random small problems.
+
+A problem has up to five variables, each with a value list drawn from
+three labels, and up to four random constraints: total two-variable tables and
+partial three-variable tables, each also written as the lambda it
+replaces.  Both forms must give the same assignments in the same order
+as a brute-force filter of the product of the value lists, with and
+without ``distinct`` constraints mixed in, and ``violations`` must give
+the same tags in the same order on random complete assignments.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from dblinst.fixtures import (signed_fixture_models, standard_instance_corpus,
+                              walking_loose_model, weighted_graph_schema)
+from dblinst.model import (MorphismSearch, enumerate_model_morphisms,
+                           terminal_model)
+from dblinst.search import distinct, solutions, violations
+from dblinst.signed import walking_feedback_loop
+
+VALUES = ["p", "q", "r"]
+
+
+def random_problem(rng):
+    """(domains, table constraints, the same constraints as lambdas)."""
+    names = ["v{}".format(i) for i in range(rng.randint(1, 5))]
+    domains = [(v, rng.sample(VALUES, rng.randint(0 if rng.random() < 0.1
+                                                  else 1, 3)))
+               for v in names]
+    tables, lambdas = [], []
+    for c in range(rng.randint(0, 4)):
+        arity = rng.choice((2, 3))
+        reads = tuple(rng.choice(names) for _ in range(arity))
+        tag = ("constraint {} on {}", c, ",".join(reads))
+        # mostly values the last variable read can take, so that some
+        # assignments survive
+        targets = dict(domains)[reads[-1]] or VALUES
+        if arity == 2:
+            table = {v: rng.choice(targets) for v in VALUES}
+            check = lambda u, v, tb=table: tb[u] == v
+        else:
+            table = {(u, w): rng.choice(targets)
+                     for u, w in itertools.product(VALUES, repeat=2)
+                     if rng.random() < 0.7}
+            check = lambda u, w, v, tb=table: tb.get((u, w)) == v
+        tables.append((reads, table, tag))
+        lambdas.append((reads, check, tag))
+    return domains, tables, lambdas
+
+
+def brute_force(domains, constraints):
+    """Every assignment of the product in lexicographic order, kept when
+    every constraint's callable form holds."""
+    names = [v for v, _ in domains]
+    found = []
+    for values in itertools.product(*[vs for _, vs in domains]):
+        sol = dict(zip(names, values))
+        if all(check(*[sol[v] for v in reads])
+               for reads, check, *_ in constraints):
+            found.append(sol)
+    return found
+
+
+def random_groups(rng, domains):
+    names = [v for v, _ in domains]
+    return [rng.sample(names, rng.randint(1, len(names)))
+            for _ in range(rng.randint(1, 2))]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_tables_give_the_assignments_of_their_lambdas(seed):
+    rng = random.Random(seed)
+    domains, tables, lambdas = random_problem(rng)
+    want = brute_force(domains, lambdas)
+    assert list(solutions(domains, lambdas)) == want
+    assert list(solutions(domains, tables)) == want
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_tables_mixed_with_distinct(seed):
+    rng = random.Random(1000 + seed)
+    domains, tables, lambdas = random_problem(rng)
+    extra = distinct(random_groups(rng, domains))
+    want = brute_force(domains, lambdas + extra)
+    assert list(solutions(domains, lambdas + extra)) == want
+    # the callables listed first, and the tables after them
+    assert list(solutions(domains, extra + tables)) == want
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_violations_of_tables_and_of_lambdas_agree(seed):
+    rng = random.Random(2000 + seed)
+    domains, tables, lambdas = random_problem(rng)
+    for _ in range(10):
+        value = {v: rng.choice(VALUES) for v, _ in domains}
+        want = list(dict.fromkeys(tag for reads, check, tag in lambdas
+                                  if not check(*[value[v] for v in reads])))
+        assert violations(lambdas, value) == want
+        assert violations(tables, value) == want
+
+
+def test_a_three_variable_table_fails_off_its_keys():
+    domains = [("a", ["p", "q"]), ("b", ["p"]), ("c", ["p", "q"])]
+    table = {("p", "p"): "q"}
+    assert list(solutions(domains, [(("a", "b", "c"), table)])) == \
+        [{"a": "p", "b": "p", "c": "q"}]
+    assert violations([(("a", "b", "c"), table, "off")],
+                      {"a": "q", "b": "p", "c": "p"}) == ["off"]
+
+
+def test_a_two_variable_table_may_read_one_variable_twice():
+    domains = [("a", ["p", "q", "r"])]
+    fixed = {"p": "q", "q": "q", "r": "p"}
+    assert list(solutions(domains, [(("a", "a"), fixed)])) == [{"a": "q"}]
+
+
+def test_no_variables_give_one_empty_assignment():
+    assert list(solutions([], [])) == [{}]
+
+
+def _model_pairs():
+    """The model pairs of the search goldens."""
+    by_theory = {}
+    for name, x, _ in standard_instance_corpus():
+        if name != "signed":
+            by_theory.setdefault(name, []).append(x)
+    for models in by_theory.values():
+        yield from itertools.product(models, repeat=2)
+    fold = walking_loose_model(["a0", "a1"], ["b0"],
+                               [("h0", "a0", "b0"), ("h1", "a1", "b0")])
+    one = walking_loose_model(["a"], ["b"], [("h", "a", "b")])
+    yield fold, one
+    yield one, fold
+    wg = weighted_graph_schema()
+    yield wg, terminal_model(wg.theory)
+    yield wg, wg
+    for x in signed_fixture_models():
+        for sign in (+1, -1):
+            yield walking_feedback_loop(sign), x
+
+
+def test_streamed_count_is_the_hom_set_size():
+    for a, b in _model_pairs():
+        assert MorphismSearch(a, b).count() == \
+            len(enumerate_model_morphisms(a, b))
