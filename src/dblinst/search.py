@@ -31,10 +31,10 @@ def solutions(domains, constraints):
     two variables (``table[v0] == v1``, so it must hold every value v0
     can take) or by three (``table.get((v0, v1)) == v2``), or else a
     callable, called with the values of the variables it reads, in that
-    order.  A constraint reads
-    at least two variables: a condition on one variable belongs in its
-    value list.  Assignments are dicts from variables to values, yielded
-    in lexicographic order of the variable list and of each value list.
+    order.  A constraint reads at least two variables: a condition on
+    one variable belongs in its value list.  Assignments are dicts from
+    variables to values, yielded in lexicographic order of the variable
+    list and of each value list.
 
     The constraints due at a variable are sorted once into lists per
     level: the two-variable tables, the three-variable tables and the
