@@ -1,6 +1,6 @@
 import pytest
 
-from dblinst.errors import HomSetNotFinite, IllFormedRelation
+from dblinst.errors import HomSetNotFinite, HomSetTooLarge, IllFormedRelation
 from dblinst.words import ClosedWordCategory
 
 
@@ -43,6 +43,16 @@ def test_commuting_square_identifies_paths():
 def test_free_loop_is_not_finite():
     with pytest.raises(HomSetNotFinite):
         ClosedWordCategory(["*"], {"r": ("*", "*")}, [], 5)
+
+
+def test_closure_cap_counts_congruence_classes():
+    # Z/5: five classes, all found by level 4 of bound 8
+    z5 = (["x"], {"g": ("x", "x")}, [("x", "x", ("g",) * 5, ())], 8)
+    with pytest.raises(HomSetTooLarge) as exc:
+        ClosedWordCategory(*z5, max_classes=4)
+    assert str(exc.value) == "5 congruence classes exceed cap"
+    cl = ClosedWordCategory(*z5, max_classes=5)
+    assert len(cl.category.morphisms) == 5
 
 
 def test_ill_formed_relation_rejected():
