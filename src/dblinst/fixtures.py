@@ -9,9 +9,10 @@ models of the terminal theory) are built explicitly.
 """
 
 from .cartesian import Multicategory
-from .collage import close_presented_category, collage_of_model
+from .collage import (close_presented_category, collage_of_model,
+                      copresheaf_to_instance)
 from .fincat import Copresheaf, FinCategory
-from .finset import FiniteSet, Span, pair_label
+from .finset import FiniteSet, Span, fibers, pair_label, pullback_pairs
 from .instance import Instance
 from .model import ModelMorphism, MorphismSearch, SpanModel
 from .signed import (SignedGraph, involutive_loop_category,
@@ -167,13 +168,13 @@ def representable_instances(x, bound=DEFAULT_BOUND):
     corresponding representable copresheaf."""
     closure = close_presented_category(collage_of_model(x), bound)
     cat = closure.category
+    hom = fibers(cat.morphisms, sorted(cat.morphisms))
     out = []
     for c in cat.objects:
-        on_objects = {d: FiniteSet(cat.hom(c, d)) for d in cat.objects}
-        on_morphisms = {g: {f: cat.compose(f, g)
-                            for f in cat.hom(c, cat.src(g))}
-                        for g in cat.morphisms}
-        from .collage import copresheaf_to_instance
+        on_objects = {d: FiniteSet(hom.get((c, d), ())) for d in cat.objects}
+        on_morphisms = {g: {f: cat.comp[(f, g)]
+                            for f in hom.get((c, s), ())}
+                        for g, (s, _) in cat.morphisms.items()}
         cp = Copresheaf(cat, on_objects, on_morphisms)
         out.append(copresheaf_to_instance(cp, x, closure))
     return out
@@ -232,9 +233,7 @@ def category_as_model(cat):
                 {f: cat.src(f) for f in cat.morphisms},
                 {f: cat.dst(f) for f in cat.morphisms})
     laxators = {("id:*", "id:*"): {
-        (f, g): cat.compose(f, g)
-        for f in cat.morphisms for g in cat.morphisms
-        if cat.dst(f) == cat.src(g)}}
+        (f, g): cat.comp[(f, g)] for f, g in pullback_pairs(span, span)}}
     return SpanModel(t, {"*": obs}, {"id:*": {o: o for o in obs}},
                      {"id:*": span},
                      {t.cell_id_loose["id:*"]: {f: f for f in cat.morphisms}},

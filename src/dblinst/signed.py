@@ -10,8 +10,11 @@ acyclic; graphs with cycles can still produce finite signed categories
 through explicit relations (for the fixtures: involutive loop edges).
 """
 
-from .errors import FreeCategoryNotFinite, HomSetNotFinite
-from .finset import FiniteSet, Span
+from math import prod
+
+from .errors import (FreeCategoryNotFinite, HomSetNotFinite,
+                     IllFormedRelation)
+from .finset import FiniteSet, Span, pullback_pairs
 from .model import SpanModel
 from .theories import signed_theory
 from .words import ClosedWordCategory
@@ -35,41 +38,26 @@ def _model_from_closure(graph, closure):
     theory = signed_theory()
     cat = closure.category
     sign_of_edge = {name: sign for name, _, _, sign in graph.edges}
-
-    def sign_of(name):
-        out = +1
-        for g in closure.rep_words[name][1]:
-            out *= sign_of_edge[g]
-        return out
+    sign = {f: prod(sign_of_edge[g] for g in closure.rep_words[f][1])
+            for f in cat.morphisms}
 
     vertices = FiniteSet(graph.vertices)
-    even = sorted(f for f in cat.morphisms if sign_of(f) == +1)
-    odd = sorted(f for f in cat.morphisms if sign_of(f) == -1)
-    even_set, odd_set = FiniteSet(even), FiniteSet(odd)
-    spans = {
-        "id:*": Span(vertices, vertices, even_set,
-                     {f: cat.src(f) for f in even},
-                     {f: cat.dst(f) for f in even}),
-        "sigma": Span(vertices, vertices, odd_set,
-                      {f: cat.src(f) for f in odd},
-                      {f: cat.dst(f) for f in odd}),
-    }
-    parity = {+1: "id:*", -1: "sigma"}
-    laxators = {}
-    for s1 in (+1, -1):
-        for s2 in (+1, -1):
-            m, n = parity[s1], parity[s2]
-            laxators[(m, n)] = {
-                (f, g): cat.comp[(f, g)]
-                for f in spans[m].apex for g in spans[n].apex
-                if cat.dst(f) == cat.src(g)}
+    spans = {}
+    for m, parity in (("id:*", +1), ("sigma", -1)):
+        arrows = FiniteSet(f for f in cat.morphisms if sign[f] == parity)
+        spans[m] = Span(vertices, vertices, arrows,
+                        {f: cat.src(f) for f in arrows},
+                        {f: cat.dst(f) for f in arrows})
+    laxators = {(m, n): {(f, g): cat.comp[(f, g)]
+                         for f, g in pullback_pairs(spans[m], spans[n])}
+                for m in spans for n in spans}
     unitors = {"*": {v: cat.identity[v] for v in vertices}}
-    on_cells = {theory.cell_id_loose["id:*"]: {f: f for f in even},
-                theory.cell_id_loose["sigma"]: {f: f for f in odd}}
+    on_cells = {theory.cell_id_loose[m]: {f: f for f in spans[m].apex}
+                for m in spans}
     model = SpanModel(theory, {"*": vertices}, {"id:*": {v: v for v in vertices}},
                       spans, on_cells, laxators, unitors)
     model.arrow_category = cat
-    model.arrow_sign = {f: sign_of(f) for f in cat.morphisms}
+    model.arrow_sign = sign
     model.word_closure = closure
     return model
 
@@ -78,18 +66,20 @@ def quotient_signed_category(graph, relations, bound):
     """Signed category presented by a graph and sign-preserving relations.
 
     Relations are (src, dst, word1, word2) over edge names; each side
-    must have the same sign parity (asserted), so the sign descends to
-    the quotient.
+    must have the same sign parity, so the sign descends to the
+    quotient.  A relation over an unknown edge or changing the sign
+    raises IllFormedRelation.
     """
     sign_of_edge = {name: sign for name, _, _, sign in graph.edges}
     for _, _, w1, w2 in relations:
-        p1 = 1
-        for g in w1:
-            p1 *= sign_of_edge[g]
-        p2 = 1
-        for g in w2:
-            p2 *= sign_of_edge[g]
-        assert p1 == p2, "relation does not preserve the sign"
+        unknown = set(w1).union(w2) - sign_of_edge.keys()
+        if unknown:
+            raise IllFormedRelation("relation names unknown edges {}"
+                                    .format(sorted(unknown)))
+        if prod(sign_of_edge[g] for g in w1) != \
+                prod(sign_of_edge[g] for g in w2):
+            raise IllFormedRelation("relation {} = {} does not preserve the "
+                                    "sign".format(list(w1), list(w2)))
     gens = {name: (src, dst) for name, src, dst, _ in graph.edges}
     try:
         closure = ClosedWordCategory(graph.vertices, gens, relations, bound)

@@ -10,7 +10,9 @@ successors, so every identification follows from the relations.
 
 ``bound`` caps normal-form length.  Level ``n`` is checked once every
 class whose least known word is at most ``n + 1`` long is processed, as
-relations traced there can still collapse classes of length ``n``.
+relations traced there can still collapse classes of length ``n``; each
+round ends with the one least-word scan that finds nothing left to
+process, and level ``n`` is checked on the previous round's words.
 Closure succeeds at the first level with no class left, so every
 shortlex-least word is shorter than ``bound``.  More than
 ``max_classes`` classes up to a level raise HomSetTooLarge; classes left
@@ -22,7 +24,8 @@ generator declaration order, so all downstream tables are deterministic.
 
 from collections import deque
 
-from .errors import HomSetNotFinite, HomSetTooLarge, IllFormedRelation
+from .errors import (HomSetNotFinite, HomSetTooLarge, IllFormedRelation,
+                     NameClash)
 from .fincat import FinCategory
 
 _WORD_SEP = ";"
@@ -146,19 +149,21 @@ class ClosedWordCategory:
         return words
 
     def _process_up_to(self, length):
-        """Process every class with a least known word up to ``length``."""
-        todo = True
-        while todo:
-            todo = [n for n, (_, gens) in self._least_words().items()
+        """Process every class with a least known word up to ``length``;
+        returns the least words of the scan that found none left."""
+        while True:
+            words = self._least_words()
+            todo = [n for n, (_, gens) in words.items()
                     if len(gens) <= length and not self._done[n]]
+            if not todo:
+                return words
             for n in todo:
                 if not self._done[self._find(n)]:
                     self._process(n)
-        return self._least_words()
 
     def _close(self, bound, max_classes):
+        words = self._process_up_to(1)
         for length in range(1, bound + 1):
-            words = self._process_up_to(length)
             known = sum(1 for _, gens in words.values() if len(gens) <= length)
             if known > max_classes:
                 raise HomSetTooLarge(
@@ -178,7 +183,9 @@ class ClosedWordCategory:
         by_src = {o: [] for o in self.objects}
         for n, (src, gens) in words.items():
             name = "id:{}".format(src) if not gens else _WORD_SEP.join(gens)
-            assert name not in names, "ambiguous generator naming"
+            if name in names:
+                raise NameClash("two closure morphisms are named {}"
+                                .format(name))
             names[name] = (src, self._target[n])
             self._name[n] = name
             self.rep_words[name] = (src, gens)

@@ -10,6 +10,7 @@ import pytest
 import dblinst
 from dblinst import cli
 from dblinst.cli import build_parser, main
+from dblinst.collage import PresentedCategory
 from dblinst.elements import is_discrete_opfibration
 from dblinst.serialize import (document_of, load_document, object_of,
                                save_document)
@@ -352,6 +353,17 @@ def test_the_bound_has_no_second_way_in(emitted, tmp_path, capsys,
     code, out, err = run(capsys, "close-category", str(presented))
     assert code == 0 and err == ""
     assert json.loads(out)["kind"] == "fincategory"
+
+
+def test_close_category_refuses_a_generator_named_like_a_composite(
+        tmp_path, capsys):
+    presented = tmp_path / "clash.json"
+    save_document(document_of(PresentedCategory(
+        ["x", "y", "z"], {"a": ("x", "y", "plain"), "b": ("y", "z", "plain"),
+                          "a;b": ("x", "z", "plain")}, [])), presented)
+    code, out, err = run(capsys, "close-category", str(presented))
+    assert (code, out, err) == (
+        2, "", "error: two closure morphisms are named a;b\n")
 
 
 def test_check_dopf_writes_the_witness_bijections(emitted, tmp_path,

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import dblinst
 from dblinst.errors import FreeCategoryNotFinite
 from dblinst.fixtures import (feedback_loop_count, signed_cycle_oracle,
                               signed_fixture_graphs, signed_fixture_models)
@@ -81,3 +86,26 @@ def test_edge_names_may_contain_the_word_separator():
     mor = model_morphism_from_graph_map(x, x, {v: v for v in g.vertices},
                                         {"e;1": ("e;1",), "f": ("f",)})
     assert validate_model_morphism(mor) == []
+
+
+def test_ill_formed_signed_relations_are_refused_also_without_asserts():
+    """A relation changing the sign, or naming an unknown edge, raises
+    ``IllFormedRelation``, also under ``python -O``, which skips
+    asserts."""
+    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = ("from dblinst.errors import IllFormedRelation\n"
+            "from dblinst.signed import SignedGraph, quotient_signed_category\n"
+            "g = SignedGraph(['v'], [('p', 'v', 'v', -1)])\n"
+            "for rel in (('v', 'v', ('p',), ()), ('v', 'v', ('p', 'q'), ())):\n"
+            "    try:\n"
+            "        print('returned', quotient_signed_category(g, [rel], 4))\n"
+            "    except IllFormedRelation as e:\n"
+            "        print('raised', e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "raised relation ['p'] = [] does not preserve the sign",
+        "raised relation names unknown edges ['q']"]

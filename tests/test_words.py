@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from dblinst.errors import HomSetNotFinite, HomSetTooLarge, IllFormedRelation
+import dblinst
+from dblinst.errors import (HomSetNotFinite, HomSetTooLarge,
+                            IllFormedRelation, NameClash)
 from dblinst.words import ClosedWordCategory
 
 
@@ -53,6 +59,37 @@ def test_closure_cap_counts_congruence_classes():
     assert str(exc.value) == "5 congruence classes exceed cap"
     cl = ClosedWordCategory(*z5, max_classes=5)
     assert len(cl.category.morphisms) == 5
+
+
+# the generator ``a;b`` and the composite of ``a`` and ``b`` get one name
+CLASHING = (["x", "y", "z"],
+            {"a": ("x", "y"), "b": ("y", "z"), "a;b": ("x", "z")}, [], 4)
+
+
+def test_a_generator_named_like_a_composite_is_a_name_clash():
+    with pytest.raises(NameClash, match="^two closure morphisms are named "
+                                        "a;b$"):
+        ClosedWordCategory(*CLASHING)
+
+
+def test_a_name_clash_is_refused_also_without_asserts():
+    """``python -O`` skips asserts, so this closes the presentation in
+    a subprocess with that flag."""
+    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
+    paths = [package_root, os.path.dirname(os.path.abspath(__file__)),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = ("from test_words import CLASHING\n"
+            "from dblinst.errors import NameClash\n"
+            "from dblinst.words import ClosedWordCategory\n"
+            "try:\n"
+            "    print(ClosedWordCategory(*CLASHING).category.morphisms)\n"
+            "except NameClash as e:\n"
+            "    print('raised', e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "raised two closure morphisms are named a;b\n"
 
 
 def test_ill_formed_relation_rejected():
