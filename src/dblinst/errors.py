@@ -10,12 +10,14 @@ class DblinstError(Exception):
     """Base class for all engine errors."""
 
 
-class ClosureNotFinite(DblinstError):
-    """A theory presentation kept producing new arrows at the word bound."""
-
-
 class IllFormedRelation(DblinstError):
     """A relation equates non-parallel words."""
+
+
+class IllFormedPresentation(DblinstError):
+    """A generator or a signed edge has an undeclared endpoint, an edge
+    has a sign other than +1 or -1, or a closure was asked for with a
+    word bound below 1."""
 
 
 class FreeCategoryNotFinite(DblinstError):

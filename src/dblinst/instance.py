@@ -183,6 +183,16 @@ def compose_instance_morphisms(mu, nu):
          for d, t in mu.components.items()})
 
 
+def _model_differences(x, y):
+    """What differs between the models x and y, of their carriers,
+    tight functions and spans: empty when an instance over one is an
+    instance over the other."""
+    return [label for part, label in (
+        ("on_objects", "carriers"), ("on_tight", "tight functions"),
+        ("on_loose", "spans"))
+        if x is not y and getattr(x, part) != getattr(y, part)]
+
+
 def _search_problem(h, k):
     """The search for instance morphisms h -> k, as (domains,
     constraints).
@@ -197,15 +207,11 @@ def _search_problem(h, k):
     k live over models with different carriers, tight functions or
     spans.
     """
-    x, y = h.model, k.model
-    differ = [label for part, label in (
-        ("on_objects", "carriers"), ("on_tight", "tight functions"),
-        ("on_loose", "spans"))
-        if x is not y and getattr(x, part) != getattr(y, part)]
+    differ = _model_differences(h.model, k.model)
     if differ:
         raise ModelMismatch("the instances live over models with different {}"
                             .format(", ".join(differ)))
-    t = x.theory
+    t = h.model.theory
     domains = []
     for d in sorted(t.objects):
         over = fibers(k.labels[d], k.carriers[d])
@@ -277,10 +283,11 @@ def restrict_instance(al, h):
     (x, element of h over alpha(x)), named base element first; actions
     act on the second component through alpha and carry the base
     element along.  Raises ``ModelMismatch`` when h does not live over
-    the target of the morphism.
+    the target of the morphism: when their carriers, tight functions
+    or spans differ.
     """
-    x, y = al.source, al.target
-    if h.model.on_objects != y.on_objects:
+    x = al.source
+    if _model_differences(h.model, al.target):
         raise ModelMismatch("instance does not live over the morphism's "
                             "target")
     t = x.theory

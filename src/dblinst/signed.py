@@ -13,7 +13,7 @@ through explicit relations (for the fixtures: involutive loop edges).
 from math import prod
 
 from .errors import (FreeCategoryNotFinite, HomSetNotFinite,
-                     IllFormedRelation)
+                     IllFormedPresentation, IllFormedRelation)
 from .finset import FiniteSet, Span, pullback_pairs
 from .model import SpanModel
 from .theories import signed_theory
@@ -22,12 +22,20 @@ from .words import ClosedWordCategory
 
 class SignedGraph:
     def __init__(self, vertices, edges):
-        """``edges`` is a list of (name, src, dst, sign) with sign +1/-1."""
+        """``edges`` is a list of (name, src, dst, sign) with sign +1/-1;
+        any other sign, or an undeclared endpoint, raises
+        ``IllFormedPresentation``."""
         self.vertices = list(vertices)
         self.edges = list(edges)
         for name, src, dst, sign in self.edges:
-            assert src in self.vertices and dst in self.vertices
-            assert sign in (+1, -1)
+            undeclared = [v for v in (src, dst) if v not in self.vertices]
+            if undeclared:
+                raise IllFormedPresentation(
+                    "edge {} has undeclared endpoint {}"
+                    .format(name, undeclared[0]))
+            if sign not in (+1, -1):
+                raise IllFormedPresentation(
+                    "edge {} has sign {}, not +1 or -1".format(name, sign))
 
     def loops(self):
         return [(n, s, d, sg) for n, s, d, sg in self.edges if s == d]

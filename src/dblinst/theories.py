@@ -16,6 +16,7 @@ and loose arrows as explicit finite functions:
   commuting squares; carries the coproduct-as-product structure.
 """
 
+from .errors import InvalidTheory
 from .theory import CartesianStructure, DoubleTheory
 
 
@@ -29,25 +30,30 @@ def _cell_name(f, g, m, n):
 
 def thin_double_theory(objects, tight, tight_id, tight_comp,
                        loose, loose_id, loose_comp, boundaries,
-                       partial=False, cartesian=None):
+                       cartesian=None):
     """Build a theory whose cells are exactly the given boundaries.
 
-    ``boundaries`` is an iterable of (left, right, top, bottom) tuples;
-    it must contain the identity boundaries and be closed under both
-    pastings (an assertion fires otherwise, unless ``partial``).
+    ``boundaries`` is an iterable of (left, right, top, bottom) tuples.
+    It must contain the identity boundary of every arrow, and the
+    boundary of every pasting of two of its cells whose tight and loose
+    composites are tabulated; otherwise ``InvalidTheory`` names the
+    missing identity or the pair that does not paste.
     """
     boundaries = sorted(set(boundaries))
     cells = {_cell_name(*b): b for b in boundaries}
     by_boundary = {b: name for name, b in cells.items()}
-    cell_id_loose, cell_id_tight = {}, {}
-    for m, (x, y) in loose.items():
-        b = (tight_id[x], tight_id[y], m, m)
-        assert b in by_boundary, "missing identity boundary for loose {}".format(m)
-        cell_id_loose[m] = by_boundary[b]
-    for f, (x, y) in tight.items():
-        b = (f, f, loose_id[x], loose_id[y])
-        assert b in by_boundary, "missing identity boundary for tight {}".format(f)
-        cell_id_tight[f] = by_boundary[b]
+
+    def cell(b, missing, *parts):
+        if b not in by_boundary:
+            raise InvalidTheory(missing.format(*parts))
+        return by_boundary[b]
+
+    cell_id_loose = {m: cell((tight_id[x], tight_id[y], m, m),
+                             "missing identity boundary for loose {}", m)
+                     for m, (x, y) in loose.items()}
+    cell_id_tight = {f: cell((f, f, loose_id[x], loose_id[y]),
+                             "missing identity boundary for tight {}", f)
+                     for f, (x, y) in tight.items()}
     vcomp, hcomp = {}, {}
     for a, (f1, g1, m1, n1) in cells.items():
         for b, (f2, g2, m2, n2) in cells.items():
@@ -55,44 +61,47 @@ def thin_double_theory(objects, tight, tight_id, tight_comp,
                 lf = tight_comp.get((f1, f2))
                 rf = tight_comp.get((g1, g2))
                 if lf is not None and rf is not None:
-                    target = by_boundary.get((lf, rf, m1, n2))
-                    if target is not None:
-                        vcomp[(a, b)] = target
-                    else:
-                        assert partial, \
-                            "thin theory not closed under vertical pasting"
+                    vcomp[(a, b)] = cell(
+                        (lf, rf, m1, n2), "thin theory not closed under "
+                        "vertical pasting at ({},{})", a, b)
             if g1 == f2:    # horizontally composable
                 top = loose_comp.get((m1, m2))
                 bot = loose_comp.get((n1, n2))
                 if top is not None and bot is not None:
-                    target = by_boundary.get((f1, g2, top, bot))
-                    if target is not None:
-                        hcomp[(a, b)] = target
-                    else:
-                        assert partial, \
-                            "thin theory not closed under horizontal pasting"
+                    hcomp[(a, b)] = cell(
+                        (f1, g2, top, bot), "thin theory not closed under "
+                        "horizontal pasting at ({},{})", a, b)
     return DoubleTheory(objects, tight, tight_id, tight_comp,
                         loose, loose_id, loose_comp,
                         cells, cell_id_loose, cell_id_tight,
-                        vcomp, hcomp, partial=partial, cartesian=cartesian)
+                        vcomp, hcomp, cartesian=cartesian)
 
 
-def identity_cell_boundaries(tight, loose, tight_id, loose_id):
-    """Boundaries of the identity cells only (for cell-free theories)."""
-    out = set()
-    for m, (x, y) in loose.items():
-        out.add((tight_id[x], tight_id[y], m, m))
-    for f, (x, y) in tight.items():
-        out.add((f, f, loose_id[x], loose_id[y]))
-    return out
-
-
-def _discrete_arrows(objects):
-    """Identity-only arrow data on the given objects."""
-    arrows = {"id:" + o: (o, o) for o in objects}
+def _arrows(objects, arrows=None, composites=None):
+    """One side of a small theory: the identity ``id:o`` of each
+    object, then ``arrows`` (name -> (src, dst)); the composition
+    table holds the unit laws, then the other ``composites``."""
     ident = {o: "id:" + o for o in objects}
-    comp = {(i, i): i for i in arrows}
-    return arrows, ident, comp
+    table = {i: (o, o) for o, i in ident.items()}
+    comp = {(i, i): i for i in ident.values()}
+    for f, (x, y) in (arrows or {}).items():
+        table[f] = (x, y)
+        comp[(ident[x], f)] = f
+        comp[(f, ident[y])] = f
+    comp.update(composites or {})
+    return table, ident, comp
+
+
+def _small_theory(objects, tight=None, loose=None, tight_comp=None,
+                  loose_comp=None, cells=()):
+    """A thin theory from its non-identity arrows, its non-unit
+    composites and the boundaries of its non-identity cells."""
+    tight, tid, tcomp = _arrows(objects, tight, tight_comp)
+    loose, lid, lcomp = _arrows(objects, loose, loose_comp)
+    identities = [(tid[x], tid[y], m, m) for m, (x, y) in loose.items()]
+    identities += [(f, f, lid[x], lid[y]) for f, (x, y) in tight.items()]
+    return thin_double_theory(objects, tight, tid, tcomp, loose, lid, lcomp,
+                              identities + list(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -100,75 +109,31 @@ def _discrete_arrows(objects):
 
 
 def terminal_theory():
-    objects = ["*"]
-    tight, tid, tcomp = _discrete_arrows(objects)
-    loose, lid, lcomp = _discrete_arrows(objects)
-    bnds = identity_cell_boundaries(tight, loose, tid, lid)
-    return thin_double_theory(objects, tight, tid, tcomp,
-                              loose, lid, lcomp, bnds)
+    return _small_theory(["*"])
 
 
 def walking_loose_theory():
     """Two objects and a single nonidentity loose arrow between them."""
-    objects = ["dom", "cod"]
-    tight, tid, tcomp = _discrete_arrows(objects)
-    loose = {"id:dom": ("dom", "dom"), "id:cod": ("cod", "cod"),
-             "l": ("dom", "cod")}
-    lid = {"dom": "id:dom", "cod": "id:cod"}
-    lcomp = {("id:dom", "id:dom"): "id:dom", ("id:cod", "id:cod"): "id:cod",
-             ("id:dom", "l"): "l", ("l", "id:cod"): "l"}
-    bnds = identity_cell_boundaries(tight, loose, tid, lid)
-    return thin_double_theory(objects, tight, tid, tcomp,
-                              loose, lid, lcomp, bnds)
+    return _small_theory(["dom", "cod"], loose={"l": ("dom", "cod")})
 
 
 def walking_tight_theory():
     """Two objects and a single nonidentity tight arrow between them."""
-    objects = ["top", "bot"]
-    tight = {"id:top": ("top", "top"), "id:bot": ("bot", "bot"),
-             "t": ("top", "bot")}
-    tid = {"top": "id:top", "bot": "id:bot"}
-    tcomp = {("id:top", "id:top"): "id:top", ("id:bot", "id:bot"): "id:bot",
-             ("id:top", "t"): "t", ("t", "id:bot"): "t"}
-    loose, lid, lcomp = _discrete_arrows(objects)
-    bnds = identity_cell_boundaries(tight, loose, tid, lid)
-    return thin_double_theory(objects, tight, tid, tcomp,
-                              loose, lid, lcomp, bnds)
+    return _small_theory(["top", "bot"], tight={"t": ("top", "bot")})
 
 
 def walking_square_theory():
     """Four objects, two tights, two looses, one filling cell."""
-    objects = ["tl", "tr", "bl", "br"]
-    tight = {"id:" + o: (o, o) for o in objects}
-    tight.update({"l": ("tl", "bl"), "r": ("tr", "br")})
-    tid = {o: "id:" + o for o in objects}
-    tcomp = {("id:" + o, "id:" + o): "id:" + o for o in objects}
-    tcomp.update({("id:tl", "l"): "l", ("l", "id:bl"): "l",
-                  ("id:tr", "r"): "r", ("r", "id:br"): "r"})
-    loose = {"id:" + o: (o, o) for o in objects}
-    loose.update({"top": ("tl", "tr"), "bot": ("bl", "br")})
-    lid = {o: "id:" + o for o in objects}
-    lcomp = {("id:" + o, "id:" + o): "id:" + o for o in objects}
-    lcomp.update({("id:tl", "top"): "top", ("top", "id:tr"): "top",
-                  ("id:bl", "bot"): "bot", ("bot", "id:br"): "bot"})
-    bnds = identity_cell_boundaries(tight, loose, tid, lid)
-    bnds.add(("l", "r", "top", "bot"))
-    return thin_double_theory(objects, tight, tid, tcomp,
-                              loose, lid, lcomp, bnds)
+    return _small_theory(["tl", "tr", "bl", "br"],
+                         tight={"l": ("tl", "bl"), "r": ("tr", "br")},
+                         loose={"top": ("tl", "tr"), "bot": ("bl", "br")},
+                         cells=[("l", "r", "top", "bot")])
 
 
 def signed_theory():
     """One object; loose arrows form the two-element sign group."""
-    objects = ["*"]
-    tight, tid, tcomp = _discrete_arrows(objects)
-    loose = {"id:*": ("*", "*"), "sigma": ("*", "*")}
-    lid = {"*": "id:*"}
-    lcomp = {("id:*", "id:*"): "id:*",
-             ("id:*", "sigma"): "sigma", ("sigma", "id:*"): "sigma",
-             ("sigma", "sigma"): "id:*"}
-    bnds = identity_cell_boundaries(tight, loose, tid, lid)
-    return thin_double_theory(objects, tight, tid, tcomp,
-                              loose, lid, lcomp, bnds)
+    return _small_theory(["*"], loose={"sigma": ("*", "*")},
+                         loose_comp={("sigma", "sigma"): "id:*"})
 
 
 def involution_cell_theory():
@@ -181,8 +146,8 @@ def involution_cell_theory():
     given by translation; it powers the collage quotient fixtures.
     """
     objects = ["*"]
-    tight, tid, tcomp = _discrete_arrows(objects)
-    loose, lid, lcomp = _discrete_arrows(objects)
+    tight, tid, tcomp = _arrows(objects)
+    loose, lid, lcomp = _arrows(objects)
     cid, alpha = "c[id]", "alpha"
     cells = {cid: ("id:*", "id:*", "id:*", "id:*"),
              alpha: ("id:*", "id:*", "id:*", "id:*")}
@@ -256,7 +221,7 @@ def monad_trunc_theory(k):
     tid = {"x": "t0"}
     tcomp = {("t{}".format(i), "t{}".format(j)): "t{}".format(i + j)
              for i in range(k + 1) for j in range(k + 1) if i + j <= k}
-    loose, lid, lcomp = _discrete_arrows(objects)
+    loose, lid, lcomp = _arrows(objects)
 
     cells = {}
     data = {}   # name -> (i, j, values)

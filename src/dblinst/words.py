@@ -24,8 +24,8 @@ generator declaration order, so all downstream tables are deterministic.
 
 from collections import deque
 
-from .errors import (HomSetNotFinite, HomSetTooLarge, IllFormedRelation,
-                     NameClash)
+from .errors import (HomSetNotFinite, HomSetTooLarge, IllFormedPresentation,
+                     IllFormedRelation, NameClash)
 from .fincat import FinCategory
 
 _WORD_SEP = ";"
@@ -39,12 +39,19 @@ class ClosedWordCategory:
 
     def __init__(self, objects, generators, relations, bound,
                  max_classes=DEFAULT_MAX_CLASSES):
-        assert bound >= 1
+        if bound < 1:
+            raise IllFormedPresentation(
+                "word bound {} is below 1".format(bound))
         self.objects = list(objects)
         self.generators = dict(generators)
         self._out = {o: [] for o in self.objects}
-        for g, (s, _) in self.generators.items():
-            self._out.setdefault(s, []).append(g)
+        for g, (s, d) in self.generators.items():
+            undeclared = [o for o in (s, d) if o not in self._out]
+            if undeclared:
+                raise IllFormedPresentation(
+                    "generator {} has undeclared endpoint {}"
+                    .format(g, undeclared[0]))
+            self._out[s].append(g)
         self._relations = {}
         for r in relations:
             src, _, w1, w2 = self._check_relation(r)

@@ -366,6 +366,37 @@ def test_close_category_refuses_a_generator_named_like_a_composite(
         2, "", "error: two closure morphisms are named a;b\n")
 
 
+@pytest.mark.parametrize("generators, bound, message", [
+    ({"a": ("x", "w", "plain")}, "4",
+     "error: generator a has undeclared endpoint w\n"),
+    ({"a": ("x", "x", "plain")}, "0", "error: word bound 0 is below 1\n")])
+def test_close_category_refuses_an_undeclared_endpoint_or_a_zero_bound(
+        tmp_path, capsys, generators, bound, message):
+    presented = tmp_path / "presented.json"
+    save_document(document_of(PresentedCategory(["x"], generators, [])),
+                  presented)
+    code, out, err = run(capsys, "close-category", str(presented),
+                         "--bound", bound)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_migrate_delta_refuses_an_instance_over_other_spans(tmp_path,
+                                                            capsys):
+    from dblinst.fixtures import tautological_instance, walking_loose_model
+    from dblinst.model import identity_morphism
+    y = walking_loose_model(["a"], ["b"], [("h", "a", "b")])
+    paths = {}
+    for name, obj in (("along", identity_morphism(y)),
+                      ("h", tautological_instance(
+                          walking_loose_model(["a"], ["b"], [])))):
+        paths[name] = str(tmp_path / (name + ".json"))
+        save_document(document_of(obj), paths[name])
+    code, out, err = run(capsys, "migrate", paths["h"], "--mode", "delta",
+                         "--along", paths["along"])
+    assert (code, out, err) == (
+        2, "", "error: instance does not live over the morphism's target\n")
+
+
 def test_check_dopf_writes_the_witness_bijections(emitted, tmp_path,
                                                   capsys):
     _, instance = emitted

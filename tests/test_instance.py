@@ -12,14 +12,15 @@ from dblinst.fixtures import (coproduct_instance,
                               representable_instances,
                               standard_instance_corpus,
                               tautological_instance, walking_loose_model,
-                              weighted_graph_instance, weighted_graph_schema)
+                              walking_tight_model, weighted_graph_instance,
+                              weighted_graph_schema)
 from dblinst.finset import pair_label
 from dblinst.instance import (InstanceMorphism, compose_instance_morphisms,
                               enumerate_instance_morphisms,
                               find_instance_isomorphism,
                               identity_instance_morphism, restrict_instance,
                               validate_instance, validate_instance_morphism)
-from dblinst.model import enumerate_model_morphisms
+from dblinst.model import enumerate_model_morphisms, identity_morphism
 
 
 def test_corpus_instances_validate():
@@ -210,3 +211,61 @@ def test_restrict_instance_along_morphism():
     # dom elements share the one fiber over "a", cod keeps one element
     assert len(hx.carriers["dom"]) == 2
     assert len(hx.carriers["cod"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# the tight-cell report lines of validate_instance, pinned by one
+# corruption each
+
+
+def _tautological_bijection():
+    return tautological_instance(walking_tight_model(
+        ["p", "q"], ["p2", "q2"], {"p": "p2", "q": "q2"}))
+
+
+def _doubled_monad_instance():
+    _, h = monad_instance_fixture()
+    return coproduct_instance(h, h)
+
+
+def _set(table, key, value):
+    table[key] = value
+
+
+INSTANCE_CORRUPTIONS = {
+    "tight cell not total": (
+        _tautological_bijection,
+        lambda h: h.tight_cells["t"].pop("q"),
+        "tight cell at t not total"),
+    "tight cell breaks labels": (
+        _tautological_bijection,
+        lambda h: _set(h.tight_cells["t"], "p", "q2"),
+        "tight cell at t breaks labels at p"),
+    "tight identity not the identity": (
+        weighted_graph_instance,
+        lambda h: _set(h.tight_cells["id:dom"], "v0", "v1"),
+        "tight identity at dom not the identity"),
+    "tight functoriality fails": (
+        _doubled_monad_instance,
+        lambda h: _set(h.tight_cells["t2"], "(L,ea)", "(R,eb)"),
+        "tight functoriality fails at (t1,t1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INSTANCE_CORRUPTIONS))
+def test_one_corruption_gives_its_report_line_first(case):
+    build, corrupt, first = INSTANCE_CORRUPTIONS[case]
+    h = build()
+    assert validate_instance(h) == []
+    corrupt(h)
+    assert validate_instance(h)[0] == first
+
+
+def test_restricting_over_a_model_with_other_spans_is_a_typed_error():
+    """Same carriers, different spans: refused before any action is
+    read."""
+    y = walking_loose_model(["a"], ["b"], [("h", "a", "b")])
+    h = tautological_instance(walking_loose_model(["a"], ["b"], []))
+    with pytest.raises(ModelMismatch, match="^instance does not live over "
+                                            "the morphism's target$"):
+        restrict_instance(identity_morphism(y), h)

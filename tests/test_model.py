@@ -2,11 +2,15 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from dblinst import model as model_module
+from dblinst.finset import FiniteSet, Span
 from dblinst.fixtures import (category_as_model, chain_category,
+                              codiscrete_monad_model,
                               cyclic_translation_model, signed_fixture_models,
                               standard_instance_corpus, walking_loose_model, walking_tight_model, weighted_graph_schema)
-from dblinst.model import (ModelMorphism, compose_model_morphisms,
+from dblinst.model import (ModelMorphism, SpanModel, compose_model_morphisms,
                            enumerate_model_morphisms, find_model_isomorphism,
                            identity_morphism, terminal_model, validate_model,
                            validate_model_morphism)
@@ -179,3 +183,97 @@ def test_validating_a_morphism_across_theories_is_a_typed_error():
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.startswith(
         "raised the models live over theories with different objects")
+
+
+# ---------------------------------------------------------------------------
+# each report line of validate_model, pinned by one corruption
+
+
+def _two_parallel_heteromorphisms():
+    return walking_loose_model(["a0", "a1"], ["b0"],
+                               [("h1", "a0", "b0"), ("h2", "a0", "b0")])
+
+
+def _idempotent_monoid_model():
+    """A walking-tight model whose identity spans carry the monoid
+    {1, z} with z;z = z, and whose tight arrow acts on them as the
+    identity; sending 1 to z still keeps every law but the unitors'
+    naturality."""
+    t = builtin_theory("walking_tight")
+    top, bot = FiniteSet(["p"]), FiniteSet(["r"])
+    mult = {("1", "1"): "1", ("1", "z"): "z", ("z", "1"): "z",
+            ("z", "z"): "z"}
+    elements = FiniteSet(["1", "z"])
+    on_loose = {m: Span(s, s, elements, dict.fromkeys(elements, e),
+                        dict.fromkeys(elements, e))
+                for m, s, e in (("id:top", top, "p"), ("id:bot", bot, "r"))}
+    return SpanModel(
+        t, {"top": top, "bot": bot},
+        {"id:top": {"p": "p"}, "id:bot": {"r": "r"}, "t": {"p": "r"}},
+        on_loose, {a: {"1": "1", "z": "z"} for a in t.cells},
+        {pair: dict(mult) for pair in t.loose_comp},
+        {"top": {"p": "1"}, "bot": {"r": "1"}})
+
+
+def _set(table, key, value):
+    table[key] = value
+
+
+MODEL_CORRUPTIONS = {
+    "object has no carrier": (
+        _two_parallel_heteromorphisms,
+        lambda x: x.on_objects.pop("cod"),
+        "object cod has no carrier"),
+    "loose arrow has no well-typed span": (
+        _two_parallel_heteromorphisms,
+        lambda x: _set(x.on_loose, "l", x.on_loose["id:dom"]),
+        "loose arrow l has no well-typed span"),
+    "tight identity not the identity": (
+        _two_parallel_heteromorphisms,
+        lambda x: _set(x.on_tight, "id:dom", {"a0": "a0", "a1": "a0"}),
+        "tight identity at dom not the identity"),
+    "tight functoriality fails": (
+        codiscrete_monad_model,
+        lambda x: _set(x.on_tight, "t2", {"a": "a", "b": "b"}),
+        "tight functoriality fails at (t1,t1)"),
+    "cell has no total apex map": (
+        lambda: walking_tight_model(["p"], ["r"], {"p": "r"}),
+        lambda x: _set(x.on_cells, x.theory.cell_id_tight["t"], {}),
+        "cell c[t|t|id:top|id:bot] has no total apex map"),
+    "identity cell not the identity": (
+        _two_parallel_heteromorphisms,
+        lambda x: _set(x.on_cells, x.theory.cell_id_loose["l"],
+                       {"h1": "h2", "h2": "h1"}),
+        "identity cell of l not the identity"),
+    "cell functoriality fails": (
+        lambda: cyclic_translation_model(4, 2),
+        lambda x: _set(x.on_cells, "alpha",
+                       {str(i): str((i + 1) % 4) for i in range(4)}),
+        "cell functoriality fails at (alpha,alpha)"),
+    "unitor not a total function": (
+        _two_parallel_heteromorphisms,
+        lambda x: _set(x.unitors, "dom", {"a0": "a0"}),
+        "unitor at dom not a total function"),
+    "left unit law fails": (
+        _two_parallel_heteromorphisms,
+        lambda x: _set(x.laxators[("id:dom", "l")], ("a0", "h1"), "h2"),
+        "left unit law fails at l on h1"),
+    "right unit law fails": (
+        _two_parallel_heteromorphisms,
+        lambda x: _set(x.laxators[("l", "id:cod")], ("h1", "b0"), "h2"),
+        "right unit law fails at l on h1"),
+    "unitor naturality fails": (
+        _idempotent_monoid_model,
+        lambda x: _set(x.on_cells, x.theory.cell_id_tight["t"],
+                       {"1": "z", "z": "z"}),
+        "unitor naturality fails at t on p"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CORRUPTIONS))
+def test_one_corruption_gives_its_report_line_first(case):
+    build, corrupt, first = MODEL_CORRUPTIONS[case]
+    x = build()
+    assert validate_model(x) == []
+    corrupt(x)
+    assert validate_model(x)[0] == first

@@ -1,11 +1,12 @@
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import dblinst
-from dblinst.errors import FreeCategoryNotFinite
+from dblinst.errors import FreeCategoryNotFinite, IllFormedPresentation
 from dblinst.fixtures import (feedback_loop_count, signed_cycle_oracle,
                               signed_fixture_graphs, signed_fixture_models)
 from dblinst.model import validate_model
@@ -109,3 +110,36 @@ def test_ill_formed_signed_relations_are_refused_also_without_asserts():
     assert done.stdout.splitlines() == [
         "raised relation ['p'] = [] does not preserve the sign",
         "raised relation names unknown edges ['q']"]
+
+
+@pytest.mark.parametrize("edge, message", [
+    (("p", "u", "v", 2), "edge p has sign 2, not +1 or -1"),
+    (("p", "u", "w", 1), "edge p has undeclared endpoint w")])
+def test_an_ill_formed_edge_is_refused(edge, message):
+    with pytest.raises(IllFormedPresentation,
+                       match="^{}$".format(re.escape(message))):
+        SignedGraph(["u", "v"], [edge])
+
+
+def test_ill_formed_edges_are_refused_also_without_asserts():
+    """An edge of sign 2 was silently dropped under ``python -O``,
+    which skips asserts, so this runs in a subprocess with that flag."""
+    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = ("from dblinst.errors import IllFormedPresentation\n"
+            "from dblinst.model import validate_model\n"
+            "from dblinst.signed import SignedGraph, quotient_signed_category\n"
+            "for edge in (('p', 'u', 'v', 2), ('p', 'u', 'w', 1)):\n"
+            "    try:\n"
+            "        g = SignedGraph(['u', 'v'], [edge])\n"
+            "        print('returned', validate_model(\n"
+            "            quotient_signed_category(g, [], 4)))\n"
+            "    except IllFormedPresentation as e:\n"
+            "        print('raised', e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "raised edge p has sign 2, not +1 or -1",
+        "raised edge p has undeclared endpoint w"]

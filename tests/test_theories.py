@@ -1,11 +1,16 @@
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from dblinst.errors import ClosureNotFinite
-from dblinst.presentation import (TheoryPresentation, close_presentation,
-                                  presentation_of_theory)
+import dblinst
+from dblinst.errors import InvalidTheory
 from dblinst.theories import (all_maps, builtin_theory, compose_maps,
-                              map_blocks, monotone_maps, ordinal_sum, p_arrow)
+                              map_blocks, monotone_maps, ordinal_sum, p_arrow,
+                              thin_double_theory)
 from dblinst.theory import validate_theory
 
 THIN = ["terminal", "walking_loose", "walking_tight", "walking_square",
@@ -101,17 +106,54 @@ def test_ordinal_sum_respects_composition(data, a, b, c, d):
     assert s[:a] == f and all(v > b for v in s[a:] if c)
 
 
-def test_presentation_closure_round_trip():
-    t = builtin_theory("walking_tight")
-    p = presentation_of_theory(t)
-    t2 = close_presentation(p, 6)
-    assert validate_theory(t2) == []
-    assert set(t2.objects) == set(t.objects)
-    assert len(t2.tight) == len(t.tight)
-    assert len(t2.loose) == len(t.loose)
+
+def _rebuild(name, k=None, drop=(), extra=()):
+    """A built-in thin theory rebuilt from its tables and its cell
+    boundaries, less ``drop`` and plus ``extra``."""
+    t = builtin_theory(name, k)
+    boundaries = [b for b in t.cells.values() if b not in drop]
+    return thin_double_theory(t.objects, t.tight, t.tight_id, t.tight_comp,
+                              t.loose, t.loose_id, t.loose_comp,
+                              boundaries + list(extra), t.cartesian)
 
 
-def test_presentation_with_cycle_fails():
-    p = TheoryPresentation(["*"], tight_gens={"f": ("*", "*")})
-    with pytest.raises(ClosureNotFinite):
-        close_presentation(p, 5)
+REFUSED_BOUNDARIES = [
+    ("walking_loose", None, [("id:dom", "id:cod", "l", "l")], [],
+     "missing identity boundary for loose l"),
+    ("walking_tight", None, [("t", "t", "id:top", "id:bot")], [],
+     "missing identity boundary for tight t"),
+    ("signed", None, [], [("id:*", "id:*", "sigma", "id:*")],
+     "thin theory not closed under horizontal pasting at "
+     "(c[id:*|id:*|sigma|id:*],c[id:*|id:*|sigma|sigma])"),
+    ("prom_trunc", 2, [("tf:0-0:", "tf:1-0:", "lf:0-1:", "lf:0-0:")], [],
+     "thin theory not closed under vertical pasting at "
+     "(c[tf:0-0:|tf:1-2:1.1|lf:0-1:|lf:0-2:],"
+     "c[tf:0-0:|tf:2-0:|lf:0-2:|lf:0-0:])")]
+
+
+@pytest.mark.parametrize("name, k, drop, extra, message", REFUSED_BOUNDARIES)
+def test_missing_or_unclosed_boundaries_are_invalid(name, k, drop, extra,
+                                                    message):
+    with pytest.raises(InvalidTheory, match="^{}$".format(re.escape(message))):
+        _rebuild(name, k, drop, extra)
+
+
+def test_missing_or_unclosed_boundaries_are_invalid_also_without_asserts():
+    """``python -O`` skips asserts, so this builds the theories in a
+    subprocess with that flag."""
+    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
+    paths = [package_root, os.path.dirname(os.path.abspath(__file__)),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = ("from test_theories import REFUSED_BOUNDARIES, _rebuild\n"
+            "from dblinst.errors import InvalidTheory\n"
+            "for *args, _ in REFUSED_BOUNDARIES:\n"
+            "    try:\n"
+            "        print('returned', _rebuild(*args))\n"
+            "    except InvalidTheory as e:\n"
+            "        print('raised', e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "raised " + message for *_, message in REFUSED_BOUNDARIES]

@@ -6,7 +6,8 @@ import pytest
 
 import dblinst
 from dblinst.errors import (HomSetNotFinite, HomSetTooLarge,
-                            IllFormedRelation, NameClash)
+                            IllFormedPresentation, IllFormedRelation,
+                            NameClash)
 from dblinst.words import ClosedWordCategory
 
 
@@ -90,6 +91,41 @@ def test_a_name_clash_is_refused_also_without_asserts():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout == "raised two closure morphisms are named a;b\n"
+
+
+def test_an_undeclared_endpoint_or_a_zero_bound_is_refused():
+    with pytest.raises(IllFormedPresentation,
+                       match="^generator a has undeclared endpoint w$"):
+        ClosedWordCategory(["x"], {"a": ("x", "w")}, [], 4)
+    with pytest.raises(IllFormedPresentation,
+                       match="^generator a has undeclared endpoint w$"):
+        ClosedWordCategory(["x"], {"a": ("w", "x")}, [], 4)
+    with pytest.raises(IllFormedPresentation,
+                       match="^word bound 0 is below 1$"):
+        ClosedWordCategory(["x"], {"a": ("x", "x")}, [], 0)
+
+
+def test_ill_formed_presentations_are_refused_also_without_asserts():
+    """``python -O`` skips asserts, so this closes the presentations in
+    a subprocess with that flag."""
+    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = ("from dblinst.errors import IllFormedPresentation\n"
+            "from dblinst.words import ClosedWordCategory\n"
+            "for gens, bound in (({'a': ('x', 'w')}, 4),\n"
+            "                    ({'a': ('x', 'x')}, 0)):\n"
+            "    try:\n"
+            "        print('returned', ClosedWordCategory(\n"
+            "            ['x'], gens, [], bound).category.morphisms)\n"
+            "    except IllFormedPresentation as e:\n"
+            "        print('raised', e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "raised generator a has undeclared endpoint w",
+        "raised word bound 0 is below 1"]
 
 
 def test_ill_formed_relation_rejected():
