@@ -106,7 +106,6 @@ def test_ordinal_sum_respects_composition(data, a, b, c, d):
     assert s[:a] == f and all(v > b for v in s[a:] if c)
 
 
-
 def _rebuild(name, k=None, drop=(), extra=()):
     """A built-in thin theory rebuilt from its tables and its cell
     boundaries, less ``drop`` and plus ``extra``."""
