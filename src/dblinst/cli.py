@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .errors import DblinstError, InvalidTheory
+from .errors import DblinstError, InvalidTheory, MalformedDocument
 from . import fixtures as fx
 from .serialize import (document_of, load_document, object_of,
                         save_document, write_document, FORMAT_VERSION)
@@ -47,9 +47,9 @@ def _write(args, obj):
 def _load(path, kinds):
     doc = load_document(path)
     if not isinstance(doc, dict):
-        raise DblinstError("{}: not a JSON object".format(path))
+        raise MalformedDocument("{}: not a JSON object".format(path))
     if doc.get("kind") not in kinds:
-        raise DblinstError("{}: expected one of {}, found {!r}"
+        raise MalformedDocument("{}: expected one of {}, found {!r}"
                            .format(path, sorted(kinds), doc.get("kind")))
     return object_of(doc)
 

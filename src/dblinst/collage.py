@@ -71,25 +71,29 @@ def _image(al, kind, arrow, element):
     return het_gen(arrow, al.on_loose[arrow][element])
 
 
-def collage_of_model(x):
-    """The presented category of elements-and-heteromorphisms of a model.
-
-    Raises NameClash when two objects or two generators get one name,
-    which a ``|`` or an ``@`` in the model's names can cause.
-    """
-    t = x.theory
+def _collage_names(x):
+    """The collage objects of a model, and its generators by name as
+    (source, target, kind).  Raises NameClash when two objects or two
+    generators get one name, which a ``|`` or an ``@`` can cause."""
     objects = [collage_object(d, e)
-               for d in t.objects for e in x.on_objects[d]]
+               for d in x.theory.objects for e in x.on_objects[d]]
     if len(set(objects)) != len(objects):
         clash = next(o for o in objects if objects.count(o) > 1)
         raise NameClash("two collage objects are named {}".format(clash))
-    tight_ids = set(t.tight_id.values())
-
     generators = {}
     for g, kind, _, _, src, dst in _generators(x):
         if g in generators:
             raise NameClash("two collage generators are named {}".format(g))
         generators[g] = (collage_object(*src), collage_object(*dst), kind)
+    return objects, generators
+
+
+def collage_of_model(x):
+    """The presented category of elements-and-heteromorphisms of a model,
+    named as ``_collage_names`` names it."""
+    t = x.theory
+    objects, generators = _collage_names(x)
+    tight_ids = set(t.tight_id.values())
 
     def tight_word(f, e):
         return () if f in tight_ids else (tight_gen(f, e),)
@@ -146,26 +150,31 @@ def close_presented_category(p, bound, max_classes=DEFAULT_MAX_CLASSES):
                               p.relations, bound, max_classes)
 
 
+def _fibres_and_actions(h):
+    """The fibre of an instance over each collage object, and the action
+    of each collage generator on the fibre over its source, by name."""
+    x = h.model
+    fibres = {}
+    for d in x.theory.objects:
+        over = fibers(h.labels[d], h.carriers[d])
+        for e in x.on_objects[d]:
+            fibres[collage_object(d, e)] = over.get(e, ())
+    actions = {}
+    for g, kind, arrow, xi, src, _ in _generators(x):
+        if kind == "tight":
+            actions[g] = h.tight_cells[arrow]
+        else:
+            actions[g] = {p: h.actions[arrow][(p, xi)]
+                          for p in fibres[collage_object(*src)]}
+    return fibres, actions
+
+
 def instance_to_copresheaf(h, closure):
     """The copresheaf on the closed collage with the carrier fibers as
     values and generator actions read off the instance."""
-    x = h.model
-    t = x.theory
     cat = closure.category
-    on_objects = {}
-    for d in t.objects:
-        over = fibers(h.labels[d], h.carriers[d])
-        for e in x.on_objects[d]:
-            on_objects[collage_object(d, e)] = FiniteSet(over.get(e, ()))
-
-    steps = {}
-    for g, kind, arrow, xi, src, _ in _generators(x):
-        if kind == "tight":
-            steps[g] = h.tight_cells[arrow]
-        else:
-            steps[g] = {p: h.actions[arrow][(p, xi)]
-                        for p in on_objects[collage_object(*src)]}
-
+    fibres, steps = _fibres_and_actions(h)
+    on_objects = {c: FiniteSet(values) for c, values in fibres.items()}
     on_morphisms = {}
     for mor, (s, d) in cat.morphisms.items():
         src, word = closure.rep_words[mor]

@@ -85,3 +85,11 @@ class DuplicateLabel(DblinstError):
 
 class NotAFunction(DblinstError):
     """A leg of a span is not a total function between its sets."""
+
+
+class InvalidMorphism(DblinstError):
+    """A model morphism given to a migration fails its validation."""
+
+
+class MalformedDocument(DblinstError):
+    """A document, or a part of one, is not of the kind read there."""

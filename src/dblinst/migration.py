@@ -1,9 +1,11 @@
 """Data migration along model morphisms and comprehensive factorization.
 
 Restriction is computed directly on the instance tables.  The two Kan
-extensions route instances through the closed collages and are
-computed pointwise: the right extension as compatible families, the
-left extension as a presented copresheaf on the target collage.
+extensions are computed pointwise on the closed target collage, with
+one relation (left) or constraint (right) per source collage
+generator; the source collage is never closed, so ``bound`` limits the
+target alone.  A morphism with a non-empty ``validate_model_morphism``
+report raises ``InvalidMorphism``.
 
 Comprehensive factorization splits a model morphism into an initial
 morphism followed by a discrete opfibration.  The discrete-opfibration
@@ -16,17 +18,19 @@ target category.
 
 from collections import Counter
 
-from .collage import (_generators, _image, close_presented_category,
-                      collage_object, collage_of_model, collage_of_morphism,
-                      copresheaf_to_instance, instance_to_copresheaf)
+from .collage import (_collage_names, _fibres_and_actions, _generators,
+                      _image, close_presented_category, collage_generator_map,
+                      collage_object, collage_object_map, collage_of_model,
+                      copresheaf_to_instance)
 from .elements import elements, is_discrete_opfibration
-from .errors import (HomSetTooLarge, MiddleNotCartesian, NotCartesian,
-                     NotDiscreteOpfibration, SquareNotCommutative)
+from .errors import (HomSetTooLarge, InvalidMorphism, MiddleNotCartesian,
+                     NotCartesian, NotDiscreteOpfibration,
+                     SquareNotCommutative)
 from .fincat import Copresheaf
 from .finset import FiniteSet, pair_label
 from .instance import restrict_instance
 from .model import (ModelMorphism, MorphismSearch, compose_model_morphisms,
-                    enumerate_model_morphisms)
+                    enumerate_model_morphisms, validate_model_morphism)
 from .search import solutions
 from .words import DEFAULT_BOUND
 
@@ -85,66 +89,47 @@ def _evaluate_presented(cat, generators, relations, name, key=None):
     return out, label
 
 
-def kan_extend_left(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
-    """Pointwise left Kan extension of a copresheaf along a functor.
-
-    The extension is the copresheaf on the target category presented by
-    one generator (c, v) over Fc for every value v in cp(c), with the
-    relation (c, v)·Fu = (c', u·v) for every source arrow u: c -> c'.
-    Its value at d is the colimit over the comma category of arrows
-    into d from the image: the triples (c, g: Fc -> d, v) modulo the
-    congruence the relations generate.  Each class is named
-    ``[c|g|v]`` after its least triple.  More than ``max_hom_card``
-    triples at one object raise ``HomSetTooLarge``.
-    """
-    c_cat, d_cat = fun.source, fun.target
-    generators = {(c, v): fun.on_objects[c]
-                  for c in c_cat.objects for v in cp.on_objects[c]}
+def _extend_left(cat, along, values, tables, max_hom_card):
+    """``kan_extend_left`` along F given on generators: ``along`` holds Fc
+    by c, and (c, c') and Fu by u: c -> c'; ``values`` and ``tables``
+    hold cp(c) and cp(u)."""
+    image, sides, arrows = along
+    generators = {(c, v): image[c] for c in image for v in values[c]}
     over = Counter(generators.values())
-    raw = dict.fromkeys(d_cat.objects, 0)
-    for gs, gd in d_cat.morphisms.values():
+    raw = Counter()
+    for gs, gd in cat.morphisms.values():
         raw[gd] += over[gs]
-    for d in d_cat.objects:
+    for d in cat.objects:
         if raw[d] > max_hom_card:
             raise HomSetTooLarge(
                 "left extension at {} has {} raw elements".format(d, raw[d]))
-    relations = [((us, v), fun.on_morphisms[u], (ud, cp.on_morphisms[u][v]))
-                 for u, (us, ud) in c_cat.morphisms.items()
-                 for v in cp.on_objects[us]]
+    relations = [((us, v), arrows[u], (ud, tables[u][v]))
+                 for u, (us, ud) in sides.items() for v in values[us]]
     out, _ = _evaluate_presented(
-        d_cat, generators, relations,
+        cat, generators, relations,
         lambda g, mor: "[{}|{}|{}]".format(g[0], mor, g[1]),
         key=lambda p: (p[0][0], p[1], p[0][1]))
     return out
 
 
-def kan_extend_right(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
-    """Pointwise right Kan extension of a copresheaf along a functor.
-
-    The value at d is the set of compatible families: a choice of value
-    in cp(c) for every slot, an arrow g: d -> Fc, commuting with every
-    arrow of the source category.  The families are searched with one
-    variable per slot, slots sorted and values in label order, so they
-    come out of the search in sorted order; more than ``max_hom_card``
-    families at one object raise ``HomSetTooLarge``.
-    """
-    c_cat, d_cat = fun.source, fun.target
+def _extend_right(cat, along, values, tables, max_hom_card):
+    """``kan_extend_right`` on the data of ``_extend_left``."""
+    image, sides, arrows = along
     hom = {}
-    for g, ends in d_cat.morphisms.items():
+    for g, ends in cat.morphisms.items():
         hom.setdefault(ends, []).append(g)
     families = {}
     slot_lists = {}
-    for d in d_cat.objects:
-        slots = sorted((c, g) for c in c_cat.objects
-                       for g in hom.get((d, fun.on_objects[c]), ()))
+    for d in cat.objects:
+        slots = sorted((c, g) for c, loc in image.items()
+                       for g in hom.get((d, loc), ()))
         slot_lists[d] = slots
         # the value at (us, g) pushed along u is the value at (ud, g;Fu)
-        constraints = [(((us, g), (ud, d_cat.comp[(g, fun.on_morphisms[u])])),
-                        cp.on_morphisms[u])
-                       for u, (us, ud) in c_cat.morphisms.items()
-                       for g in hom.get((d, fun.on_objects[us]), ())]
+        constraints = [(((us, g), (ud, cat.comp[(g, arrows[u])])), tables[u])
+                       for u, (us, ud) in sides.items()
+                       for g in hom.get((d, image[us]), ())]
         found = []
-        for sol in solutions([(s, cp.on_objects[s[0]]) for s in slots],
+        for sol in solutions([(s, values[s[0]]) for s in slots],
                              constraints):
             found.append(tuple(sol[s] for s in slots))
             if len(found) > max_hom_card:
@@ -156,21 +141,55 @@ def kan_extend_right(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
         return "[" + "|".join(fam) + "]" if fam else "[()]"
 
     on_objects = {d: FiniteSet([label(f) for f in families[d]])
-                  for d in d_cat.objects}
+                  for d in cat.objects}
     on_morphisms = {}
-    for h, (hs, hd) in d_cat.morphisms.items():
+    for h, (hs, hd) in cat.morphisms.items():
         members = set(families[hd])
         table = {}
         for fam in families[hs]:
             lookup = dict(zip(slot_lists[hs], fam))
-            new = tuple(lookup[(c, d_cat.comp[(h, g)])]
+            new = tuple(lookup[(c, cat.comp[(h, g)])]
                         for (c, g) in slot_lists[hd])
             assert new in members
             table[label(fam)] = label(new)
         on_morphisms[h] = table
-    out = Copresheaf(d_cat, on_objects, on_morphisms)
+    out = Copresheaf(cat, on_objects, on_morphisms)
     assert not out.validate()
     return out
+
+
+def kan_extend_left(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
+    """Pointwise left Kan extension of a copresheaf along a functor.
+
+    The extension is the copresheaf on the target category presented by
+    one generator (c, v) over Fc for every value v in cp(c), with the
+    relation (c, v)·Fu = (c', u·v) for every source arrow u: c -> c'.
+    Its value at d is the colimit over the comma category of arrows
+    into d from the image: the triples (c, g: Fc -> d, v) modulo the
+    congruence the relations generate.  Each class is named
+    ``[c|g|v]`` after its least triple.  More than ``max_hom_card``
+    triples at one object raise ``HomSetTooLarge``.  Relations along
+    generating arrows alone generate the same congruence.
+    """
+    along = fun.on_objects, fun.source.morphisms, fun.on_morphisms
+    return _extend_left(fun.target, along, cp.on_objects, cp.on_morphisms,
+                        max_hom_card)
+
+
+def kan_extend_right(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
+    """Pointwise right Kan extension of a copresheaf along a functor.
+
+    The value at d is the set of compatible families: a choice of value
+    in cp(c) for every slot, an arrow g: d -> Fc, commuting with every
+    arrow of the source category.  The families are searched with one
+    variable per slot, slots sorted and values in label order, so they
+    come out of the search in sorted order; more than ``max_hom_card``
+    families at one object raise ``HomSetTooLarge``.  Commuting with
+    generating arrows alone leaves the same families.
+    """
+    along = fun.on_objects, fun.source.morphisms, fun.on_morphisms
+    return _extend_right(fun.target, along, cp.on_objects, cp.on_morphisms,
+                         max_hom_card)
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +197,25 @@ def kan_extend_right(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
 # ---------------------------------------------------------------------------
 
 class MigrationContext:
-    """Closed collages of both models and the induced functor, shared by
-    the three migrations along one model morphism."""
+    """The closed target collage and the collage functor on generators,
+    shared by the migrations along one model morphism.  An invalid
+    morphism raises ``InvalidMorphism``."""
 
     def __init__(self, al, bound=DEFAULT_BOUND,
                  max_hom_card=DEFAULT_MAX_HOM_CARD):
-        self.morphism = al
+        report = validate_model_morphism(al)
+        if report:
+            raise InvalidMorphism(
+                "not a model morphism: " + "; ".join(report[:3]))
         self.max_hom_card = max_hom_card
-        self.closure_src = close_presented_category(
-            collage_of_model(al.source), bound)
         self.closure_tgt = close_presented_category(
             collage_of_model(al.target), bound)
-        self.functor = collage_of_morphism(al, self.closure_src,
-                                           self.closure_tgt)
+        _, generators = _collage_names(al.source)
+        image, words = collage_object_map(al), collage_generator_map(al)
+        self.along = (image,
+                      {g: (s, t) for g, (s, t, _) in generators.items()},
+                      {g: self.closure_tgt.word_class(image[s], words[g])
+                       for g, (s, _, _) in generators.items()})
 
 
 def migrate_pullback(al, h, context=None, bound=DEFAULT_BOUND):
@@ -206,16 +231,16 @@ def migrate_pullback(al, h, context=None, bound=DEFAULT_BOUND):
 def migrate_lan(al, h, context=None, bound=DEFAULT_BOUND):
     """Left pushforward of an instance along a model morphism."""
     ctx = context or MigrationContext(al, bound)
-    cp = instance_to_copresheaf(h, ctx.closure_src)
-    ext = kan_extend_left(ctx.functor, cp, ctx.max_hom_card)
+    ext = _extend_left(ctx.closure_tgt.category, ctx.along,
+                       *_fibres_and_actions(h), ctx.max_hom_card)
     return copresheaf_to_instance(ext, al.target, ctx.closure_tgt)
 
 
 def migrate_ran(al, h, context=None, bound=DEFAULT_BOUND):
     """Right pushforward of an instance along a model morphism."""
     ctx = context or MigrationContext(al, bound)
-    cp = instance_to_copresheaf(h, ctx.closure_src)
-    ext = kan_extend_right(ctx.functor, cp, ctx.max_hom_card)
+    ext = _extend_right(ctx.closure_tgt.category, ctx.along,
+                        *_fibres_and_actions(h), ctx.max_hom_card)
     return copresheaf_to_instance(ext, al.target, ctx.closure_tgt)
 
 

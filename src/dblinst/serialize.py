@@ -11,6 +11,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from .cartesian import Multicategory
 from .collage import PresentedCategory
 from .elements import DopfWitness
+from .errors import MalformedDocument
 from .fincat import Copresheaf, FinCategory
 from .finset import FiniteSet, Span
 from .instance import Instance
@@ -21,6 +22,15 @@ from .theory import CartesianStructure, DoubleTheory
 FORMAT_VERSION = 1
 
 _LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _read(doc, kind):
+    """Read a part of a document that must be a ``kind`` document."""
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise MalformedDocument("expected a {!r} document, found {}".format(
+            kind, "kind {!r}".format(doc.get("kind")) if isinstance(doc, dict)
+            else "a value of type {}".format(type(doc).__name__)))
+    return _FROM_DOC[kind](doc)
 
 
 def _pairs(table):
@@ -74,7 +84,6 @@ def theory_to_doc(t):
 
 
 def theory_from_doc(doc):
-    assert doc["kind"] == "theory"
     cartesian = None
     if "cartesian" in doc:
         c = doc["cartesian"]
@@ -122,8 +131,7 @@ def model_to_doc(x):
 
 
 def model_from_doc(doc):
-    assert doc["kind"] == "model"
-    t = theory_from_doc(doc["theory"])
+    t = _read(doc["theory"], "theory")
     on_objects = {d: FiniteSet(e) for d, e in doc["on_objects"].items()}
     on_loose = {}
     for m, sd in doc["on_loose"].items():
@@ -148,9 +156,8 @@ def morphism_to_doc(al):
 
 
 def morphism_from_doc(doc):
-    assert doc["kind"] == "model_morphism"
-    return ModelMorphism(model_from_doc(doc["source"]),
-                         model_from_doc(doc["target"]),
+    return ModelMorphism(_read(doc["source"], "model"),
+                         _read(doc["target"], "model"),
                          doc["on_objects"], doc["on_loose"])
 
 
@@ -168,8 +175,7 @@ def instance_to_doc(h):
 
 
 def instance_from_doc(doc):
-    assert doc["kind"] == "instance"
-    x = model_from_doc(doc["model"])
+    x = _read(doc["model"], "model")
     carriers = {d: FiniteSet(e) for d, e in doc["carriers"].items()}
     actions = {m: _unpairs(entries) for m, entries in doc["actions"]}
     return Instance(x, carriers, doc["labels"], doc["tight_cells"], actions)
@@ -191,7 +197,6 @@ def fincat_to_doc(cat):
 
 
 def fincat_from_doc(doc):
-    assert doc["kind"] == "fincategory"
     return FinCategory(doc["objects"],
                        {f: tuple(e) for f, e in doc["morphisms"].items()},
                        doc["identity"], _unpairs(doc["comp"]))
@@ -209,8 +214,7 @@ def copresheaf_to_doc(cp):
 
 
 def copresheaf_from_doc(doc):
-    assert doc["kind"] == "copresheaf"
-    base = fincat_from_doc(doc["base"])
+    base = _read(doc["base"], "fincategory")
     return Copresheaf(base,
                       {d: FiniteSet(e) for d, e in doc["on_objects"].items()},
                       doc["on_morphisms"])
@@ -228,7 +232,6 @@ def presented_to_doc(p):
 
 
 def presented_from_doc(doc):
-    assert doc["kind"] == "presented_category"
     return PresentedCategory(
         doc["objects"],
         {g: tuple(e) for g, e in doc["generators"].items()},
@@ -250,14 +253,13 @@ def sketch_to_doc(sk):
 
 
 def sketch_from_doc(doc):
-    assert doc["kind"] == "sketch"
     sk = LimitSketch(
-        presented_from_doc(doc["presented"]),
+        _read(doc["presented"], "presented_category"),
         [tuple(sq) for sq in doc["marked_pullbacks"]],
         [(apex, tuple((tuple(word), dst) for word, dst in legs))
          for apex, legs in doc["marked_products"]])
     if doc.get("theory") is not None:
-        sk.theory = theory_from_doc(doc["theory"])
+        sk.theory = _read(doc["theory"], "theory")
     return sk
 
 
@@ -276,7 +278,6 @@ def multicategory_to_doc(mc):
 
 
 def multicategory_from_doc(doc):
-    assert doc["kind"] == "multicategory"
     return Multicategory(
         doc["objects"],
         {n: (tuple(dom), cod) for n, (dom, cod) in

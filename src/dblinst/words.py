@@ -211,5 +211,7 @@ class ClosedWordCategory:
 
     def word_class(self, src, gens):
         """Morphism name of a generator word starting at ``src``."""
-        assert self._path(src, tuple(gens)) is not None, "word not composable"
+        if src not in self._root or self._path(src, tuple(gens)) is None:
+            raise IllFormedRelation(
+                "word {} does not compose from {}".format(list(gens), src))
         return self._name[self._trace(self._root[src], gens)]

@@ -517,6 +517,17 @@ def test_a_document_that_is_not_an_object_is_a_typed_error(
         2, "", "error: {}: not a JSON object\n".format(path))
 
 
+@pytest.mark.parametrize("model, found", [
+    (3, "a value of type int"), ({"kind": "theory"}, "kind 'theory'")])
+def test_a_malformed_part_of_a_document_is_a_typed_error(
+        tmp_path, capsys, model, found):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "instance", "model": model}))
+    code, out, err = run(capsys, "validate-instance", str(path))
+    assert (code, out, err) == (
+        2, "", "error: expected a 'model' document, found {}\n".format(found))
+
+
 def test_check_cartesian_names_the_kinds_it_reads(tmp_path, capsys):
     code, _, _ = run(capsys, "fixtures", "emit", "walking_square",
                      "--directory", str(tmp_path))

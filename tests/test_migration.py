@@ -1,17 +1,24 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import dblinst
-from dblinst.errors import (HomSetTooLarge, NotCartesian,
+from dblinst.errors import (HomSetNotFinite, HomSetTooLarge,
+                            IllFormedRelation, InvalidMorphism, NotCartesian,
                             NotDiscreteOpfibration, SquareNotCommutative)
 from dblinst.fincat import Copresheaf, FinFunctor
 from dblinst.finset import FiniteSet
-from dblinst.collage import copresheaf_to_instance, instance_to_copresheaf
-from dblinst.fixtures import (chain_category, coproduct_instance,
-                              cyclic_quotient_morphism, dopf_corpus_over,
+from dblinst.collage import (close_presented_category, collage_of_model,
+                             collage_of_morphism, copresheaf_to_instance,
+                             instance_to_copresheaf)
+from dblinst.fixtures import (build_instance, category_as_model,
+                              chain_category, coproduct_instance,
+                              cyclic_quotient_morphism,
+                              cyclic_translation_model, dopf_corpus_over,
+                              functor_as_morphism,
                               representable_instances, tautological_instance,
                               walking_loose_model, walking_tight_model,
                               weighted_graph_instance, weighted_graph_schema)
@@ -21,8 +28,9 @@ from dblinst.migration import (LiftingProblem, MigrationContext,
                                comprehensive_factorize, kan_extend_left,
                                kan_extend_right, migrate_lan,
                                migrate_pullback, migrate_ran)
-from dblinst.model import (enumerate_model_morphisms, identity_morphism,
-                           terminal_model, validate_model_morphism)
+from dblinst.model import (ModelMorphism, enumerate_model_morphisms,
+                           identity_morphism, terminal_model,
+                           validate_model_morphism)
 from dblinst.serialize import document_of, object_of
 from dblinst.elements import is_discrete_opfibration
 
@@ -92,33 +100,47 @@ def _fold_morphism():
     return enumerate_model_morphisms(x, y)[0]
 
 
+def closed_collages(al, bound):
+    """Both closed collages of a model morphism and the collage functor
+    between them."""
+    closure_src, closure_tgt = (
+        close_presented_category(collage_of_model(x), bound)
+        for x in (al.source, al.target))
+    return closure_src, closure_tgt, collage_of_morphism(
+        al, closure_src, closure_tgt)
+
+
 def collage_restriction(al, h, bound=4):
     """Reference restriction: precompose the copresheaf of ``h`` on the
     closed target collage with the collage functor of ``al``."""
-    ctx = MigrationContext(al, bound)
-    cp = instance_to_copresheaf(h, ctx.closure_tgt)
-    fun = ctx.functor
+    closure_src, closure_tgt, fun = closed_collages(al, bound)
+    cp = instance_to_copresheaf(h, closure_tgt)
     pulled = Copresheaf(
         fun.source,
         {c: cp.on_objects[fun.on_objects[c]] for c in fun.source.objects},
         {m: dict(cp.on_morphisms[fun.on_morphisms[m]])
          for m in fun.source.morphisms})
     assert pulled.validate() == []
-    return copresheaf_to_instance(pulled, al.source, ctx.closure_src)
+    return copresheaf_to_instance(pulled, al.source, closure_src)
 
 
 def instance_tables(h):
     return h.carriers, h.labels, h.tight_cells, h.actions
 
 
-def _restriction_cases():
+def _golden_morphisms():
+    """The four morphisms of the migration goldens."""
     x = weighted_graph_schema()
     to_terminal = enumerate_model_morphisms(x, terminal_model(x.theory))[0]
     tight_fold = enumerate_model_morphisms(
         walking_tight_model(["p", "q"], ["r"], {"p": "r", "q": "r"}),
         walking_tight_model(["p"], ["r"], {"p": "r"}))[0]
-    for al in (_fold_morphism(), cyclic_quotient_morphism(), to_terminal,
-               tight_fold):
+    return [_fold_morphism(), cyclic_quotient_morphism(), to_terminal,
+            tight_fold]
+
+
+def _restriction_cases():
+    for al in _golden_morphisms():
         taut = tautological_instance(al.target)
         for h in [taut, coproduct_instance(taut, taut)] + \
                 representable_instances(al.target, bound=4):
@@ -131,6 +153,111 @@ def test_pullback_migration_matches_direct_restriction():
         assert validate_instance(pulled) == []
         assert instance_tables(pulled) == \
             instance_tables(collage_restriction(al, h))
+
+
+def reference_extension(al, h, extend, bound=4):
+    """Reference Σ or Π: tabulate ``h`` on the closed source collage and
+    extend it along the collage functor by every source morphism."""
+    closure_src, closure_tgt, fun = closed_collages(al, bound)
+    cp = instance_to_copresheaf(h, closure_src)
+    return copresheaf_to_instance(extend(fun, cp), al.target, closure_tgt)
+
+
+def seeded_fold(seed):
+    """A fold of walking-loose models onto two elements a side, and an
+    instance of its source with two elements per fibre, both seeded."""
+    rng = random.Random(seed)
+    goals = [("g{}".format(i), "a{}".format(i % 2), rng.choice(["b0", "b1"]))
+             for i in range(4)]
+    y = walking_loose_model(["a0", "a1"], ["b0", "b1"], goals)
+    on_dom = {"s{}".format(i): "a{}".format(i % 2) for i in range(4)}
+    on_cod = {"c{}".format(i): "b{}".format(i % 2) for i in range(3)}
+    het, on_het = [], {}
+    for s, a in on_dom.items():
+        for g, ga, gb in goals:
+            if ga == a:
+                name = "u{}.{}".format(s, g)
+                ends = [c for c, b in on_cod.items() if b == gb]
+                het.append((name, s, rng.choice(ends)))
+                on_het[name] = g
+    x = walking_loose_model(list(on_dom), list(on_cod), het)
+    al = ModelMorphism(x, y, {"dom": on_dom, "cod": on_cod},
+                       {"l": on_het, "id:dom": dict(on_dom),
+                        "id:cod": dict(on_cod)})
+    fibre = {e: ["{}~{}".format(e, k) for k in range(2)]
+             for d in ("dom", "cod") for e in x.on_objects[d]}
+    carriers = {d: [p for e in x.on_objects[d] for p in fibre[e]]
+                for d in ("dom", "cod")}
+    labels = {d: {p: e for e in x.on_objects[d] for p in fibre[e]}
+              for d in ("dom", "cod")}
+    span = x.on_loose["l"]
+    action = {(p, xi): rng.choice(fibre[span.right[xi]])
+              for xi in span.apex for p in fibre[span.left[xi]]}
+    return al, build_instance(x, carriers, labels, {"l": action})
+
+
+def _extension_cases():
+    for seed in range(4):
+        al, h = seeded_fold(seed)
+        yield al, h
+        yield al, tautological_instance(al.source)
+    collapse = FinFunctor(chain_category(3), chain_category(2),
+                          {"0": "0", "1": "1", "2": "1"},
+                          {"id:0": "id:0", "id:1": "id:1", "id:2": "id:1",
+                           "0<1": "0<1", "0<2": "0<1", "1<2": "id:1"})
+    al = functor_as_morphism(collapse, category_as_model(chain_category(3)),
+                             category_as_model(chain_category(2)))
+    yield al, tautological_instance(al.source)
+    for al in _golden_morphisms():
+        taut = tautological_instance(al.source)
+        for h in [taut, coproduct_instance(taut, taut)] + \
+                representable_instances(al.source, bound=4):
+            yield al, h
+
+
+@pytest.mark.parametrize("migrate, extend", [
+    (migrate_lan, kan_extend_left), (migrate_ran, kan_extend_right)])
+def test_migrations_match_the_extension_on_the_closed_source(migrate, extend):
+    for al, h in _extension_cases():
+        want = document_of(reference_extension(al, h, extend))
+        assert document_of(migrate(al, h, bound=4)) == want
+
+
+@pytest.mark.parametrize("migrate, extend", [
+    (migrate_lan, kan_extend_left), (migrate_ran, kan_extend_right)])
+def test_a_source_that_does_not_close_within_the_bound_is_not_closed(
+        migrate, extend):
+    # Z/4 closes only at bound 2; its image Z/1 already at bound 1
+    x4, x1 = cyclic_translation_model(4, 0), cyclic_translation_model(1, 0)
+    al = ModelMorphism(x4, x1, {"*": {"*": "*"}},
+                       {"id:*": {e: "0" for e in x4.on_loose["id:*"].apex}})
+    h = tautological_instance(al.source)
+    with pytest.raises(HomSetNotFinite):
+        reference_extension(al, h, extend, bound=1)
+    want = document_of(reference_extension(al, h, extend, bound=2))
+    for bound in (1, 2):
+        assert document_of(migrate(al, h, bound=bound)) == want
+
+
+def _leg_breaking_morphism():
+    """dom {a0} -> {a0, a1} with a0 |-> a1: the image of h no longer
+    starts where the image of its left end does."""
+    x = walking_loose_model(["a0"], ["b0"], [("h", "a0", "b0")])
+    y = walking_loose_model(["a0", "a1"], ["b0"], [("h", "a0", "b0")])
+    return ModelMorphism(x, y, {"dom": {"a0": "a1"}, "cod": {"b0": "b0"}},
+                         {"l": {"h": "h"}, "id:dom": {"a0": "a1"},
+                          "id:cod": {"b0": "b0"}})
+
+
+def test_migrating_along_a_morphism_that_is_not_one_is_refused():
+    al = _leg_breaking_morphism()
+    h = tautological_instance(al.source)
+    for migrate in (migrate_lan, migrate_ran):
+        with pytest.raises(InvalidMorphism,
+                           match="not a model morphism: left leg broken"):
+            migrate(al, h, bound=4)
+    with pytest.raises(IllFormedRelation, match="does not compose from"):
+        comprehensive_factorize(al, bound=4)
 
 
 def test_migration_adjunction_hom_cardinalities():

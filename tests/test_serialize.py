@@ -10,6 +10,7 @@ from dblinst.fincat import Copresheaf
 from dblinst.fixtures import (builtin_multicategory, chain_category,
                               weighted_graph_instance, weighted_graph_schema)
 from dblinst.cli import FIXTURE_NAMES, _FIXTURES
+from dblinst.errors import MalformedDocument
 from dblinst.serialize import (document_of, load_document, object_of,
                                save_document, write_document)
 from dblinst.sketch import flatten_theory
@@ -65,6 +66,22 @@ def test_save_and_load_files(tmp_path):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         object_of({"kind": "nonsense", "format_version": 1})
+
+
+@pytest.mark.parametrize("kind, part, inner", [
+    ("model", "theory", "theory"), ("model_morphism", "source", "model"),
+    ("model_morphism", "target", "model"), ("instance", "model", "model"),
+    ("copresheaf", "base", "fincategory"),
+    ("sketch", "presented", "presented_category"),
+    ("sketch", "theory", "theory")])
+def test_a_part_of_another_kind_is_a_typed_error(kind, part, inner):
+    doc = document_of(_samples()[kind])
+    for value, found in (({"kind": "nonsense"}, "kind 'nonsense'"),
+                         ([inner], "a value of type list")):
+        doc[part] = value
+        with pytest.raises(MalformedDocument, match="^expected a '{}' "
+                           "document, found {}$".format(inner, found)):
+            object_of(doc)
 
 
 def test_documents_are_plain_json():

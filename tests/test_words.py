@@ -137,6 +137,17 @@ def test_ill_formed_relation_rejected():
         ClosedWordCategory(["a", "b"], gens, [("a", "a", ("f",), ())], 5)
 
 
+def test_a_word_that_does_not_compose_is_refused_before_it_is_traced():
+    cl = ClosedWordCategory(["x", "y"], {"a": ("x", "y"), "b": ("y", "x")},
+                            [("x", "x", ("a", "b"), ())], 4)
+    morphisms, nodes = dict(cl.category.morphisms), len(cl._target)
+    for src, word in (("x", ("a", "a")), ("y", ("a",)), ("z", ())):
+        with pytest.raises(IllFormedRelation, match="does not compose from"):
+            cl.word_class(src, word)
+    assert (cl.category.morphisms, len(cl._target)) == (morphisms, nodes)
+    assert cl.word_class("x", ("a", "b", "a")) == "a"
+
+
 def test_representatives_are_shortlex_deterministic():
     gens = {"f": ("a", "a"), "g": ("a", "a")}
     rel = [("a", "a", ("f", "f"), ()), ("a", "a", ("g",), ("f",))]
