@@ -9,7 +9,7 @@ classes: tight composition, laxator triangles, cell squares, and the
 collapse of unitor images to identities.
 
 Objects are named ``d|e`` and generators ``t{f@e}`` and ``h{m@xi}``;
-every reader takes a generator's structure from ``_generators``.
+``_generators`` gives each generator by (kind, arrow, element).
 """
 
 from .errors import NameClash
@@ -45,8 +45,8 @@ class PresentedCategory:
 
 def _generators(x):
     """Each collage generator of a model, in presentation order, as
-    (name, kind, arrow, element, source, target): the source and the
-    target are (object, element) pairs."""
+    ((kind, arrow, element), source, target): the source and the target
+    are (object, element) pairs."""
     t = x.theory
     tight_ids = set(t.tight_id.values())
     for f, (s, d) in t.tight.items():
@@ -54,45 +54,42 @@ def _generators(x):
             continue
         image = x.on_tight[f]
         for e in x.on_objects[s]:
-            yield tight_gen(f, e), "tight", f, e, (s, e), (d, image[e])
+            yield ("tight", f, e), (s, e), (d, image[e])
     for m, (s, d) in t.loose.items():
         sp = x.on_loose[m]
         for xi in sp.apex:
-            yield (het_gen(m, xi), "het", m, xi, (s, sp.left[xi]),
-                   (d, sp.right[xi]))
+            yield ("het", m, xi), (s, sp.left[xi]), (d, sp.right[xi])
+
+
+def _generator_name(kind, arrow, element):
+    return (tight_gen if kind == "tight" else het_gen)(arrow, element)
 
 
 def _image(al, kind, arrow, element):
-    """The target collage generator that a model morphism sends the
-    source generator of (kind, arrow, element) to."""
+    """The name of the target collage generator that a model morphism
+    sends the source generator of (kind, arrow, element) to."""
     if kind == "tight":
         s = al.source.theory.tight_src(arrow)
         return tight_gen(arrow, al.on_objects[s][element])
     return het_gen(arrow, al.on_loose[arrow][element])
 
 
-def _collage_names(x):
-    """The collage objects of a model, and its generators by name as
-    (source, target, kind).  Raises NameClash when two objects or two
-    generators get one name, which a ``|`` or an ``@`` can cause."""
+def collage_of_model(x):
+    """The presented category of elements-and-heteromorphisms of a model.
+    Raises NameClash when two objects or two generators get one name,
+    which a ``|`` or an ``@`` can cause."""
+    t = x.theory
     objects = [collage_object(d, e)
-               for d in x.theory.objects for e in x.on_objects[d]]
+               for d in t.objects for e in x.on_objects[d]]
     if len(set(objects)) != len(objects):
         clash = next(o for o in objects if objects.count(o) > 1)
         raise NameClash("two collage objects are named {}".format(clash))
     generators = {}
-    for g, kind, _, _, src, dst in _generators(x):
+    for (kind, arrow, e), src, dst in _generators(x):
+        g = _generator_name(kind, arrow, e)
         if g in generators:
             raise NameClash("two collage generators are named {}".format(g))
         generators[g] = (collage_object(*src), collage_object(*dst), kind)
-    return objects, generators
-
-
-def collage_of_model(x):
-    """The presented category of elements-and-heteromorphisms of a model,
-    named as ``_collage_names`` names it."""
-    t = x.theory
-    objects, generators = _collage_names(x)
     tight_ids = set(t.tight_id.values())
 
     def tight_word(f, e):
@@ -152,20 +149,19 @@ def close_presented_category(p, bound, max_classes=DEFAULT_MAX_CLASSES):
 
 def _fibres_and_actions(h):
     """The fibre of an instance over each collage object, and the action
-    of each collage generator on the fibre over its source, by name."""
+    of each collage generator on the fibre over its source, keyed by
+    structure as ``_generators`` keys them."""
     x = h.model
     fibres = {}
     for d in x.theory.objects:
         over = fibers(h.labels[d], h.carriers[d])
         for e in x.on_objects[d]:
-            fibres[collage_object(d, e)] = over.get(e, ())
+            fibres[(d, e)] = over.get(e, ())
     actions = {}
-    for g, kind, arrow, xi, src, _ in _generators(x):
-        if kind == "tight":
-            actions[g] = h.tight_cells[arrow]
-        else:
-            actions[g] = {p: h.actions[arrow][(p, xi)]
-                          for p in fibres[collage_object(*src)]}
+    for g, src, _ in _generators(x):
+        kind, arrow, xi = g
+        actions[g] = h.tight_cells[arrow] if kind == "tight" else {
+            p: h.actions[arrow][(p, xi)] for p in fibres[src]}
     return fibres, actions
 
 
@@ -173,8 +169,10 @@ def instance_to_copresheaf(h, closure):
     """The copresheaf on the closed collage with the carrier fibers as
     values and generator actions read off the instance."""
     cat = closure.category
-    fibres, steps = _fibres_and_actions(h)
-    on_objects = {c: FiniteSet(values) for c, values in fibres.items()}
+    fibres, actions = _fibres_and_actions(h)
+    on_objects = {collage_object(*c): FiniteSet(values)
+                  for c, values in fibres.items()}
+    steps = {_generator_name(*g): step for g, step in actions.items()}
     on_morphisms = {}
     for mor, (s, d) in cat.morphisms.items():
         src, word = closure.rep_words[mor]
@@ -213,26 +211,20 @@ def copresheaf_to_instance(c, x, closure):
     for d, f in t.tight_id.items():
         for e in x.on_objects[d]:
             act(tight_cells[f], (), (d, e), (d, e))
-    for g, kind, arrow, xi, src, dst in _generators(x):
+    for (kind, arrow, xi), src, dst in _generators(x):
+        word = (_generator_name(kind, arrow, xi),)
         if kind == "tight":
-            act(tight_cells[arrow], (g,), src, dst)
+            act(tight_cells[arrow], word, src, dst)
         else:
-            act(actions[arrow], (g,), src, dst, lambda p, xi=xi: (p, xi))
+            act(actions[arrow], word, src, dst, lambda p, xi=xi: (p, xi))
     return Instance(x, carriers, labels, tight_cells, actions)
-
-
-def collage_object_map(al):
-    """Object assignment of the collage of a model morphism."""
-    x = al.source
-    return {collage_object(d, e): collage_object(d, al.on_objects[d][e])
-            for d in x.theory.objects for e in x.on_objects[d]}
 
 
 def collage_generator_map(al):
     """Generator assignment of the collage of a model morphism: words in
-    the target presentation (empty for collapsed identities)."""
-    return {g: (_image(al, kind, arrow, e),)
-            for g, kind, arrow, e, _, _ in _generators(al.source)}
+    the target presentation."""
+    return {_generator_name(*g): (_image(al, *g),)
+            for g, _, _ in _generators(al.source)}
 
 
 def collage_of_morphism(al, closure_src, closure_tgt):
@@ -242,7 +234,9 @@ def collage_of_morphism(al, closure_src, closure_tgt):
     morphism classes of the target collage.
     """
     from .fincat import FinFunctor
-    obj_map = collage_object_map(al)
+    x = al.source
+    obj_map = {collage_object(d, e): collage_object(d, al.on_objects[d][e])
+               for d in x.theory.objects for e in x.on_objects[d]}
     gen_map = collage_generator_map(al)
     cat = closure_src.category
     on_morphisms = {}

@@ -10,7 +10,8 @@ bijections.  Both directions are direct formulas on pairs, no search.
 from .errors import NoExtension, NotDiscreteOpfibration, PartialMorphism
 from .finset import FiniteSet, Span, fibers, pair_label
 from .instance import Instance
-from .model import ModelMorphism, SpanModel, validate_model_morphism
+from .model import (ModelMorphism, SpanModel, _refuse_invalid,
+                    validate_model_morphism)
 
 
 class DopfWitness:
@@ -242,9 +243,11 @@ def canonical_elements_comparison(p, witness=None):
 
 def kappa_creates_dopf_check(p, bound=6):
     """Compare the model-level predicate with the classical one on the
-    collage functor; the two must agree."""
+    collage functor; the two must agree.  An invalid morphism raises
+    ``InvalidMorphism``."""
     from .collage import (close_presented_category, collage_of_model,
                           collage_of_morphism)
+    _refuse_invalid(p)
     model_level = is_discrete_opfibration(p).ok
     cl_e = close_presented_category(collage_of_model(p.source), bound)
     cl_b = close_presented_category(collage_of_model(p.target), bound)

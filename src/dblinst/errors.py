@@ -88,7 +88,8 @@ class NotAFunction(DblinstError):
 
 
 class InvalidMorphism(DblinstError):
-    """A model morphism given to a migration fails its validation."""
+    """A model morphism given to a migration, a factorization or the
+    collage-functor check fails its validation."""
 
 
 class MalformedDocument(DblinstError):

@@ -3,34 +3,33 @@
 Restriction is computed directly on the instance tables.  The two Kan
 extensions are computed pointwise on the closed target collage, with
 one relation (left) or constraint (right) per source collage
-generator; the source collage is never closed, so ``bound`` limits the
-target alone.  A morphism with a non-empty ``validate_model_morphism``
-report raises ``InvalidMorphism``.
+generator.  The source is read by structure and never closed or
+named, so ``bound`` limits the target alone and a source whose
+collage names clash is answered.  A morphism with a non-empty
+``validate_model_morphism`` report raises ``InvalidMorphism``.
 
 Comprehensive factorization splits a model morphism into an initial
 morphism followed by a discrete opfibration.  The discrete-opfibration
-reflection is a presented copresheaf too: one generator per upstairs
-element, with relations identifying the pushforwards of upstairs tight
-arrows and heteromorphisms; it closes only the target collage.  Both
+reflection is the left pushforward of the terminal instance of the
+source: one generator per upstairs element, with one relation per
+source collage generator, on the same migration context.  Both
 presented copresheaves are evaluated by one routine on the explicit
 target category.
 """
 
 from collections import Counter
 
-from .collage import (_collage_names, _fibres_and_actions, _generators,
-                      _image, close_presented_category, collage_generator_map,
-                      collage_object, collage_object_map, collage_of_model,
-                      copresheaf_to_instance)
+from .collage import (_fibres_and_actions, _generators, _image,
+                      close_presented_category, collage_object,
+                      collage_of_model, copresheaf_to_instance)
 from .elements import elements, is_discrete_opfibration
-from .errors import (HomSetTooLarge, InvalidMorphism, MiddleNotCartesian,
-                     NotCartesian, NotDiscreteOpfibration,
-                     SquareNotCommutative)
+from .errors import (HomSetTooLarge, MiddleNotCartesian, NotCartesian,
+                     NotDiscreteOpfibration, SquareNotCommutative)
 from .fincat import Copresheaf
 from .finset import FiniteSet, pair_label
 from .instance import restrict_instance
-from .model import (ModelMorphism, MorphismSearch, compose_model_morphisms,
-                    enumerate_model_morphisms, validate_model_morphism)
+from .model import (ModelMorphism, MorphismSearch, _refuse_invalid,
+                    compose_model_morphisms, enumerate_model_morphisms)
 from .search import solutions
 from .words import DEFAULT_BOUND
 
@@ -89,10 +88,11 @@ def _evaluate_presented(cat, generators, relations, name, key=None):
     return out, label
 
 
-def _extend_left(cat, along, values, tables, max_hom_card):
+def _extend_left(cat, along, names, values, tables, max_hom_card):
     """``kan_extend_left`` along F given on generators: ``along`` holds Fc
-    by c, and (c, c') and Fu by u: c -> c'; ``values`` and ``tables``
-    hold cp(c) and cp(u)."""
+    by c, and (c, c') and Fu by u: c -> c'; ``names`` writes c into
+    class names and orders by it, ties broken by c; ``values`` and
+    ``tables`` hold cp(c) and cp(u)."""
     image, sides, arrows = along
     generators = {(c, v): image[c] for c in image for v in values[c]}
     over = Counter(generators.values())
@@ -107,12 +107,12 @@ def _extend_left(cat, along, values, tables, max_hom_card):
                  for u, (us, ud) in sides.items() for v in values[us]]
     out, _ = _evaluate_presented(
         cat, generators, relations,
-        lambda g, mor: "[{}|{}|{}]".format(g[0], mor, g[1]),
-        key=lambda p: (p[0][0], p[1], p[0][1]))
+        lambda g, mor: "[{}|{}|{}]".format(names[g[0]], mor, g[1]),
+        key=lambda p: (names[p[0][0]], p[0][0], p[1], p[0][1]))
     return out
 
 
-def _extend_right(cat, along, values, tables, max_hom_card):
+def _extend_right(cat, along, names, values, tables, max_hom_card):
     """``kan_extend_right`` on the data of ``_extend_left``."""
     image, sides, arrows = along
     hom = {}
@@ -121,8 +121,9 @@ def _extend_right(cat, along, values, tables, max_hom_card):
     families = {}
     slot_lists = {}
     for d in cat.objects:
-        slots = sorted((c, g) for c, loc in image.items()
-                       for g in hom.get((d, loc), ()))
+        slots = sorted(((c, g) for c, loc in image.items()
+                        for g in hom.get((d, loc), ())),
+                       key=lambda s: (names[s[0]], s))
         slot_lists[d] = slots
         # the value at (us, g) pushed along u is the value at (ud, g;Fu)
         constraints = [(((us, g), (ud, cat.comp[(g, arrows[u])])), tables[u])
@@ -172,8 +173,8 @@ def kan_extend_left(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
     generating arrows alone generate the same congruence.
     """
     along = fun.on_objects, fun.source.morphisms, fun.on_morphisms
-    return _extend_left(fun.target, along, cp.on_objects, cp.on_morphisms,
-                        max_hom_card)
+    return _extend_left(fun.target, along, {c: c for c in fun.on_objects},
+                        cp.on_objects, cp.on_morphisms, max_hom_card)
 
 
 def kan_extend_right(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
@@ -188,8 +189,8 @@ def kan_extend_right(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
     generating arrows alone leaves the same families.
     """
     along = fun.on_objects, fun.source.morphisms, fun.on_morphisms
-    return _extend_right(fun.target, along, cp.on_objects, cp.on_morphisms,
-                         max_hom_card)
+    return _extend_right(fun.target, along, {c: c for c in fun.on_objects},
+                         cp.on_objects, cp.on_morphisms, max_hom_card)
 
 
 # ---------------------------------------------------------------------------
@@ -198,24 +199,29 @@ def kan_extend_right(fun, cp, max_hom_card=DEFAULT_MAX_HOM_CARD):
 
 class MigrationContext:
     """The closed target collage and the collage functor on generators,
-    shared by the migrations along one model morphism.  An invalid
+    shared by the migrations along one model morphism.  ``along`` holds
+    the image of each source collage object, keyed by (object,
+    element), and the endpoints and image class of each source
+    generator, keyed by (kind, arrow, element); ``names`` writes a
+    source object into class names and slot orders.  An invalid
     morphism raises ``InvalidMorphism``."""
 
     def __init__(self, al, bound=DEFAULT_BOUND,
                  max_hom_card=DEFAULT_MAX_HOM_CARD):
-        report = validate_model_morphism(al)
-        if report:
-            raise InvalidMorphism(
-                "not a model morphism: " + "; ".join(report[:3]))
+        _refuse_invalid(al)
         self.max_hom_card = max_hom_card
         self.closure_tgt = close_presented_category(
             collage_of_model(al.target), bound)
-        _, generators = _collage_names(al.source)
-        image, words = collage_object_map(al), collage_generator_map(al)
-        self.along = (image,
-                      {g: (s, t) for g, (s, t, _) in generators.items()},
-                      {g: self.closure_tgt.word_class(image[s], words[g])
-                       for g, (s, _, _) in generators.items()})
+        x = al.source
+        image = {(d, e): collage_object(d, al.on_objects[d][e])
+                 for d in x.theory.objects for e in x.on_objects[d]}
+        sides, arrows = {}, {}
+        for g, src, dst in _generators(x):
+            sides[g] = src, dst
+            arrows[g] = self.closure_tgt.word_class(image[src],
+                                                    (_image(al, *g),))
+        self.along = image, sides, arrows
+        self.names = {c: collage_object(*c) for c in image}
 
 
 def migrate_pullback(al, h, context=None, bound=DEFAULT_BOUND):
@@ -231,7 +237,7 @@ def migrate_pullback(al, h, context=None, bound=DEFAULT_BOUND):
 def migrate_lan(al, h, context=None, bound=DEFAULT_BOUND):
     """Left pushforward of an instance along a model morphism."""
     ctx = context or MigrationContext(al, bound)
-    ext = _extend_left(ctx.closure_tgt.category, ctx.along,
+    ext = _extend_left(ctx.closure_tgt.category, ctx.along, ctx.names,
                        *_fibres_and_actions(h), ctx.max_hom_card)
     return copresheaf_to_instance(ext, al.target, ctx.closure_tgt)
 
@@ -239,7 +245,7 @@ def migrate_lan(al, h, context=None, bound=DEFAULT_BOUND):
 def migrate_ran(al, h, context=None, bound=DEFAULT_BOUND):
     """Right pushforward of an instance along a model morphism."""
     ctx = context or MigrationContext(al, bound)
-    ext = _extend_right(ctx.closure_tgt.category, ctx.along,
+    ext = _extend_right(ctx.closure_tgt.category, ctx.along, ctx.names,
                         *_fibres_and_actions(h), ctx.max_hom_card)
     return copresheaf_to_instance(ext, al.target, ctx.closure_tgt)
 
@@ -251,43 +257,29 @@ def migrate_ran(al, h, context=None, bound=DEFAULT_BOUND):
 def reflect_into_dopf(f, bound=DEFAULT_BOUND):
     """Reflect a model morphism into an instance of its target.
 
-    The reflection is the copresheaf on the closed target collage
-    presented by one generator per upstairs element, located over its
-    image, with relations pushing the generators forward along upstairs
-    tight arrows and heteromorphisms.  Evaluation quotients the pairs
-    (generator, morphism out of its location) by the congruence the
-    relations generate.
+    The reflection is the left pushforward of the terminal instance of
+    the source: on the closed target collage of the ``MigrationContext``
+    of ``f``, one generator per upstairs element, over its image, and
+    one relation per source collage generator.  Evaluation quotients
+    the pairs (generator, morphism out of its location) by the
+    congruence the relations generate.  An invalid morphism raises
+    ``InvalidMorphism``.
 
     Returns (instance over the target, closed target collage,
     class-of-generator lookup).
     """
-    x, b = f.source, f.target
-    t = x.theory
-    closure = close_presented_category(collage_of_model(b), bound)
-    cat = closure.category
-
-    location = {}
-    for d in t.objects:
-        for e in x.on_objects[d]:
-            location[(d, e)] = collage_object(d, f.on_objects[d][e])
-
-    # each upstairs generator is pushed forward along its image, which
-    # is computed from its structure: the source collage is never built
-    base = [(src, closure.word_class(location[src],
-                                     (_image(f, kind, arrow, e),)), dst)
-            for _, kind, arrow, e, src, dst in _generators(x)]
+    ctx = MigrationContext(f, bound)
+    image, sides, arrows = ctx.along
+    cat = ctx.closure_tgt.category
     cp, label = _evaluate_presented(
-        cat, location, base,
+        cat, image,
+        [(src, arrows[g], dst) for g, (src, dst) in sides.items()],
         lambda g, mor: "[{}.{}|{}]".format(g[0], g[1], mor))
-    inst = copresheaf_to_instance(cp, b, closure)
-
-    gen_class = {}
-    for d in t.objects:
-        for e in x.on_objects[d]:
-            loc = location[(d, e)]
-            gen_class[(d, e)] = pair_label(
-                f.on_objects[d][e], label(((d, e), cat.identity[loc])))
-    return inst, closure, gen_class
+    inst = copresheaf_to_instance(cp, f.target, ctx.closure_tgt)
+    gen_class = {(d, e): pair_label(f.on_objects[d][e],
+                                    label(((d, e), cat.identity[loc])))
+                 for (d, e), loc in image.items()}
+    return inst, ctx.closure_tgt, gen_class
 
 
 class Factorization:

@@ -13,7 +13,7 @@ variable per element of a carrier or apex, listed in the order of their
 component tables, so they come out of the search in that order.
 """
 
-from .errors import ModelMismatch, TheoryMismatch
+from .errors import InvalidMorphism, ModelMismatch, TheoryMismatch
 from .finset import (FiniteSet, Span, compose_tables, fibers, identity_table,
                      is_function, pullback_pairs)
 from .search import distinct, solutions, violations
@@ -260,6 +260,14 @@ def validate_model_morphism(al):
              for e, v in tab.items()}
     return [template.format(*parts)
             for template, *parts in violations(constraints, value)]
+
+
+def _refuse_invalid(al):
+    """Raise ``InvalidMorphism`` on a non-empty morphism report."""
+    report = validate_model_morphism(al)
+    if report:
+        raise InvalidMorphism(
+            "not a model morphism: " + "; ".join(report[:3]))
 
 
 def identity_morphism(x):

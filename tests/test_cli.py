@@ -218,6 +218,28 @@ def test_check_dopf_names_a_partial_component(tmp_path, capsys):
     assert err.strip() == "error: component at object dom not total"
 
 
+def test_factorize_refuses_a_morphism_that_is_not_one(tmp_path, capsys):
+    from dblinst.fixtures import walking_loose_model
+    from dblinst.model import ModelMorphism
+    x = walking_loose_model(["a0", "a1", "a2"], ["b0"],
+                            [("h0.0", "a0", "b0"), ("h1.0", "a1", "b0"),
+                             ("h2.0", "a2", "b0")])
+    y = walking_loose_model(["a0"], ["b0", "b1"],
+                            [("h0.0", "a0", "b0"), ("h0.1", "a0", "b1")])
+    to_a0 = {"a0": "a0", "a1": "a0", "a2": "a0"}
+    f = ModelMorphism(x, y, {"dom": to_a0, "cod": {"b0": "b0"}},
+                      {"l": {"h0.0": "h0.0", "h1.0": "h0.1", "h2.0": "h0.0"},
+                       "id:dom": to_a0, "id:cod": {"b0": "b0"}})
+    path = tmp_path / "broken.json"
+    save_document(document_of(f), path)
+    code, out, err = run(capsys, "factorize", str(path), "--bound", "4",
+                         "-o", str(tmp_path / "fac"))
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        "error: not a model morphism: right leg broken at l on h1.0; "
+        "laxator compatibility fails at (l,id:cod) on (h1.0,b0)")
+
+
 def test_unknown_verb_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-verb"])

@@ -20,8 +20,9 @@ from dblinst.fixtures import (category_as_model, chain_category,
                               weighted_graph_instance, weighted_graph_schema)
 from dblinst.instance import (enumerate_instance_morphisms,
                               find_instance_isomorphism, validate_instance)
-from dblinst.migration import reflect_into_dopf
-from dblinst.model import ModelMorphism, terminal_model, validate_model
+from dblinst.migration import migrate_lan, migrate_ran, reflect_into_dopf
+from dblinst.model import (ModelMorphism, enumerate_model_morphisms,
+                           terminal_model, validate_model)
 from dblinst.serialize import document_of, object_of
 
 
@@ -132,11 +133,17 @@ def test_generators_sharing_a_name_are_a_name_clash():
         collage_of_model(x)
 
 
+def _bar_clash(element):
+    """A walking-loose model over objects ``x`` and ``x|y``, with one
+    element ``element`` of ``x`` and one element ``z`` of ``x|y``."""
+    x = walking_loose_model([element], ["z"], [])
+    return object_of(json.loads(json.dumps(document_of(x)).replace(
+        '"dom"', '"x"').replace('"cod"', '"x|y"')))
+
+
 def test_objects_sharing_a_name_are_a_name_clash():
     # element "y|z" of object "x" and element "z" of object "x|y"
-    x = walking_loose_model(["y|z"], ["z"], [])
-    x = object_of(json.loads(json.dumps(document_of(x)).replace(
-        '"dom"', '"x"').replace('"cod"', '"x|y"')))
+    x = _bar_clash("y|z")
     assert validate_model(x) == []
     with pytest.raises(NameClash, match=r"x\|y\|z"):
         collage_of_model(x)
@@ -156,6 +163,35 @@ def test_reflection_does_not_name_source_generators():
         assert validate_instance(inst) == []
         docs.append(json.dumps(document_of(inst), sort_keys=True))
     assert docs[0].replace("a0@h0", "a0") == docs[1]
+
+
+def _pushforwards(x):
+    """Sigma and Pi of the tautological instance along x -> 1."""
+    to_terminal, = enumerate_model_morphisms(x, terminal_model(x.theory))
+    docs = []
+    for migrate in (migrate_lan, migrate_ran):
+        inst = migrate(to_terminal, tautological_instance(x), bound=4)
+        assert validate_instance(inst) == []
+        docs.append(json.dumps(document_of(inst), sort_keys=True))
+    return docs
+
+
+def test_pushforwards_do_not_name_source_generators():
+    # h0 on "id:dom@a0" and the identity heteromorphism at "a0@h0" share
+    # a collage name, which only renames the answers
+    clash, renamed = _pushforwards(_at_clash("a0@h0")), \
+        _pushforwards(_at_clash("a0"))
+    assert [d.replace("a0@h0", "a0") for d in clash] == renamed
+
+
+def test_pushforwards_do_not_name_source_objects():
+    # "x|y|z" names two source objects; with "Q" for the element "y|z"
+    # the names differ but keep the objects in order, and the answers
+    # differ by that rename alone
+    clash, renamed = _pushforwards(_bar_clash("y|z")), \
+        _pushforwards(_bar_clash("Q"))
+    assert "Q" not in "".join(clash)
+    assert clash == [d.replace("Q", "y|z") for d in renamed]
 
 
 def test_copresheaf_as_instance_of_the_category_model():

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+
 import pytest
+
+import dblinst
 
 from dblinst.elements import (DopfWitness, canonical_elements_comparison,
                               dopf_morphism_from_objects, elements,
                               is_discrete_opfibration,
                               kappa_creates_dopf_check, nabla)
-from dblinst.errors import (NoExtension, NotDiscreteOpfibration,
-                            PartialMorphism)
+from dblinst.errors import (InvalidMorphism, NoExtension,
+                            NotDiscreteOpfibration, PartialMorphism)
 from dblinst.fixtures import (category_as_model, chain_category,
                               coproduct_instance, empty_instance, representable_instances,
                               standard_instance_corpus,
@@ -159,3 +165,41 @@ def test_round_trips_on_full_corpus():
             assert validate_model_morphism(comparison) == []
             assert compose_model_morphisms(comparison, pi).on_loose == \
                 pi2.on_loose
+
+
+def _unitor_breaking_morphism():
+    """The identity of wl({a0} -> {b0}) into wl({a0, a1} -> {b0}),
+    except that the unitor image of a0 is a1's.  The unitor generator
+    collapses to an identity, so a collage functor built from
+    representative words never maps it."""
+    x = walking_loose_model(["a0"], ["b0"], [("h", "a0", "b0")])
+    y = walking_loose_model(["a0", "a1"], ["b0"], [("h", "a0", "b0")])
+    return ModelMorphism(x, y, {"dom": {"a0": "a0"}, "cod": {"b0": "b0"}},
+                         {"l": {"h": "h"}, "id:dom": {"a0": "a1"},
+                          "id:cod": {"b0": "b0"}})
+
+
+def test_kappa_check_refuses_a_morphism_that_is_not_one():
+    with pytest.raises(InvalidMorphism, match="^not a model morphism: "
+                       "left leg broken at id:dom on a0"):
+        kappa_creates_dopf_check(_unitor_breaking_morphism(), bound=4)
+
+
+def test_kappa_check_refuses_a_morphism_that_is_not_one_without_asserts():
+    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
+    paths = [package_root, os.path.dirname(os.path.abspath(__file__)),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = ("from test_elements import _unitor_breaking_morphism\n"
+            "from dblinst.elements import kappa_creates_dopf_check\n"
+            "from dblinst.errors import InvalidMorphism\n"
+            "try:\n"
+            "    print(kappa_creates_dopf_check(_unitor_breaking_morphism(),"
+            " bound=4))\n"
+            "except InvalidMorphism as e:\n"
+            "    print('raised', e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.startswith(
+        "raised not a model morphism: left leg broken at id:dom on a0")

@@ -6,9 +6,9 @@ import sys
 import pytest
 
 import dblinst
-from dblinst.errors import (HomSetNotFinite, HomSetTooLarge,
-                            IllFormedRelation, InvalidMorphism, NotCartesian,
-                            NotDiscreteOpfibration, SquareNotCommutative)
+from dblinst.errors import (HomSetNotFinite, HomSetTooLarge, InvalidMorphism,
+                            NotCartesian, NotDiscreteOpfibration,
+                            SquareNotCommutative)
 from dblinst.fincat import Copresheaf, FinFunctor
 from dblinst.finset import FiniteSet
 from dblinst.collage import (close_presented_category, collage_of_model,
@@ -256,7 +256,8 @@ def test_migrating_along_a_morphism_that_is_not_one_is_refused():
         with pytest.raises(InvalidMorphism,
                            match="not a model morphism: left leg broken"):
             migrate(al, h, bound=4)
-    with pytest.raises(IllFormedRelation, match="does not compose from"):
+    with pytest.raises(InvalidMorphism,
+                       match="not a model morphism: left leg broken"):
         comprehensive_factorize(al, bound=4)
 
 
