@@ -7,7 +7,7 @@ written diagrammatically throughout: ``comp[(f, g)]`` is "f then g".
 
 from .finset import (FiniteSet, compose_tables, fibers, identity_table,
                      is_function)
-from .search import solutions
+from .search import compile, slices
 
 
 class FinCategory:
@@ -199,13 +199,13 @@ def enumerate_natural_transformations(c1, c2):
     elements and values in label order.
     """
     base = c1.base
-    domains = [((o, v), c2.on_objects[o])
-               for o in base.objects for v in c1.on_objects[o]]
+    parts = slices([(o, c1.on_objects[o].labels) for o in base.objects])
+    domains = [((o, v), c2.on_objects[o].labels)
+               for o, vs, _, _ in parts for v in vs]
     # f acting in c2 sends the image of v to the image of its pushforward
     constraints = [(((s, v), (d, c1.on_morphisms[f][v])),
                     c2.on_morphisms[f])
                    for f, (s, d) in base.morphisms.items()
                    for v in c1.on_objects[s]]
-    return [{o: {v: sol[(o, v)] for v in c1.on_objects[o]}
-             for o in base.objects}
-            for sol in solutions(domains, constraints)]
+    return [{o: dict(zip(vs, sol[i:j])) for o, vs, i, j in parts}
+            for sol in compile(domains, constraints).run()]

@@ -457,9 +457,16 @@ def signed_cycle_oracle(graph, sign):
     return count
 
 
+# the walking feedback loop of each sign, closed once and never changed
+_WALKING_LOOPS = {}
+
+
 def feedback_loop_count(model, sign):
     """Count feedback loops by model-morphism search, streamed."""
-    return MorphismSearch(walking_feedback_loop(sign), model).count()
+    loop = _WALKING_LOOPS.get(sign)
+    if loop is None:
+        loop = _WALKING_LOOPS[sign] = walking_feedback_loop(sign)
+    return MorphismSearch(loop, model).count()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ laxators, unitality at the unitors) are checked exhaustively.
 from .errors import ModelMismatch
 from .finset import (FiniteSet, compose_tables, fibers, identity_table,
                      is_function, pair_label)
-from .search import distinct, solutions, violations
+from .search import compile, distinct, slices, violations
 
 
 class Instance:
@@ -133,6 +133,14 @@ class InstanceMorphism:
         self.target = target
         self.components = {d: dict(t) for d, t in components.items()}
 
+    @classmethod
+    def _of(cls, source, target, components):
+        """A morphism on component tables made for it alone, kept
+        without the copy that ``__init__`` makes."""
+        mu = cls.__new__(cls)
+        mu.source, mu.target, mu.components = source, target, components
+        return mu
+
     def component_key(self):
         return tuple(sorted((d, tuple(sorted(t.items())))
                             for d, t in self.components.items()))
@@ -214,7 +222,9 @@ def _search_problem(h, k):
     t = h.model.theory
     domains = []
     for d in sorted(t.objects):
-        over = fibers(k.labels[d], k.carriers[d])
+        # one value tuple per fibre, shared by the elements over it
+        over = {b: tuple(es) for b, es in
+                fibers(k.labels[d], k.carriers[d]).items()}
         domains += [((d, e), over.get(h.labels[d][e], ()))
                     for e in h.carriers[d]]
     # each check is a table of k that sends the image of the first
@@ -236,9 +246,20 @@ def _search_problem(h, k):
     return domains, constraints
 
 
-def _morphism(h, k, sol):
-    return InstanceMorphism(h, k, {d: {e: sol[(d, e)] for e in h.carriers[d]}
-                                   for d in h.model.theory.objects})
+def _parts(h):
+    """Where each component of a morphism out of h lies in a solution of
+    ``_search_problem``: (object, its elements, start, stop), objects in
+    theory order."""
+    t = h.model.theory
+    at = {sl[0]: sl for sl in slices([(d, h.carriers[d].labels)
+                                      for d in sorted(t.objects)])}
+    return [at[d] for d in t.objects]
+
+
+def _morphism(h, k, parts, sol):
+    """The morphism h -> k that the solution ``sol`` stands for."""
+    return InstanceMorphism._of(
+        h, k, {d: dict(zip(es, sol[i:j])) for d, es, i, j in parts})
 
 
 def enumerate_instance_morphisms(h, k):
@@ -248,7 +269,9 @@ def enumerate_instance_morphisms(h, k):
     ``_search_problem``), so they come out of the search sorted.  Raises
     ``ModelMismatch`` when h and k live over different models.
     """
-    return [_morphism(h, k, sol) for sol in solutions(*_search_problem(h, k))]
+    parts = _parts(h)
+    return [_morphism(h, k, parts, sol)
+            for sol in compile(*_search_problem(h, k)).run()]
 
 
 def find_instance_isomorphism(h, k):
@@ -271,8 +294,8 @@ def find_instance_isomorphism(h, k):
             return None     # no bijection over the labels
         groups += [[(d, e) for e in f] for f in over_h.values()]
     constraints += distinct(groups)
-    for sol in solutions(domains, constraints):
-        return _morphism(h, k, sol)
+    for sol in compile(domains, constraints).run():
+        return _morphism(h, k, _parts(h), sol)
     return None
 
 

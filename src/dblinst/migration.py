@@ -30,7 +30,7 @@ from .finset import FiniteSet, pair_label
 from .instance import restrict_instance
 from .model import (ModelMorphism, MorphismSearch, _refuse_invalid,
                     compose_model_morphisms, enumerate_model_morphisms)
-from .search import solutions
+from .search import compile
 from .words import DEFAULT_BOUND
 
 DEFAULT_MAX_HOM_CARD = 10000
@@ -130,9 +130,10 @@ def _extend_right(cat, along, names, values, tables, max_hom_card):
                        for u, (us, ud) in sides.items()
                        for g in hom.get((d, image[us]), ())]
         found = []
-        for sol in solutions([(s, values[s[0]]) for s in slots],
-                             constraints):
-            found.append(tuple(sol[s] for s in slots))
+        # a solution lists a value per slot in slot order: it is the family
+        for fam in compile([(s, values[s[0]]) for s in slots],
+                           constraints).run():
+            found.append(fam)
             if len(found) > max_hom_card:
                 raise HomSetTooLarge(
                     "right extension at {} exceeds the family cap".format(d))
@@ -377,19 +378,28 @@ def check_initial(e, dopf_corpus):
     square commute are searched with v pinned to u;q on the image of e,
     and the fillers of each square are searched over the base and
     counted as they stream (see ``LiftingProblem.fillers``).  Squares
-    are met tops first, then bottoms, both in search order.
+    are met tops first, then bottoms, both in search order.  Each
+    search is compiled once and run for every square: the bottoms
+    search once per distinct corpus base (the same object), the lifts
+    search once per corpus entry.
 
     The corpus is a sound but incomplete surrogate for the full class;
     an empty report means no violation was found.
     """
     report = []
+    # id of a corpus base -> (the base, its bottoms search); holding the
+    # base keeps its id from being reused during the call
+    bottoms_over = {}
     for i, q in enumerate(dopf_corpus):
         check = is_discrete_opfibration(q)
         if not check.ok:
             raise NotDiscreteOpfibration(
                 "corpus entry {} is not a discrete opfibration; "
                 "counterexample {}".format(i, check.counterexample))
-        bottoms = MorphismSearch(e.target, q.target)
+        if id(q.target) not in bottoms_over:
+            bottoms_over[id(q.target)] = \
+                q.target, MorphismSearch(e.target, q.target)
+        _, bottoms = bottoms_over[id(q.target)]
         lifts = MorphismSearch(e.target, q.source, over=q)
         for u in enumerate_model_morphisms(e.source, q.source):
             uq = compose_model_morphisms(u, q)

@@ -13,10 +13,12 @@ variable per element of a carrier or apex, listed in the order of their
 component tables, so they come out of the search in that order.
 """
 
+from functools import cached_property
+
 from .errors import InvalidMorphism, ModelMismatch, TheoryMismatch
 from .finset import (FiniteSet, Span, compose_tables, fibers, identity_table,
                      is_function, pullback_pairs)
-from .search import distinct, solutions, violations
+from .search import compile, distinct, slices, violations
 
 
 class SpanModel:
@@ -218,6 +220,15 @@ class ModelMorphism:
         self.on_objects = {d: dict(tab) for d, tab in on_objects.items()}
         self.on_loose = {m: dict(tab) for m, tab in on_loose.items()}
 
+    @classmethod
+    def _of(cls, source, target, on_objects, on_loose):
+        """A morphism on component tables made for it alone, kept
+        without the copy that ``__init__`` makes."""
+        f = cls.__new__(cls)
+        f.source, f.target = source, target
+        f.on_objects, f.on_loose = on_objects, on_loose
+        return f
+
     def component_key(self):
         """Canonical sort key: the flattened component tables."""
         return (tuple(sorted((d, tuple(sorted(t.items())))
@@ -310,9 +321,9 @@ def _search_problem(a, b):
     if differ:
         raise TheoryMismatch("the models live over theories with different {}"
                              .format(", ".join(differ)))
-    domains = [(("ob", d, e), b.on_objects[d])
+    domains = [(("ob", d, e), b.on_objects[d].labels)
                for d in sorted(t.objects) for e in a.on_objects[d]]
-    domains += [(("lo", m, xi), b.on_loose[m].apex)
+    domains += [(("lo", m, xi), b.on_loose[m].apex.labels)
                 for m in sorted(t.loose) for xi in a.on_loose[m].apex]
     # each check is a table of b that sends the image of the first
     # element read to the image of the second (of a pair, for the
@@ -362,74 +373,104 @@ def _components(f):
     return out
 
 
+def _parts(a):
+    """Where each component of a morphism out of a lies in a solution of
+    ``_search_problem``: (object slices, loose slices), objects in theory
+    order and loose arrows sorted, as the morphisms list them."""
+    t = a.theory
+    at = {key: (key[1], es, i, j) for key, es, i, j in slices(
+        [(("ob", d), a.on_objects[d].labels) for d in sorted(t.objects)]
+        + [(("lo", m), a.on_loose[m].apex.labels) for m in sorted(t.loose)])}
+    return ([at["ob", d] for d in t.objects],
+            [at["lo", m] for m in sorted(t.loose)])
+
+
+def _morphism(a, b, parts, sol):
+    """The morphism a -> b that the solution ``sol`` stands for."""
+    obs, los = parts
+    return ModelMorphism._of(
+        a, b, {d: dict(zip(es, sol[i:j])) for d, es, i, j in obs},
+        {m: dict(zip(xs, sol[i:j])) for m, xs, i, j in los})
+
+
 class MorphismSearch:
-    """The search for morphisms a -> b, built once and run as often as
-    needed, optionally over a base.
+    """The search for morphisms a -> b, compiled once and run as often
+    as needed, optionally over a base.
 
     Given ``over``, a morphism q: b -> c, a run may ask for the
     morphisms w with w;q = p for a morphism p: a -> c, and with e;w = u
     for morphisms e: s -> a and u: s -> b.  Each variable's value list
-    is then cut down before the search: to the q-fibre over its p-image,
+    is then cut down before the run: to the q-fibre over its p-image,
     and, on the image of e, to the value that u gives its preimages (to
     none when two preimages disagree).  A cut-down list is a
     subsequence of the full one in the same order, so a run yields the
     morphisms of ``enumerate_model_morphisms(a, b)`` that satisfy the
-    conditions, in the order that lists them.
+    conditions, in the order that lists them.  Each morphism is built
+    from its components' slices of a solution tuple.  Runs are
+    independent, so one may be started inside another.
     """
 
     def __init__(self, a, b, over=None):
         self.source, self.target = a, b
-        self.domains, self.constraints = _search_problem(a, b)
-        self.fibres = None
+        self.problem = compile(*_search_problem(a, b))
+        self.parts = _parts(a)
+        self._fibres = None
         if over is not None:
             values = {("ob", d): s for d, s in b.on_objects.items()}
             values.update({("lo", m): sp.apex
                            for m, sp in b.on_loose.items()})
-            self.fibres = {key: fibers(tab, values[key])
-                           for key, tab in _components(over).items()}
+            fibres = {key: fibers(tab, values[key])
+                      for key, tab in _components(over).items()}
+            # per variable: the q-fibres of its component, its component
+            # and its element
+            self._fibres = [(fibres[kind, c], (kind, c), x)
+                         for kind, c, x in self.problem.variables]
 
-    def _domains(self, base, pin):
-        domains = self.domains
-        if base is not None:
+    @cached_property
+    def position(self):
+        """The position of each element's variable, by component; only
+        a pinned run reads it."""
+        return {(kind, c): {x: i + n for n, x in enumerate(xs)}
+                for kind, part in zip(("ob", "lo"), self.parts)
+                for c, xs, i, _ in part}
+
+    def _values(self, base, pin):
+        """The value lists of a run over ``base`` and with ``pin``, or
+        None for the compiled ones."""
+        if base is None and pin is None:
+            return None
+        if base is None:
+            values = list(self.problem.values)
+        else:
             image = _components(base)
-            domains = [((kind, c, x), self.fibres[kind, c].get(
-                            image[kind, c][x], ()))
-                       for (kind, c, x), _ in domains]
-        if pin is None:
-            return domains
-        e, u = pin
-        given = _components(u)
-        pinned = {}
-        for key, tab in _components(e).items():
-            for z, x in tab.items():
-                pinned.setdefault(key + (x,), set()).add(given[key][z])
-        return [(var, [w for w in values if pinned[var] == {w}])
-                if var in pinned else (var, values)
-                for var, values in domains]
+            values = [fibres.get(image[key][x], ())
+                      for fibres, key, x in self._fibres]
+        if pin is not None:
+            e, u = pin
+            given = _components(u)
+            pinned = {}     # position -> the value u gives, or None on a clash
+            for key, tab in _components(e).items():
+                position, gives = self.position[key], given[key]
+                for z, x in tab.items():
+                    i, w = position[x], gives[z]
+                    if pinned.setdefault(i, w) != w:
+                        pinned[i] = None
+            for i, w in pinned.items():
+                values[i] = (w,) if w is not None and w in values[i] else ()
+        return values
 
     def morphisms(self, base=None, pin=None):
         """Yield the morphisms w: a -> b, with w;q = ``base`` when
         given (only a search built ``over`` q takes one), and e;w = u
         when ``pin`` = (e, u) is given."""
-        a, b = self.source, self.target
-        for sol in solutions(self._domains(base, pin), self.constraints):
-            yield _morphism(a, b, sol)
+        a, b, parts = self.source, self.target, self.parts
+        for sol in self.problem.run(self._values(base, pin)):
+            yield _morphism(a, b, parts, sol)
 
     def count(self, base=None, pin=None):
         """The number of morphisms ``morphisms`` yields, counted as
         the search streams them, without building any."""
-        return sum(1 for _ in solutions(self._domains(base, pin),
-                                        self.constraints))
-
-
-def _morphism(a, b, sol):
-    t = a.theory
-    return ModelMorphism(
-        a, b,
-        {d: {e: sol[("ob", d, e)] for e in a.on_objects[d]}
-         for d in t.objects},
-        {m: {xi: sol[("lo", m, xi)] for xi in a.on_loose[m].apex}
-         for m in sorted(t.loose)})
+        return sum(1 for _ in self.problem.run(self._values(base, pin)))
 
 
 def enumerate_model_morphisms(a, b):
@@ -440,7 +481,7 @@ def enumerate_model_morphisms(a, b):
     ``TheoryMismatch`` when the two models live over different
     theories.
     """
-    return [_morphism(a, b, sol) for sol in solutions(*_search_problem(a, b))]
+    return list(MorphismSearch(a, b).morphisms())
 
 
 def find_model_isomorphism(a, b):
@@ -451,10 +492,10 @@ def find_model_isomorphism(a, b):
     backwards is the same condition on the inverse tables, and each
     pair in the target's laxator domain comes from one in the source's,
     as the object components are injective.  The search is the one of
-    ``enumerate_model_morphisms``, after a size check, and rejects a
-    repeated value within a component as soon as it is assigned, so it
-    stops at the first isomorphism instead of building the whole
-    hom-set.
+    ``enumerate_model_morphisms``, after a size check, compiled once
+    with constraints that reject a repeated value within a component as
+    soon as it is assigned, so it stops at the first isomorphism instead
+    of building the whole hom-set.
     """
     t = a.theory
     domains, constraints = _search_problem(a, b)
@@ -465,6 +506,6 @@ def find_model_isomorphism(a, b):
     constraints += distinct(
         [[("ob", d, e) for e in a.on_objects[d]] for d in t.objects]
         + [[("lo", m, xi) for xi in a.on_loose[m].apex] for m in t.loose])
-    for sol in solutions(domains, constraints):
-        return _morphism(a, b, sol)
+    for sol in compile(domains, constraints).run():
+        return _morphism(a, b, _parts(a), sol)
     return None

@@ -14,6 +14,12 @@ values read and holds when it returns true; ``distinct`` and conditions
 on a variable number of values need that.  The search checks the
 tables inline, before any call.
 
+A problem is compiled once (``compile``): its constraints are sorted
+into per-level lists then, and each run only walks them, so a search
+run many times over one problem, with narrowed value lists, sorts
+nothing again.  A run yields each solution as a tuple of values in
+variable order; a caller slices it into its components.
+
 A constraint may carry a third element, a tag for the condition it
 stands for: the search ignores it, and ``violations`` lists the tags
 a complete assignment breaks, so a validator checks the same conditions.
@@ -22,8 +28,84 @@ a complete assignment breaks, so a validator checks the same conditions.
 from operator import itemgetter
 
 
-def solutions(domains, constraints):
-    """Yield every assignment that satisfies all constraints.
+class Problem:
+    """A search problem compiled once and run as often as needed.
+
+    ``variables`` and ``values`` hold the variable list and each
+    variable's value tuple, in the order given to ``compile``.
+    """
+
+    def __init__(self, domains, constraints):
+        self.variables = tuple([v for v, _ in domains])
+        # each value list is walked once per assignment before it: read
+        # it into a tuple once (a tuple given is kept as it is)
+        self.values = tuple([tuple(vs) for _, vs in domains])
+        position = {v: i for i, v in enumerate(self.variables)}
+        pairs = [[] for _ in domains]
+        triples = [[] for _ in domains]
+        calls = [[] for _ in domains]
+        for constraint in constraints:    # a tag, if any, is constraint[2]
+            reads, check = constraint[0], constraint[1]
+            if not isinstance(check, dict):
+                where = [position[v] for v in reads]
+                calls[max(where)].append((itemgetter(*where), check))
+            elif len(reads) == 2:
+                j, k = position[reads[0]], position[reads[1]]
+                pairs[j if j > k else k].append((j, k, check))
+            else:
+                j, k, l = position[reads[0]], position[reads[1]], \
+                    position[reads[2]]
+                triples[max(j, k, l)].append((j, k, l, check))
+        self._levels = list(zip(pairs, triples, calls))
+
+    def run(self, values=None):
+        """Yield every solution as a tuple of values in variable order,
+        in lexicographic order of the variable list and value lists.
+
+        ``values``, when given, replaces the value lists, one per
+        variable; each should be a subsequence of the compiled list in
+        the same order, so a run yields the solutions of the full
+        problem that take those values, in the same order.  Each run
+        keeps its own state, so runs of one problem may be interleaved.
+        """
+        if values is None:
+            values = self.values
+        levels = self._levels
+        last = len(levels) - 1
+        if last < 0:
+            yield ()
+            return
+        chosen = [None] * (last + 1)
+        # stack[i] iterates over the values still to try at variable i
+        stack = [iter(values[0])]
+        while stack:
+            i = len(stack) - 1
+            pairs_i, triples_i, calls_i = levels[i]
+            for chosen[i] in stack[i]:
+                for j, k, table in pairs_i:
+                    if table[chosen[j]] != chosen[k]:
+                        break
+                else:
+                    for j, k, l, table in triples_i:
+                        if table.get((chosen[j], chosen[k])) != chosen[l]:
+                            break
+                    else:
+                        for read, check in calls_i:
+                            if not check(*read(chosen)):
+                                break
+                        else:
+                            # every constraint due at i holds
+                            if i < last:
+                                break
+                            yield tuple(chosen)
+            else:
+                stack.pop()  # no value left: backtrack
+                continue
+            stack.append(iter(values[i + 1]))
+
+
+def compile(domains, constraints):
+    """Compile a search problem.
 
     ``domains`` is an ordered list of (variable, collection of allowed
     values) pairs and ``constraints`` a list of (variables read, check)
@@ -32,69 +114,41 @@ def solutions(domains, constraints):
     can take) or by three (``table.get((v0, v1)) == v2``), or else a
     callable, called with the values of the variables it reads, in that
     order.  A constraint reads at least two variables: a condition on
-    one variable belongs in its value list.  Assignments are dicts from
-    variables to values, yielded in lexicographic order of the variable
-    list and of each value list.
+    one variable belongs in its value list.
 
-    The constraints due at a variable are sorted once into lists per
+    The constraints due at a variable are sorted here into lists per
     level: the two-variable tables, the three-variable tables and the
     callables, checked in that order.  Every check is a pure predicate,
-    so the order in which they run changes no assignment yielded.
+    so the order in which they run changes no solution.
     """
-    position = {v: i for i, (v, _) in enumerate(domains)}
-    pairs = [[] for _ in domains]
-    triples = [[] for _ in domains]
-    calls = [[] for _ in domains]
-    for constraint in constraints:    # a tag, if any, is constraint[2]
-        reads, check = constraint[0], constraint[1]
-        where = [position[v] for v in reads]
-        due = max(where)
-        if not isinstance(check, dict):
-            calls[due].append((itemgetter(*where), check))
-        elif len(where) == 2:
-            pairs[due].append((where[0], where[1], check))
-        else:
-            triples[due].append((where[0], where[1], where[2], check))
-    if not domains:
-        yield {}
-        return
-    # each value list is walked once per assignment before it: read it
-    # into a tuple once
-    values = [tuple(vs) for _, vs in domains]
-    n = len(values)
-    chosen = [None] * n
-    # stack[i] iterates over the values still to try at variable i
-    stack = [iter(values[0])]
-    while stack:
-        i = len(stack) - 1
-        pairs_i, triples_i, calls_i = pairs[i], triples[i], calls[i]
-        for chosen[i] in stack[i]:
-            for j, k, table in pairs_i:
-                if table[chosen[j]] != chosen[k]:
-                    break
-            else:
-                for j, k, l, table in triples_i:
-                    if table.get((chosen[j], chosen[k])) != chosen[l]:
-                        break
-                else:
-                    for read, check in calls_i:
-                        if not check(*read(chosen)):
-                            break
-                    else:
-                        break  # every constraint due at i holds
-        else:
-            stack.pop()  # no value left: backtrack
-            continue
-        if i + 1 < n:
-            stack.append(iter(values[i + 1]))
-        else:
-            yield dict(zip(position, chosen))
+    return Problem(domains, constraints)
+
+
+def solutions(domains, constraints):
+    """Yield every assignment that satisfies all constraints, as a dict
+    from variables to values, in the order of ``Problem.run``."""
+    problem = compile(domains, constraints)
+    variables = problem.variables
+    for sol in problem.run():
+        yield dict(zip(variables, sol))
+
+
+def slices(components):
+    """Where each component lies in a solution whose variables list the
+    elements of the components one after another: (name, elements,
+    start, stop) for each (name, elements) given, so that the component
+    is ``dict(zip(elements, solution[start:stop]))``."""
+    out, start = [], 0
+    for name, elements in components:
+        out.append((name, elements, start, start + len(elements)))
+        start += len(elements)
+    return out
 
 
 def violations(constraints, value):
     """The tags of the constraints that ``value``, a dict from each
     variable read to its value, breaks: each tag once, in the order of
-    its first break.  Tables are read directly, as in ``solutions``."""
+    its first break.  Tables are read directly, as in ``Problem.run``."""
     broken = {}
     for reads, check, tag in constraints:
         if not isinstance(check, dict):

@@ -24,13 +24,18 @@ FORMAT_VERSION = 1
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _read(doc, kind):
-    """Read a part of a document that must be a ``kind`` document."""
+def _check_kind(doc, kind):
+    """Refuse a part of a document that is not a ``kind`` document."""
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise MalformedDocument("expected a {!r} document, found {}".format(
             kind, "kind {!r}".format(doc.get("kind")) if isinstance(doc, dict)
             else "a value of type {}".format(type(doc).__name__)))
-    return _FROM_DOC[kind](doc)
+
+
+def _read(doc, kind):
+    """Read a part of a document that must be a ``kind`` document."""
+    _check_kind(doc, kind)
+    return object_of(doc)
 
 
 def _pairs(table):
@@ -331,10 +336,43 @@ def document_of(obj):
     raise TypeError("no document format for {!r}".format(type(obj)))
 
 
+# The top-level fields that each kind of document must have, in the
+# order its reader reads them, and the kind of each field that holds a
+# document of its own.  Optional fields (a theory's ``cartesian``, a
+# sketch's ``theory``) are not listed.
+_FIELDS = {
+    "theory": ("objects", "tight", "tight_id", "tight_comp", "loose",
+               "loose_id", "loose_comp", "cells", "cell_id_loose",
+               "cell_id_tight", "cell_vcomp", "cell_hcomp", "partial"),
+    "model": ("theory", "on_objects", "on_loose", "laxators", "on_tight",
+              "on_cells", "unitors"),
+    "model_morphism": ("source", "target", "on_objects", "on_loose"),
+    "instance": ("model", "carriers", "actions", "labels", "tight_cells"),
+    "fincategory": ("objects", "morphisms", "identity", "comp"),
+    "copresheaf": ("base", "on_objects", "on_morphisms"),
+    "presented_category": ("objects", "generators", "relations"),
+    "sketch": ("presented", "marked_pullbacks", "marked_products"),
+    "multicategory": ("objects", "multimorphisms", "identities", "comp",
+                      "truncation"),
+}
+_PARTS = {"theory": "theory", "model": "model", "source": "model",
+          "target": "model", "base": "fincategory",
+          "presented": "presented_category"}
+
+
 def object_of(doc):
+    """Read a document.  A document without one of its kind's required
+    top-level fields, or with a part of the wrong kind, raises
+    ``MalformedDocument``."""
     kind = doc.get("kind")
     if kind not in _FROM_DOC:
         raise ValueError("unknown document kind {!r}".format(kind))
+    for field in _FIELDS[kind]:
+        if field not in doc:
+            raise MalformedDocument("a {!r} document has no {!r} field"
+                                    .format(kind, field))
+        if field in _PARTS:
+            _check_kind(doc[field], _PARTS[field])
     return _FROM_DOC[kind](doc)
 
 

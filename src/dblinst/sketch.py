@@ -18,7 +18,7 @@ from .errors import MarkedSquareNotPullback, NameClash, NotCartesian
 from .finset import (FiniteSet, Span, fibers, is_function, pair_label,
                      pullback_pairs)
 from .model import SpanModel
-from .search import solutions
+from .search import compile, slices
 
 
 def _name(kind, *parts):
@@ -499,8 +499,9 @@ def enumerate_sketch_model_morphisms(s1, s2):
                for apex, l1, l2, _, _ in reversed(sk.marked_pullbacks)}
     free = [o for o in sk.presented.objects if o not in marking]
     derived = [o for o in sk.presented.objects if o in marking]
+    parts = slices([(o, tuple(s1.on_objects[o])) for o in free + derived])
     domains = [((o, e), s2.on_objects[o])
-               for o in free + derived for e in s1.on_objects[o]]
+               for o, es, _, _ in parts for e in es]
     # g's table in s2 sends the image of e to the image of g(e)
     constraints = [(((src, e), (dst, s1.on_generators[g][e])),
                     s2.on_generators[g])
@@ -515,6 +516,5 @@ def enumerate_sketch_model_morphisms(s1, s2):
             (((gens[l1][1], s1.on_generators[l1][e]),
               (gens[l2][1], s1.on_generators[l2][e]), (o, e)), pins)
             for e in s1.on_objects[o]]
-    return [{o: {e: sol[(o, e)] for e in s1.on_objects[o]}
-             for o in free + derived}
-            for sol in solutions(domains, constraints)]
+    return [{o: dict(zip(es, sol[i:j])) for o, es, i, j in parts}
+            for sol in compile(domains, constraints).run()]

@@ -550,6 +550,20 @@ def test_a_malformed_part_of_a_document_is_a_typed_error(
         2, "", "error: expected a 'model' document, found {}\n".format(found))
 
 
+@pytest.mark.parametrize("verb, kind, field", [
+    ("validate-model", "model", "theory"),
+    ("validate-theory", "theory", "objects"),
+    ("validate-instance", "instance", "model"),
+    ("check-dopf", "model_morphism", "source")])
+def test_a_document_without_a_required_field_is_a_typed_error(
+        tmp_path, capsys, verb, kind, field):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": kind}))
+    code, out, err = run(capsys, verb, str(path))
+    assert (code, out, err) == (
+        2, "", "error: a {!r} document has no {!r} field\n".format(kind, field))
+
+
 def test_check_cartesian_names_the_kinds_it_reads(tmp_path, capsys):
     code, _, _ = run(capsys, "fixtures", "emit", "walking_square",
                      "--directory", str(tmp_path))

@@ -1,5 +1,6 @@
 """The search engine on its own: table constraints against the callables
-they stand for, on seeded random small problems.
+they stand for, on seeded random small problems, and one compiled
+problem run many times.
 
 A problem has up to five variables, each with a value list drawn from
 three labels, and up to four random constraints: total two-variable tables and
@@ -19,7 +20,7 @@ from dblinst.fixtures import (signed_fixture_models, standard_instance_corpus,
                               walking_loose_model, weighted_graph_schema)
 from dblinst.model import (MorphismSearch, enumerate_model_morphisms,
                            terminal_model)
-from dblinst.search import distinct, solutions, violations
+from dblinst.search import compile, distinct, solutions, violations
 from dblinst.signed import walking_feedback_loop
 
 VALUES = ["p", "q", "r"]
@@ -120,6 +121,53 @@ def test_a_two_variable_table_may_read_one_variable_twice():
 
 def test_no_variables_give_one_empty_assignment():
     assert list(solutions([], [])) == [{}]
+    assert list(compile([], []).run()) == [()]
+
+
+def as_tuples(domains, found):
+    return [tuple(sol[v] for v, _ in domains) for sol in found]
+
+
+def random_subsequence(rng, values):
+    return [v for v in values if rng.random() < 0.6]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_a_compiled_problem_runs_narrowed_value_lists(seed):
+    rng = random.Random(3000 + seed)
+    domains, tables, lambdas = random_problem(rng)
+    extra = distinct(random_groups(rng, domains))
+    problem = compile(domains, tables + extra)
+    assert list(problem.run()) == \
+        as_tuples(domains, brute_force(domains, lambdas + extra))
+    for _ in range(5):
+        narrowed = [(v, random_subsequence(rng, vs)) for v, vs in domains]
+        assert list(problem.run([vs for _, vs in narrowed])) == \
+            as_tuples(narrowed, brute_force(narrowed, lambdas + extra))
+    # a run without values is the compiled problem again
+    assert list(problem.run()) == \
+        as_tuples(domains, brute_force(domains, lambdas + extra))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_interleaved_runs_of_one_problem_are_independent(seed):
+    rng = random.Random(4000 + seed)
+    domains, tables, _ = random_problem(rng)
+    problem = compile(domains, tables)
+    narrowed = [random_subsequence(rng, vs) for _, vs in domains]
+    want_full = list(problem.run())
+    want_narrowed = list(problem.run(narrowed))
+    full, part = problem.run(), problem.run(narrowed)
+    got_full, got_narrowed = [], []
+    # step the two runs alternately, and start a third inside them
+    for a, b in itertools.zip_longest(full, part):
+        if a is not None:
+            got_full.append(a)
+        if b is not None:
+            got_narrowed.append(b)
+        assert list(problem.run(narrowed)) == want_narrowed
+    assert got_full == want_full
+    assert got_narrowed == want_narrowed
 
 
 def _model_pairs():
@@ -147,3 +195,16 @@ def test_streamed_count_is_the_hom_set_size():
     for a, b in _model_pairs():
         assert MorphismSearch(a, b).count() == \
             len(enumerate_model_morphisms(a, b))
+
+
+def test_one_search_counts_and_lists_alike_across_runs():
+    """A search runs again after a run and beside another run of
+    itself: its morphisms are those of ``enumerate_model_morphisms``
+    each time, in the same order."""
+    for a, b in _model_pairs():
+        search = MorphismSearch(a, b)
+        want = enumerate_model_morphisms(a, b)
+        first, second = search.morphisms(), search.morphisms()
+        assert list(zip(first, second)) == list(zip(want, want))
+        assert search.count() == len(want)
+        assert list(search.morphisms()) == want

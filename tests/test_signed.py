@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import dblinst
+from dblinst import fixtures
 from dblinst.errors import FreeCategoryNotFinite, IllFormedPresentation
 from dblinst.fixtures import (feedback_loop_count, signed_cycle_oracle,
                               signed_fixture_graphs, signed_fixture_models)
@@ -64,6 +65,24 @@ def test_feedback_loop_counts_match_the_graph_oracle(sign):
     for graph, model in zip(signed_fixture_graphs(), signed_fixture_models()):
         assert feedback_loop_count(model, sign) == \
             signed_cycle_oracle(graph, sign)
+
+
+def test_feedback_loop_count_builds_one_walking_loop_per_sign(monkeypatch):
+    built = []
+
+    def counted(sign):
+        built.append(sign)
+        return walking_feedback_loop(sign)
+
+    monkeypatch.setattr(fixtures, "walking_feedback_loop", counted)
+    monkeypatch.setattr(fixtures, "_WALKING_LOOPS", {})
+    for _ in range(3):
+        for graph, model in zip(signed_fixture_graphs(),
+                                signed_fixture_models()):
+            for sign in (+1, -1):
+                assert feedback_loop_count(model, sign) == \
+                    signed_cycle_oracle(graph, sign)
+    assert sorted(built) == [-1, +1]
 
 
 def test_graph_map_induces_model_morphism():
