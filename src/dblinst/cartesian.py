@@ -14,11 +14,11 @@ between index sets.
 
 import itertools
 
-from .finset import FiniteSet, Span, fibers, pair_label
+from .errors import InvalidTheory, TheoryMismatch
+from .finset import FiniteSet, Span, fibers, inverse_table, pair_label
 from .instance import Instance
-from .model import SpanModel
-from .search import distinct, solutions
-from .theories import map_blocks, p_arrow
+from .model import SpanModel, find_model_isomorphism
+from .theories import builtin_theory, map_blocks, p_arrow
 
 
 # ---------------------------------------------------------------------------
@@ -42,9 +42,11 @@ def apex_comparison(x, m1, m2):
             for e in x.on_loose[m12].apex}
 
 
-def _is_bijection_onto(table, codomain):
+def _is_bijection_onto(table, s1, s2):
+    """Whether ``table`` is a bijection onto the pairs of s1 x s2."""
     values = list(table.values())
-    return len(set(values)) == len(values) and set(values) == set(codomain)
+    return len(set(values)) == len(values) and \
+        set(values) == {(u, v) for u in s1 for v in s2}
 
 
 def validate_cartesian_model(x):
@@ -61,15 +63,13 @@ def validate_cartesian_model(x):
         report.append("loose unit at the terminal object is not a singleton")
     for (d1, d2), p in c.product_object.items():
         cmp_t = product_comparison(x, d1, d2)
-        target = [(u, v) for u in x.on_objects[d1] for v in x.on_objects[d2]]
-        if not _is_bijection_onto(cmp_t, target):
+        if not _is_bijection_onto(cmp_t, x.on_objects[d1], x.on_objects[d2]):
             report.append("object comparison at {}x{} is not bijective"
                           .format(d1, d2))
     for (m1, m2), m12 in c.product_loose.items():
         cmp_a = apex_comparison(x, m1, m2)
-        target = [(u, v) for u in x.on_loose[m1].apex
-                  for v in x.on_loose[m2].apex]
-        if not _is_bijection_onto(cmp_a, target):
+        if not _is_bijection_onto(cmp_a, x.on_loose[m1].apex,
+                                  x.on_loose[m2].apex):
             report.append("apex comparison at {}x{} is not bijective"
                           .format(m1, m2))
     return report
@@ -97,8 +97,7 @@ def validate_cartesian_instance(p):
         report.append("carrier over the terminal object is not a singleton")
     for (d1, d2), prod in c.product_object.items():
         cmp_t = instance_product_comparison(p, d1, d2)
-        target = [(u, v) for u in p.carriers[d1] for v in p.carriers[d2]]
-        if not _is_bijection_onto(cmp_t, target):
+        if not _is_bijection_onto(cmp_t, p.carriers[d1], p.carriers[d2]):
             report.append("instance comparison at {}x{} is not bijective"
                           .format(d1, d2))
     return report
@@ -205,23 +204,13 @@ def validate_multicategory(mc):
                 continue
             # regroup the flat inners under the original inners
             twice_inner, pos = [], 0
-            ok = True
             for i, d in zip(inners, doms):
-                chunk = flat[pos:pos + len(d)]
+                twice_inner.append(mc.comp.get((i, flat[pos:pos + len(d)]))
+                                   if d else i)
                 pos += len(d)
-                if not d:
-                    twice_inner.append(i)
-                    continue
-                mid = mc.comp.get((i, chunk))
-                if mid is None:
-                    ok = False
-                    break
-                twice_inner.append(mid)
-            if not ok:
-                continue
             lhs = mc.comp.get((once, flat))
             rhs = mc.comp.get((outer, tuple(twice_inner)))
-            if lhs is not None and rhs is not None and lhs != rhs:
+            if None not in (lhs, rhs, *twice_inner) and lhs != rhs:
                 report.append("associativity fails at {} with {}"
                               .format(outer, flat))
     return report
@@ -251,7 +240,10 @@ def multicategory_to_model(mc, t):
     reindex blocks, and laxators are multicomposition.
     """
     k = max(t.size_of_object.values())
-    assert mc.truncation >= k
+    if mc.truncation < k:
+        raise TheoryMismatch(
+            "a multicategory truncated at {} encoded over prom_trunc {}"
+            .format(mc.truncation, k))
     obj = {i: "x{}".format(i) for i in range(k + 1)}
 
     tuples = {i: sorted(itertools.product(mc.objects, repeat=i))
@@ -329,22 +321,14 @@ def model_to_multicategory(x):
     x1 = "x1"
     objects = list(x.on_objects[x1])
     pair_dec = product_comparison(x, x1, x1) if k >= 2 else {}
-
-    def decode(n, e):
-        if n == 0:
-            return ()
-        if n == 1:
-            return (e,)
-        return pair_dec[e]
-
     multimorphisms, names = {}, {}
     for n in range(k + 1):
-        pn = p_arrow(t, n)
-        sp = x.on_loose[pn]
+        sp = x.on_loose[p_arrow(t, n)]
         for xi in sp.apex:
-            name = "{}#{}".format(n, xi)
-            multimorphisms[name] = (decode(n, sp.left[xi]), sp.right[xi])
-            names[(n, xi)] = name
+            e = sp.left[xi]     # an element of x0, x1 or x2: decode it
+            dom = () if n == 0 else (e,) if n == 1 else pair_dec[e]
+            names[(n, xi)] = "{}#{}".format(n, xi)
+            multimorphisms[names[(n, xi)]] = (dom, sp.right[xi])
     identities = {o: names[(1, x.unitors[x1][o])] for o in objects}
 
     apex_inv = {}
@@ -370,12 +354,14 @@ def model_to_multicategory(x):
                 else:
                     m1, m2 = (p_arrow(t, a) for a, _ in inners)
                     m = t.cartesian.product_loose[(m1, m2)]
-                    key = (m1, m2)
-                    if key not in apex_inv:
-                        apex_inv[key] = {v: e for e, v in
-                                         apex_comparison(x, m1, m2).items()}
-                    zm = apex_inv[key][(inners[0][1], inners[1][1])]
-                assert t.loose_data[m][2] == phi
+                    if (m1, m2) not in apex_inv:
+                        apex_inv[(m1, m2)] = inverse_table(
+                            apex_comparison(x, m1, m2))
+                    zm = apex_inv[(m1, m2)][(inners[0][1], inners[1][1])]
+                if t.loose_data[m][2] != phi:
+                    raise TheoryMismatch("loose arrow {} of the model's "
+                                         "theory is not the one of "
+                                         "prom_trunc".format(m))
                 res = x.laxators[(m, pn)][(zm, xi)]
                 comp[(outer, tuple(names[i] for i in inners))] = \
                     names[(total, res)]
@@ -383,33 +369,38 @@ def model_to_multicategory(x):
 
 
 def multicategories_isomorphic(mc1, mc2):
-    """Whether two truncated multicategories are isomorphic.
-
-    One search variable per object and then per multimorphism of mc1.
-    All-different constraints make both maps injective, hence bijective
-    once the counts agree; types, identities and composites must
-    correspond.  The search stops at the first isomorphism.
+    """Whether two valid multicategories of arity at most 2 are isomorphic:
+    unless their arity counts differ, whether ``find_model_isomorphism``
+    finds an isomorphism of their encodings over ``prom_trunc``, which
+    is one of the multicategories (its legs preserve typing, its unitors
+    identities and its laxators composites).  An invalid multicategory
+    raises ``InvalidTheory``, an arity above 2 ``IllFormedPresentation``.
     """
-    if sorted(map(mc1.arity, mc1.multimorphisms)) != \
-            sorted(map(mc2.arity, mc2.multimorphisms)):
+    arities = sorted(map(mc1.arity, mc1.multimorphisms))
+    if arities != sorted(map(mc2.arity, mc2.multimorphisms)):
         return False
-    if len(mc1.objects) != len(mc2.objects):
-        return False
-    obs = [("ob", o) for o in mc1.objects]
-    mms = [("mm", m) for m in sorted(mc1.multimorphisms)]
-    domains = [(v, mc2.objects) for v in obs]
-    domains += [(v, mc2.by_arity(mc1.arity(v[1]))) for v in mms]
-    constraints = distinct([obs, mms])
-    for m, (dom, cod) in mc1.multimorphisms.items():
-        constraints.append(
-            ([("ob", o) for o in dom + (cod,)] + [("mm", m)],
-             lambda *vs: mc2.multimorphisms[vs[-1]] == (vs[:-2], vs[-2])))
-    constraints += [((("ob", o), ("mm", i)), mc2.identities)
-                    for o, i in mc1.identities.items()]
-    constraints += [([("mm", n) for n in (outer,) + inners + (res,)],
-                     lambda *vs: mc2.comp.get((vs[0], vs[1:-1])) == vs[-1])
-                    for (outer, inners), res in mc1.comp.items()]
-    return next(solutions(domains, constraints), None) is not None
+    mc1, mc2 = _renamed(mc1), _renamed(mc2)
+    t = builtin_theory("prom_trunc", max(arities, default=0))
+    return find_model_isomorphism(multicategory_to_model(mc1, t),
+                                  multicategory_to_model(mc2, t)) is not None
+
+
+def _renamed(mc):
+    """A valid multicategory renamed n0, n1, ..., so that no labels of
+    its encoding clash, with the composites of composable families."""
+    report = validate_multicategory(mc)
+    if report:
+        raise InvalidTheory("not a valid multicategory: "
+                            + "; ".join(report[:3]))
+    n = {x: "n{}".format(i)
+         for i, x in enumerate([*mc.objects, *mc.multimorphisms])}
+    return Multicategory(
+        map(n.get, mc.objects),
+        {n[m]: (map(n.get, dom), n[cod])
+         for m, (dom, cod) in mc.multimorphisms.items()},
+        {n[o]: n[mc.identities[o]] for o in mc.objects},
+        {(n[o], tuple(map(n.get, inners))): n[mc.comp[(o, inners)]]
+         for o, inners in mc.composable()}, mc.truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -468,26 +459,16 @@ def instance_to_multifunctor(p):
     on_objects = {o: sorted(over.get(o, ())) for o in mc.objects}
     inv = {}
     if 2 in {len(d) for d, _ in mc.multimorphisms.values()}:
-        inv = {v: e for e, v in
-               instance_product_comparison(p, x1, x1).items()}
-    point = None
-    if p.carriers.get("x0") is not None and len(p.carriers["x0"]):
-        point = p.carriers["x0"].labels[0]
-
-    def encode(vals):
-        if len(vals) == 0:
-            return point
-        if len(vals) == 1:
-            return vals[0]
-        return inv[(vals[0], vals[1])]
-
+        inv = inverse_table(instance_product_comparison(p, x1, x1))
+    point = next(iter(p.carriers.get("x0", ())), None)
     actions = {}
     for m, (dom, cod) in mc.multimorphisms.items():
-        n = len(dom)
-        lab = _mm_label((m,))
+        act, lab = p.actions[p_arrow(t, len(dom))], _mm_label((m,))
         table = {}
         for vals in itertools.product(*[on_objects[o] for o in dom]):
-            table[vals] = p.actions[p_arrow(t, n)][(encode(vals), lab)]
+            # the element of x0, x1 or x2 that the values stand for
+            e = point if not vals else vals[0] if len(vals) == 1 else inv[vals]
+            table[vals] = act[(e, lab)]
         actions[m] = table
     return Multifunctor(mc, {o: list(s) for o, s in on_objects.items()},
                         actions)
@@ -539,21 +520,6 @@ def multifunctor_to_instance(fm, x):
                 table[(elem_label(tp), lab)] = elem_label(tuple(out))
         actions[m] = table
     return Instance(x, carriers, labels, tight_cells, actions)
-
-
-def all_action_tables(mc, on_objects):
-    """Every assignment of raw action tables for the given value sets
-    (the common search space for instances and multifunctors)."""
-    slots = sorted(mc.multimorphisms)
-    per_slot = []
-    for m in slots:
-        dom, cod = mc.multimorphisms[m]
-        keys = sorted(itertools.product(*[on_objects[o] for o in dom]))
-        values = list(on_objects[cod])
-        per_slot.append([dict(zip(keys, choice)) for choice in
-                         itertools.product(values, repeat=len(keys))])
-    for combo in itertools.product(*per_slot):
-        yield dict(zip(slots, combo))
 
 
 def cartesian_elements_check(p):

@@ -16,8 +16,8 @@ class IllFormedRelation(DblinstError):
 
 class IllFormedPresentation(DblinstError):
     """A generator or a signed edge has an undeclared endpoint, an edge
-    has a sign other than +1 or -1, or a closure was asked for with a
-    word bound below 1."""
+    has a sign other than +1 or -1, a closure was asked for with a word
+    bound below 1, or a truncated theory family with a bound out of range."""
 
 
 class FreeCategoryNotFinite(DblinstError):
@@ -33,7 +33,8 @@ class HomSetTooLarge(DblinstError):
 
 
 class TheoryMismatch(DblinstError):
-    """Two models compared by a morphism search live over different theories."""
+    """Two models compared by a morphism search live over different
+    theories, or a multicategory and a ``prom_trunc`` theory do not fit."""
 
 
 class ModelMismatch(DblinstError):
@@ -50,7 +51,8 @@ class NoExtension(DblinstError):
 
 
 class InvalidTheory(DblinstError):
-    """A theory given to a construction fails its axiom check."""
+    """A theory, or a multicategory, given to a construction fails its
+    axiom check."""
 
 
 class NotCartesian(DblinstError):
@@ -84,7 +86,8 @@ class DuplicateLabel(DblinstError):
 
 
 class NotAFunction(DblinstError):
-    """A leg of a span is not a total function between its sets."""
+    """A leg of a span is not a total function between its sets, or a
+    table given to be inverted is not injective."""
 
 
 class InvalidMorphism(DblinstError):

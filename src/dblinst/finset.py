@@ -73,7 +73,8 @@ def is_bijection(table, src, dst):
 def inverse_table(table):
     """Invert a bijective table."""
     inv = {v: k for k, v in table.items()}
-    assert len(inv) == len(table), "table is not injective"
+    if len(inv) != len(table):
+        raise NotAFunction("a table to invert is not injective")
     return inv
 
 

@@ -1,4 +1,5 @@
-"""One backtracking search behind every hom-set enumeration.
+"""One backtracking search behind every hom-set enumeration and every
+isomorphism test, of multicategories too (through their models).
 
 A variable is one element of a component, for example ``("ob", d, e)``
 for the image of the element e of the carrier at d.  Each constraint
@@ -10,15 +11,15 @@ recursion depth does not grow with the number of variables.
 A constraint's check is data wherever it can be.  A dict is a table:
 with two variables read it holds when ``table[v0] == v1``, with three
 when ``table.get((v0, v1)) == v2``.  Anything else is called with the
-values read and holds when it returns true; ``distinct`` and conditions
-on a variable number of values need that.  The search checks the
+values read and holds when it returns true; only ``distinct``, which
+reads a varying number of values, needs that.  The search checks the
 tables inline, before any call.
 
 A problem is compiled once (``compile``): its constraints are sorted
 into per-level lists then, and each run only walks them, so a search
 run many times over one problem, with narrowed value lists, sorts
 nothing again.  A run yields each solution as a tuple of values in
-variable order; a caller slices it into its components.
+variable order; a caller slices it into its components (``slices``).
 
 A constraint may carry a third element, a tag for the condition it
 stands for: the search ignores it, and ``violations`` lists the tags
@@ -122,15 +123,6 @@ def compile(domains, constraints):
     so the order in which they run changes no solution.
     """
     return Problem(domains, constraints)
-
-
-def solutions(domains, constraints):
-    """Yield every assignment that satisfies all constraints, as a dict
-    from variables to values, in the order of ``Problem.run``."""
-    problem = compile(domains, constraints)
-    variables = problem.variables
-    for sol in problem.run():
-        yield dict(zip(variables, sol))
 
 
 def slices(components):

@@ -140,6 +140,12 @@ def model_from_doc(doc):
     on_objects = {d: FiniteSet(e) for d, e in doc["on_objects"].items()}
     on_loose = {}
     for m, sd in doc["on_loose"].items():
+        if not isinstance(sd, dict) or not all(
+                isinstance(sd.get(f), c)
+                for f, c in (("apex", list), ("left", dict), ("right", dict))):
+            raise MalformedDocument("a 'model' document's span {!r} needs an "
+                                    "'apex' array and 'left' and 'right' "
+                                    "objects".format(m))
         s, d = t.loose[m]
         on_loose[m] = Span(on_objects[s], on_objects[d],
                            FiniteSet(sd["apex"]), sd["left"], sd["right"])
@@ -358,12 +364,17 @@ _FIELDS = {
 _PARTS = {"theory": "theory", "model": "model", "source": "model",
           "target": "model", "base": "fincategory",
           "presented": "presented_category"}
+# The type of each top-level field that holds neither a part nor an object.
+_TYPES = dict(dict.fromkeys(
+    ("objects", "tight_comp", "loose_comp", "cell_vcomp", "cell_hcomp",
+     "laxators", "actions", "comp", "relations", "marked_pullbacks",
+     "marked_products"), list), partial=bool, truncation=int)
 
 
 def object_of(doc):
     """Read a document.  A document without one of its kind's required
-    top-level fields, or with a part of the wrong kind, raises
-    ``MalformedDocument``."""
+    top-level fields, or with a part or an entry of the wrong shape,
+    raises ``MalformedDocument``, naming the kind and, if known, the field."""
     kind = doc.get("kind")
     if kind not in _FROM_DOC:
         raise ValueError("unknown document kind {!r}".format(kind))
@@ -373,7 +384,17 @@ def object_of(doc):
                                     .format(kind, field))
         if field in _PARTS:
             _check_kind(doc[field], _PARTS[field])
-    return _FROM_DOC[kind](doc)
+        elif not isinstance(doc[field], _TYPES.get(field, dict)):
+            raise MalformedDocument(
+                "a {!r} document's {!r} field holds a value of type {}, "
+                "not {}".format(kind, field, type(doc[field]).__name__,
+                                _TYPES.get(field, dict).__name__))
+    try:
+        return _FROM_DOC[kind](doc)
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as e:
+        raise MalformedDocument("a {!r} document is malformed: {}: {}"
+                                .format(kind, type(e).__name__, e)) from e
 
 
 def write_document(doc, fh):

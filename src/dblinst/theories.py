@@ -16,7 +16,7 @@ and loose arrows as explicit finite functions:
   commuting squares; carries the coproduct-as-product structure.
 """
 
-from .errors import InvalidTheory
+from .errors import IllFormedPresentation, InvalidTheory
 from .theory import CartesianStructure, DoubleTheory
 
 
@@ -205,6 +205,14 @@ def map_blocks(phi, b):
             for j in range(1, b + 1)]
 
 
+def _check_bound(family, k, top=None):
+    """Refuse a truncation bound that ``family`` is not built at."""
+    if k is None or k < 0 or (top is not None and k > top):
+        raise IllFormedPresentation(
+            "{} needs a truncation bound from 0{}, got {}".format(
+                family, "" if top is None else " to {}".format(top), k))
+
+
 def _fn_name(prefix, a, b, values):
     return "{}:{}-{}:{}".format(prefix, a, b, ".".join(str(v) for v in values))
 
@@ -215,7 +223,7 @@ def _fn_name(prefix, a, b, values):
 
 def monad_trunc_theory(k):
     """Tight monad powers t^0..t^k with monotone-map cells."""
-    assert k >= 0
+    _check_bound("monad_trunc", k)
     objects = ["x"]
     tight = {"t{}".format(i): ("x", "x") for i in range(k + 1)}
     tid = {"x": "t0"}
@@ -372,13 +380,13 @@ def prom_trunc_theory(k):
     The loose arrow from x^n to x is the n-ary operation proarrow; all
     other loose arrows are its product-induced relatives.
     """
-    assert 0 <= k <= 2, "truncation beyond 2 produces unmanageable tables"
+    _check_bound("prom_trunc", k, 2)    # beyond 2 the tables are unmanageable
     return _power_theory(k, "x", monotone_maps, block_respecting=True)
 
 
 def sq_finset_op_theory(k):
     """Squares of skeletal finite sets of size <= k, tight side reversed."""
-    assert 0 <= k <= 2, "truncation beyond 2 produces unmanageable tables"
+    _check_bound("sq_finset_op", k, 2)
     return _power_theory(k, "s", all_maps, block_respecting=False)
 
 
@@ -410,6 +418,5 @@ def builtin_theory(name, k=None):
         "sq_finset_op": sq_finset_op_theory,
     }
     if name in family:
-        assert k is not None and k >= 0, "family theory needs a bound"
         return family[name](k)
     raise ValueError("unknown builtin theory: {}".format(name))

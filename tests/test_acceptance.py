@@ -12,8 +12,7 @@ application, and the finite collage counterexample family.
 import itertools
 
 
-from dblinst.cartesian import (Multifunctor, all_action_tables,
-                               cartesian_elements_check,
+from dblinst.cartesian import (Multifunctor, cartesian_elements_check,
                                multicategory_to_model,
                                multifunctor_to_instance,
                                validate_cartesian_instance,
@@ -48,6 +47,7 @@ from dblinst.sketch import (enumerate_sketch_model_morphisms, flatten_theory,
                             model_to_sketch_model, sketch_model_to_model,
                             validate_sketch_model)
 from dblinst.theories import builtin_theory
+from multicategory_oracles import all_action_tables
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
-from dblinst.cartesian import (all_action_tables, build_cocartesian_example,
+import dblinst
+from dblinst.cartesian import (Multicategory, build_cocartesian_example,
                                cartesian_elements_check,
                                instance_to_multifunctor,
                                model_to_multicategory,
@@ -11,12 +17,15 @@ from dblinst.cartesian import (all_action_tables, build_cocartesian_example,
                                validate_cartesian_model,
                                validate_multicategory, validate_multifunctor,
                                check_product_actions_determined)
+from dblinst.errors import IllFormedPresentation, InvalidTheory
 from dblinst.fixtures import (builtin_multicategory, join_multicategory,
                               monad_instance_fixture, terminal_multicategory,
                               two_object_multicategory)
 from dblinst.instance import validate_instance
 from dblinst.model import validate_model
 from dblinst.theories import builtin_theory
+from multicategory_oracles import (all_action_tables,
+                                   isomorphic_by_brute_force)
 
 MC_NAMES = ["terminal", "join", "two_object"]
 
@@ -58,6 +67,167 @@ def test_nonisomorphic_multicategories_rejected():
     other.comp[("ia", ("pair",))] = "pair"
     del other.comp[("ib", ("pair",))]
     assert not multicategories_isomorphic(mc, other)
+
+
+# labels with the delimiters of the encoding's tuple and family labels
+LABELS = ["a|b", "a", "b|c", "b", "(x,y)", "x", "y", "[m]", "p,q", "o0",
+          "m1", "(", ")", "a,(b"]
+
+
+def _copy(mc, ob=None, mm=None, rng=None):
+    """mc with objects and multimorphisms renamed by ob and mm, listed in
+    an order shuffled by rng."""
+    ob = ob or {o: o for o in mc.objects}
+    mm = mm or {m: m for m in mc.multimorphisms}
+    objects, mms = list(mc.objects), list(mc.multimorphisms.items())
+    if rng is not None:
+        rng.shuffle(objects)
+        rng.shuffle(mms)
+    return Multicategory(
+        [ob[o] for o in objects],
+        {mm[m]: (tuple(ob[o] for o in dom), ob[cod]) for m, (dom, cod) in mms},
+        {ob[o]: mm[i] for o, i in mc.identities.items()},
+        {(mm[outer], tuple(mm[i] for i in inners)): mm[res]
+         for (outer, inners), res in mc.comp.items()},
+        mc.truncation)
+
+
+def _relabelled(mc, rng):
+    names = rng.sample(LABELS, len(mc.objects) + len(mc.multimorphisms))
+    return _copy(mc, dict(zip(mc.objects, names)),
+                 dict(zip(mc.multimorphisms, names[len(mc.objects):])), rng)
+
+
+def _mutations(mc):
+    """Every multicategory that differs from mc in one entry: a composite
+    changed or deleted, a codomain changed, or an identity changed."""
+    names = sorted(mc.multimorphisms)
+    for key, res in sorted(mc.comp.items()):
+        for other in names + [None]:
+            if other != res:
+                out = _copy(mc)
+                if other is None:
+                    del out.comp[key]
+                else:
+                    out.comp[key] = other
+                yield out
+    for m, (dom, cod) in sorted(mc.multimorphisms.items()):
+        for o in mc.objects:
+            if o != cod:
+                out = _copy(mc)
+                out.multimorphisms[m] = (dom, o)
+                yield out
+    for o, i in mc.identities.items():
+        for other in names:
+            if other != i:
+                out = _copy(mc)
+                out.identities[o] = other
+                yield out
+
+
+def _arities(mc):
+    return sorted(map(mc.arity, mc.multimorphisms))
+
+
+def test_isomorphism_agrees_with_brute_force():
+    rng = random.Random(21)
+    valid, invalid = [], []
+    for name in MC_NAMES:
+        mc = builtin_multicategory(name)
+        valid.append(mc)
+        valid += [_relabelled(mc, rng) for _ in range(3)]
+        for other in _mutations(mc):
+            (invalid if validate_multicategory(other) else valid).append(
+                _relabelled(other, rng))
+    assert len(valid) > 12 and len(invalid) > 50
+    verdicts = set()
+    for mc1 in valid:
+        for mc2 in valid:
+            want = isomorphic_by_brute_force(mc1, mc2)
+            assert multicategories_isomorphic(mc1, mc2) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _group_multicategory(mult):
+    """One object, and a unary and a binary multimorphism per element of
+    an abelian group whose multiplication table is ``mult`` (unit
+    first); composites multiply the elements."""
+    names = list(dict.fromkeys(g for g, _ in mult))
+    mms = {g: (("o",), "o") for g in names}
+    mms.update({"2" + g: (("o", "o"), "o") for g in names})
+    comp = {}
+    for g in names:
+        for h in names:
+            comp[(g, (h,))] = mult[g, h]
+            comp[(g, ("2" + h,))] = "2" + mult[g, h]
+            for k in names:
+                comp[("2" + g, (h, k))] = "2" + mult[mult[g, h], k]
+    return Multicategory(["o"], mms, {"o": names[0]}, comp, 2)
+
+
+def test_isomorphism_of_multicategories_whose_encoding_labels_clash():
+    # the families ("a|b", "c") and ("a", "b|c") of unary names would
+    # both be labelled [a|b|c] in an encoding of the names as given
+    names = ["a", "a|b", "c", "b|c"]
+    four = _group_multicategory(
+        {(g, h): names[names.index(g) ^ names.index(h)]
+         for g in names for h in names})
+    z4 = _group_multicategory(
+        {(g, h): names[(names.index(g) + names.index(h)) % 4]
+         for g in names for h in names})
+    assert validate_multicategory(four) == validate_multicategory(z4) == []
+    other = _relabelled(four, random.Random(4))
+    for mc1, mc2, want in ((four, other, True), (four, z4, False),
+                           (z4, z4, True)):
+        assert isomorphic_by_brute_force(mc1, mc2) == want
+        assert multicategories_isomorphic(mc1, mc2) == want
+
+
+def test_an_invalid_multicategory_is_refused():
+    refused = 0
+    for name in MC_NAMES:
+        mc = builtin_multicategory(name)
+        for other in _mutations(mc):
+            if validate_multicategory(other) and \
+                    _arities(other) == _arities(mc):
+                for pair in ((mc, other), (other, mc)):
+                    with pytest.raises(InvalidTheory,
+                                       match="^not a valid multicategory: "):
+                        multicategories_isomorphic(*pair)
+                refused += 1
+    assert refused > 50
+    # one with a deleted composite
+    broken = join_multicategory()
+    del broken.comp[("b", ("u", "u"))]
+    with pytest.raises(InvalidTheory, match="missing composite of b"):
+        multicategories_isomorphic(join_multicategory(), broken)
+
+
+def test_an_arity_above_two_is_refused():
+    """Refused with ``IllFormedPresentation``, also under ``python -O``,
+    which skips asserts."""
+    ternary = terminal_multicategory(3)
+    assert validate_multicategory(ternary) == []
+    with pytest.raises(IllFormedPresentation, match="prom_trunc needs a "
+                       "truncation bound from 0 to 2, got 3"):
+        multicategories_isomorphic(ternary, terminal_multicategory(3))
+    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = ("from dblinst.cartesian import multicategories_isomorphic\n"
+            "from dblinst.errors import IllFormedPresentation\n"
+            "from dblinst.fixtures import terminal_multicategory\n"
+            "try:\n"
+            "    print(multicategories_isomorphic(\n"
+            "        terminal_multicategory(3), terminal_multicategory(3)))\n"
+            "except IllFormedPresentation as e:\n"
+            "    print('raised', e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == ("raised prom_trunc needs a truncation bound from "
+                           "0 to 2, got 3\n")
 
 
 def _example_multifunctor(mc):

@@ -564,6 +564,37 @@ def test_a_document_without_a_required_field_is_a_typed_error(
         2, "", "error: a {!r} document has no {!r} field\n".format(kind, field))
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc.update(on_objects=3),
+     "a 'model' document's 'on_objects' field holds "
+     "a value of type int, not dict"),
+    (lambda doc: doc["on_loose"]["l"].pop("apex"),
+     "a 'model' document's span 'l' needs an 'apex' array "
+     "and 'left' and 'right' objects"),
+    (lambda doc: doc.update(laxators=3),
+     "a 'model' document's 'laxators' field holds a "
+     "value of type int, not list"),
+    (lambda doc: doc["on_loose"]["l"].update(apex=5),
+     "a 'model' document's span 'l' needs "
+     "an 'apex' array and 'left' and 'right' objects"),
+    (lambda doc: doc["on_objects"].update(dom=3),
+     "a 'model' document is malformed: "
+     "TypeError: 'int' object is not iterable"),
+    (lambda doc: doc["theory"].update(tight={"f": 3}),
+     "a 'theory' document is malformed: "
+     "TypeError: 'int' object is not iterable")],
+    ids=["on_objects", "no apex", "laxators", "apex", "carrier", "theory"])
+def test_a_malformed_nested_shape_is_a_typed_error(tmp_path, capsys, mutate,
+                                                   message):
+    from dblinst.fixtures import walking_loose_model
+    doc = document_of(walking_loose_model(["a"], ["b"], [("h", "a", "b")]))
+    mutate(doc)
+    path = tmp_path / "doc.json"
+    save_document(doc, path)
+    assert run(capsys, "validate-model", str(path)) == (
+        2, "", "error: {}\n".format(message))
+
+
 def test_check_cartesian_names_the_kinds_it_reads(tmp_path, capsys):
     code, _, _ = run(capsys, "fixtures", "emit", "walking_square",
                      "--directory", str(tmp_path))

@@ -20,7 +20,7 @@ from dblinst.fixtures import (signed_fixture_models, standard_instance_corpus,
                               walking_loose_model, weighted_graph_schema)
 from dblinst.model import (MorphismSearch, enumerate_model_morphisms,
                            terminal_model)
-from dblinst.search import compile, distinct, solutions, violations
+from dblinst.search import compile, distinct, violations
 from dblinst.signed import walking_feedback_loop
 
 VALUES = ["p", "q", "r"]
@@ -76,9 +76,9 @@ def random_groups(rng, domains):
 def test_tables_give_the_assignments_of_their_lambdas(seed):
     rng = random.Random(seed)
     domains, tables, lambdas = random_problem(rng)
-    want = brute_force(domains, lambdas)
-    assert list(solutions(domains, lambdas)) == want
-    assert list(solutions(domains, tables)) == want
+    want = as_tuples(domains, brute_force(domains, lambdas))
+    assert list(compile(domains, lambdas).run()) == want
+    assert list(compile(domains, tables).run()) == want
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -86,10 +86,10 @@ def test_tables_mixed_with_distinct(seed):
     rng = random.Random(1000 + seed)
     domains, tables, lambdas = random_problem(rng)
     extra = distinct(random_groups(rng, domains))
-    want = brute_force(domains, lambdas + extra)
-    assert list(solutions(domains, lambdas + extra)) == want
+    want = as_tuples(domains, brute_force(domains, lambdas + extra))
+    assert list(compile(domains, lambdas + extra).run()) == want
     # the callables listed first, and the tables after them
-    assert list(solutions(domains, extra + tables)) == want
+    assert list(compile(domains, extra + tables).run()) == want
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -107,8 +107,8 @@ def test_violations_of_tables_and_of_lambdas_agree(seed):
 def test_a_three_variable_table_fails_off_its_keys():
     domains = [("a", ["p", "q"]), ("b", ["p"]), ("c", ["p", "q"])]
     table = {("p", "p"): "q"}
-    assert list(solutions(domains, [(("a", "b", "c"), table)])) == \
-        [{"a": "p", "b": "p", "c": "q"}]
+    assert list(compile(domains, [(("a", "b", "c"), table)]).run()) == \
+        [("p", "p", "q")]
     assert violations([(("a", "b", "c"), table, "off")],
                       {"a": "q", "b": "p", "c": "p"}) == ["off"]
 
@@ -116,12 +116,14 @@ def test_a_three_variable_table_fails_off_its_keys():
 def test_a_two_variable_table_may_read_one_variable_twice():
     domains = [("a", ["p", "q", "r"])]
     fixed = {"p": "q", "q": "q", "r": "p"}
-    assert list(solutions(domains, [(("a", "a"), fixed)])) == [{"a": "q"}]
+    assert list(compile(domains, [(("a", "a"), fixed)]).run()) == [("q",)]
 
 
 def test_no_variables_give_one_empty_assignment():
-    assert list(solutions([], [])) == [{}]
-    assert list(compile([], []).run()) == [()]
+    problem = compile([], [])
+    assert list(problem.run()) == [()]
+    assert [dict(zip(problem.variables, sol)) for sol in problem.run()] == \
+        [{}]
 
 
 def as_tuples(domains, found):
