@@ -314,9 +314,35 @@ def multicategory_to_model(mc, t):
     return x
 
 
+_THEORY_TABLES = ("objects", "tight", "tight_id", "tight_comp", "loose",
+                  "loose_id", "loose_comp", "cells", "cell_id_loose",
+                  "cell_id_tight", "cell_vcomp", "cell_hcomp", "partial")
+_PRODUCT_TABLES = ("terminal_object", "terminal_tight", "product_object",
+                   "proj_tight", "product_loose", "proj_cells")
+
+
+def _as_prom_trunc(t):
+    """The built ``prom_trunc(k)``, k at most 2, whose tables and
+    designated products ``t`` has, so that a theory read back from its
+    document is answered as the built one; any other theory raises
+    TheoryMismatch."""
+    k = len(t.objects) - 1
+    if 0 <= k <= 2 and t.cartesian is not None:
+        built = builtin_theory("prom_trunc", k)
+        if all(getattr(t, a) == getattr(built, a) for a in _THEORY_TABLES) \
+                and all(getattr(t.cartesian, a) == getattr(built.cartesian, a)
+                        for a in _PRODUCT_TABLES):
+            return built
+    raise TheoryMismatch("the model's theory is not prom_trunc(k) for any "
+                         "k up to 2")
+
+
 def model_to_multicategory(x):
-    """Read a multicategory off a cartesian model of a prom_trunc theory."""
-    t = x.theory
+    """Read a multicategory off a cartesian model of a prom_trunc theory.
+    A theory with the tables of ``prom_trunc(k)`` is read as it, also
+    when it was read back from a document; any other theory raises
+    TheoryMismatch."""
+    t = _as_prom_trunc(x.theory)
     k = max(t.size_of_object.values())
     x1 = "x1"
     objects = list(x.on_objects[x1])
@@ -347,8 +373,6 @@ def model_to_multicategory(x):
                 total = sum(a for a, _ in inners)
                 if total > k:
                     continue
-                phi = tuple(j + 1 for j, (a, _) in enumerate(inners)
-                            for _ in range(a))
                 if n == 1:
                     m, zm = p_arrow(t, inners[0][0]), inners[0][1]
                 else:
@@ -358,10 +382,6 @@ def model_to_multicategory(x):
                         apex_inv[(m1, m2)] = inverse_table(
                             apex_comparison(x, m1, m2))
                     zm = apex_inv[(m1, m2)][(inners[0][1], inners[1][1])]
-                if t.loose_data[m][2] != phi:
-                    raise TheoryMismatch("loose arrow {} of the model's "
-                                         "theory is not the one of "
-                                         "prom_trunc".format(m))
                 res = x.laxators[(m, pn)][(zm, xi)]
                 comp[(outer, tuple(names[i] for i in inners))] = \
                     names[(total, res)]

@@ -12,7 +12,7 @@ Objects are named ``d|e`` and generators ``t{f@e}`` and ``h{m@xi}``;
 ``_generators`` gives each generator by (kind, arrow, element).
 """
 
-from .errors import NameClash
+from .errors import NameClash, SelfCheckFailed
 from .finset import FiniteSet, fibers, pair_label
 from .fincat import Copresheaf
 from .instance import Instance
@@ -74,64 +74,83 @@ def _image(al, kind, arrow, element):
     return het_gen(arrow, al.on_loose[arrow][element])
 
 
+class _Names(dict):
+    """Names formatted once each, keyed by structure.  A key outside
+    the table, which only an invalid model's value can give, is
+    formatted on the spot."""
+
+    def __init__(self, name):
+        super().__init__()
+        self._name = name
+
+    def __missing__(self, key):
+        return self._name(*key)
+
+
 def collage_of_model(x):
     """The presented category of elements-and-heteromorphisms of a model.
     Raises NameClash when two objects or two generators get one name,
-    which a ``|`` or an ``@`` can cause."""
+    which a ``|`` or an ``@`` can cause.  Each object name is formatted
+    once, keyed by (object, element), and each generator name once,
+    keyed by (kind, arrow, element); relations read both tables."""
     t = x.theory
-    objects = [collage_object(d, e)
-               for d in t.objects for e in x.on_objects[d]]
+    obj = _Names(collage_object)
+    for d in t.objects:
+        for e in x.on_objects[d]:
+            obj[(d, e)] = collage_object(d, e)
+    objects = list(obj.values())
     if len(set(objects)) != len(objects):
         clash = next(o for o in objects if objects.count(o) > 1)
         raise NameClash("two collage objects are named {}".format(clash))
+    gen = _Names(_generator_name)
     generators = {}
-    for (kind, arrow, e), src, dst in _generators(x):
-        g = _generator_name(kind, arrow, e)
+    for key, src, dst in _generators(x):
+        g = gen[key] = _generator_name(*key)
         if g in generators:
             raise NameClash("two collage generators are named {}".format(g))
-        generators[g] = (collage_object(*src), collage_object(*dst), kind)
+        generators[g] = (obj[src], obj[dst], key[0])
     tight_ids = set(t.tight_id.values())
 
     def tight_word(f, e):
-        return () if f in tight_ids else (tight_gen(f, e),)
+        return () if f in tight_ids else (gen[("tight", f, e)],)
 
     relations = []
 
     def add(src, dst, w1, w2):
-        if tuple(w1) != tuple(w2):
-            relations.append((src, dst, tuple(w1), tuple(w2)))
+        if w1 != w2:
+            relations.append((src, dst, w1, w2))
 
     # (1) tight composition
     for (f, g), fg in t.tight_comp.items():
         s = t.tight_src(f)
         for e in x.on_objects[s]:
             mid = x.on_tight[f][e]
-            add(collage_object(s, e),
-                collage_object(t.tight_dst(g), x.on_tight[fg][e]),
+            add(obj[(s, e)], obj[(t.tight_dst(g), x.on_tight[fg][e])],
                 tight_word(f, e) + tight_word(g, mid),
                 tight_word(fg, e))
     # (2) laxator triangles
     for (m, n), mn in t.loose_comp.items():
         spm, spn = x.on_loose[m], x.on_loose[n]
         for (xi, zeta) in x.laxator_domain(m, n):
-            add(collage_object(t.loose_src(m), spm.left[xi]),
-                collage_object(t.loose_dst(n), spn.right[zeta]),
-                (het_gen(m, xi), het_gen(n, zeta)),
-                (het_gen(mn, x.laxators[(m, n)][(xi, zeta)]),))
+            add(obj[(t.loose_src(m), spm.left[xi])],
+                obj[(t.loose_dst(n), spn.right[zeta])],
+                (gen[("het", m, xi)], gen[("het", n, zeta)]),
+                (gen[("het", mn, x.laxators[(m, n)][(xi, zeta)])],))
     # (3) cell squares
     for a, (f, g, m, n) in t.cells.items():
         spm = x.on_loose[m]
         for xi in spm.apex:
-            add(collage_object(t.loose_src(m), spm.left[xi]),
-                collage_object(t.tight_dst(g), x.on_tight[g][spm.right[xi]]),
-                (het_gen(m, xi),) + tight_word(g, spm.right[xi]),
-                tight_word(f, spm.left[xi]) + (het_gen(n, x.on_cells[a][xi]),))
+            left, right = spm.left[xi], spm.right[xi]
+            add(obj[(t.loose_src(m), left)],
+                obj[(t.tight_dst(g), x.on_tight[g][right])],
+                (gen[("het", m, xi)],) + tight_word(g, right),
+                tight_word(f, left) + (gen[("het", n, x.on_cells[a][xi])],))
     # (4) unitor images collapse to identities
     for d in t.objects:
         lid = t.loose_id[d]
         for e in x.on_objects[d]:
-            add(collage_object(d, e), collage_object(d, e),
-                (het_gen(lid, x.unitors[d][e]),), ())
+            o = obj[(d, e)]
+            add(o, o, (gen[("het", lid, x.unitors[d][e])],), ())
 
     return PresentedCategory(objects, generators,
                              list(dict.fromkeys(relations)))
@@ -248,6 +267,7 @@ def collage_of_morphism(al, closure_src, closure_tgt):
         on_morphisms[mor] = closure_tgt.word_class(obj_map[src], tuple(image))
     fun = FinFunctor(cat, closure_tgt.category, obj_map, on_morphisms)
     problems = fun.validate()
-    assert not problems, "collage of a morphism is not functorial: {}".format(
-        problems[:3])
+    if problems:
+        raise SelfCheckFailed("collage of a morphism is not functorial: {}"
+                              .format("; ".join(problems[:3])))
     return fun

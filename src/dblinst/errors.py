@@ -2,7 +2,8 @@
 
 Errors signal "cannot compute" situations (non-finite closures, missing
 structure); axiom violations are reported through validation reports
-instead of raised.
+instead of raised.  ``SelfCheckFailed`` stands apart: it is not a
+refusal of input but the library catching itself in a wrong answer.
 """
 
 
@@ -39,7 +40,8 @@ class TheoryMismatch(DblinstError):
 
 class ModelMismatch(DblinstError):
     """Two instances compared by a morphism search live over different
-    models, or a composite or restriction joins objects that differ."""
+    models, or a composite or restriction joins objects that differ, or
+    a pair of spans is composed whose middle sets differ."""
 
 
 class NotDiscreteOpfibration(DblinstError):
@@ -86,8 +88,9 @@ class DuplicateLabel(DblinstError):
 
 
 class NotAFunction(DblinstError):
-    """A leg of a span is not a total function between its sets, or a
-    table given to be inverted is not injective."""
+    """A span is not one of finite sets: one of its three sets is not a
+    ``FiniteSet``, or a leg is not a total function between its sets;
+    or a table given to be inverted is not injective."""
 
 
 class InvalidMorphism(DblinstError):
@@ -97,3 +100,11 @@ class InvalidMorphism(DblinstError):
 
 class MalformedDocument(DblinstError):
     """A document, or a part of one, is not of the kind read there."""
+
+
+class SelfCheckFailed(AssertionError):
+    """The library's check of its own result failed: a closure that is
+    not a presented category's action, or a migration, factorization or
+    collage functor whose output breaks its axioms.  It reports an
+    internal check failure, never a refusal of input, and it is raised
+    also under ``python -O``."""

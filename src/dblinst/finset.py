@@ -7,7 +7,7 @@ label order, so constructions that pick representatives are
 deterministic.
 """
 
-from .errors import DuplicateLabel, NotAFunction
+from .errors import DuplicateLabel, ModelMismatch, NotAFunction
 
 
 def pair_label(a, b):
@@ -82,9 +82,12 @@ class Span:
     """A span of finite sets: src_set <- apex -> dst_set."""
 
     def __init__(self, src_set, dst_set, apex, left, right):
-        assert isinstance(src_set, FiniteSet)
-        assert isinstance(dst_set, FiniteSet)
-        assert isinstance(apex, FiniteSet)
+        if not isinstance(src_set, FiniteSet):
+            raise NotAFunction("the source of a span is not a finite set")
+        if not isinstance(dst_set, FiniteSet):
+            raise NotAFunction("the target of a span is not a finite set")
+        if not isinstance(apex, FiniteSet):
+            raise NotAFunction("the apex of a span is not a finite set")
         if not is_function(left, apex, src_set):
             raise NotAFunction("left leg of a span is not a total function "
                                "from its apex to its source")
@@ -136,9 +139,12 @@ def pullback_pairs(left_span, right_span):
     equal to the left leg of ``right_span`` at zeta, in lexicographic
     order.  This is the materialized domain of a laxator.  It is a hash
     join: the apex of ``right_span`` is indexed by its left leg, and
-    each xi is paired with the fiber over its right leg.
+    each xi is paired with the fiber over its right leg.  Spans that do
+    not compose raise ModelMismatch.
     """
-    assert left_span.dst_set == right_span.src_set
+    if left_span.dst_set != right_span.src_set:
+        raise ModelMismatch("the target of a span is not the source of the "
+                            "span it is composed with")
     over = fibers(right_span.left, right_span.apex)
     right = left_span.right
     return [(xi, zeta) for xi in left_span.apex

@@ -24,7 +24,8 @@ from .collage import (_fibres_and_actions, _generators, _image,
                       collage_of_model, copresheaf_to_instance)
 from .elements import elements, is_discrete_opfibration
 from .errors import (HomSetTooLarge, MiddleNotCartesian, NotCartesian,
-                     NotDiscreteOpfibration, SquareNotCommutative)
+                     NotDiscreteOpfibration, SelfCheckFailed,
+                     SquareNotCommutative)
 from .fincat import Copresheaf
 from .finset import FiniteSet, pair_label
 from .instance import restrict_instance
@@ -83,9 +84,8 @@ def _evaluate_presented(cat, generators, relations, name, key=None):
     on_morphisms = {h: {lab: label((g, cat.comp[(mor, h)]))
                         for lab, (g, mor) in rep_of[hs].items()}
                     for h, (hs, _) in cat.morphisms.items()}
-    out = Copresheaf(cat, on_objects, on_morphisms)
-    assert not out.validate()
-    return out, label
+    return _checked(Copresheaf(cat, on_objects, on_morphisms),
+                    "left extension"), label
 
 
 def _extend_left(cat, along, names, values, tables, max_hom_card):
@@ -152,11 +152,22 @@ def _extend_right(cat, along, names, values, tables, max_hom_card):
             lookup = dict(zip(slot_lists[hs], fam))
             new = tuple(lookup[(c, cat.comp[(h, g)])]
                         for (c, g) in slot_lists[hd])
-            assert new in members
+            if new not in members:
+                raise SelfCheckFailed(
+                    "right extension: {} sends a family at {} outside the "
+                    "families at {}".format(h, hs, hd))
             table[label(fam)] = label(new)
         on_morphisms[h] = table
-    out = Copresheaf(cat, on_objects, on_morphisms)
-    assert not out.validate()
+    return _checked(Copresheaf(cat, on_objects, on_morphisms),
+                    "right extension")
+
+
+def _checked(out, what):
+    """``out`` if it is a copresheaf; SelfCheckFailed otherwise."""
+    problems = out.validate()
+    if problems:
+        raise SelfCheckFailed("{} is not a copresheaf: {}".format(
+            what, "; ".join(problems[:3])))
     return out
 
 
@@ -311,9 +322,9 @@ def comprehensive_factorize(f, bound=DEFAULT_BOUND):
             for xi in sp.apex}
     unit = ModelMorphism(x, middle, on_objects, on_loose)
     composite = compose_model_morphisms(unit, pi)
-    assert composite.on_objects == f.on_objects \
-        and composite.on_loose == f.on_loose, \
-        "factorization does not recompose to the input"
+    if composite.on_objects != f.on_objects \
+            or composite.on_loose != f.on_loose:
+        raise SelfCheckFailed("factorization does not recompose to the input")
     return Factorization(f, middle, unit, pi, witness)
 
 

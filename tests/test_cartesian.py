@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -17,12 +18,14 @@ from dblinst.cartesian import (Multicategory, build_cocartesian_example,
                                validate_cartesian_model,
                                validate_multicategory, validate_multifunctor,
                                check_product_actions_determined)
-from dblinst.errors import IllFormedPresentation, InvalidTheory
+from dblinst.errors import (IllFormedPresentation, InvalidTheory,
+                            TheoryMismatch)
 from dblinst.fixtures import (builtin_multicategory, join_multicategory,
                               monad_instance_fixture, terminal_multicategory,
                               two_object_multicategory)
 from dblinst.instance import validate_instance
 from dblinst.model import validate_model
+from dblinst.serialize import document_of, object_of
 from dblinst.theories import builtin_theory
 from multicategory_oracles import (all_action_tables,
                                    isomorphic_by_brute_force)
@@ -55,6 +58,39 @@ def test_multicategory_model_dictionary_round_trip(name, prom2):
     back = model_to_multicategory(x)
     assert validate_multicategory(back) == []
     assert multicategories_isomorphic(mc, back)
+
+
+def multicategory_tables(mc):
+    return (mc.objects, mc.multimorphisms, mc.identities, mc.comp,
+            mc.truncation)
+
+
+@pytest.mark.parametrize("name", MC_NAMES)
+def test_multicategory_model_document_round_trip(name, prom2):
+    x = multicategory_to_model(builtin_multicategory(name), prom2)
+    back = object_of(json.loads(json.dumps(document_of(x))))
+    assert not hasattr(back.theory, "loose_data")
+    mc = model_to_multicategory(back)
+    assert multicategory_tables(mc) == \
+        multicategory_tables(model_to_multicategory(x))
+    assert validate_multicategory(mc) == []
+    assert multicategories_isomorphic(builtin_multicategory(name), mc)
+
+
+def test_a_model_over_another_theory_is_not_read_as_a_multicategory(prom2):
+    sq = build_cocartesian_example(builtin_theory("sq_finset_op", 2))
+    doc = document_of(multicategory_to_model(two_object_multicategory(),
+                                             prom2))
+    no_products = json.loads(json.dumps(doc))
+    del no_products["theory"]["cartesian"]
+    other_cell = json.loads(json.dumps(doc))
+    cell = next(iter(other_cell["theory"]["cells"]))
+    other_cell["theory"]["cells"][cell + "'"] = \
+        other_cell["theory"]["cells"].pop(cell)
+    for x in (sq, object_of(no_products), object_of(other_cell)):
+        with pytest.raises(TheoryMismatch, match="^the model's theory is "
+                                                 "not prom_trunc"):
+            model_to_multicategory(x)
 
 
 def test_nonisomorphic_multicategories_rejected():

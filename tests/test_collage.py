@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -6,7 +7,7 @@ from dblinst.collage import (close_presented_category, collage_object,
                              collage_of_model, collage_of_morphism,
                              copresheaf_to_instance, het_gen,
                              instance_to_copresheaf)
-from dblinst.errors import NameClash
+from dblinst.errors import IllFormedPresentation, NameClash
 from dblinst.fincat import Copresheaf, enumerate_natural_transformations
 from dblinst.finset import FiniteSet, pair_label
 from dblinst.fixtures import (category_as_model, chain_category,
@@ -17,6 +18,7 @@ from dblinst.fixtures import (category_as_model, chain_category,
                               profunctor_instance_fixture,
                               standard_instance_corpus,
                               tautological_instance, walking_loose_model,
+                              walking_tight_model,
                               weighted_graph_instance, weighted_graph_schema)
 from dblinst.instance import (enumerate_instance_morphisms,
                               find_instance_isomorphism, validate_instance)
@@ -33,6 +35,18 @@ def test_collage_objects_are_model_elements():
         [collage_object("dom", "V"), collage_object("dom", "E"),
          collage_object("cod", "Wt")])
     assert het_gen("l", "w") in p.generators
+
+
+def test_a_value_outside_its_carrier_is_named_and_refused_on_closing():
+    x = walking_tight_model(["a", "b"], ["c"], {"a": "c", "b": "c"})
+    x.on_tight["t"] = {"a": "c", "b": "z"}
+    p = collage_of_model(x)
+    assert p.generators["t{t@b}"] == ("top|b", "bot|z", "tight")
+    assert ("top|b", "bot|z", ("h{id:top@b}", "t{t@b}"),
+            ("t{t@b}", "h{id:bot@c}")) in p.relations
+    with pytest.raises(IllFormedPresentation, match=re.escape(
+            "generator t{t@b} has undeclared endpoint bot|z")):
+        close_presented_category(p, 4)
 
 
 def test_collage_of_category_model_recovers_the_category():

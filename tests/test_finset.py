@@ -1,7 +1,13 @@
+import inspect
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from dblinst.errors import DuplicateLabel, NotAFunction
+import dblinst
+from dblinst.errors import DuplicateLabel, ModelMismatch, NotAFunction
 from dblinst.finset import (FiniteSet, Span, compose_tables, identity_table,
                             inverse_table, is_bijection, is_function,
                             pair_label, product_set, pullback_pairs)
@@ -30,6 +36,71 @@ def test_span_legs_must_be_total_functions(left, right, match):
     with pytest.raises(NotAFunction, match=match):
         Span(FiniteSet(["s"]), FiniteSet(["t"]), FiniteSet(["p", "q"]),
              left, right)
+
+
+def ill_typed_spans():
+    """Spans with one set given as a list, each with the message it is
+    refused with."""
+    s, t, a = FiniteSet(["s"]), FiniteSet(["t"]), FiniteSet(["p"])
+    legs = {"p": "s"}, {"p": "t"}
+    return [((["s"], t, a) + legs, "^the source of a span is not a finite "
+                                   "set$"),
+            ((s, ["t"], a) + legs, "^the target of a span is not a finite "
+                                   "set$"),
+            ((s, t, ["p"]) + legs, "^the apex of a span is not a finite set$")]
+
+
+def uncomposable_spans():
+    """Two spans whose middle sets differ."""
+    return (Span(FiniteSet(["s"]), FiniteSet(["m0"]), FiniteSet(["p"]),
+                 {"p": "s"}, {"p": "m0"}),
+            Span(FiniteSet(["m0", "m1"]), FiniteSet(["t"]), FiniteSet(["u"]),
+                 {"u": "m0"}, {"u": "t"}))
+
+
+@pytest.mark.parametrize("args, match", ill_typed_spans())
+def test_span_sets_must_be_finite_sets(args, match):
+    with pytest.raises(NotAFunction, match=match):
+        Span(*args)
+
+
+def test_spans_that_do_not_compose_are_refused():
+    with pytest.raises(ModelMismatch, match="^the target of a span is not "
+                                            "the source of the span it is "
+                                            "composed with$"):
+        pullback_pairs(*uncomposable_spans())
+
+
+def test_ill_typed_and_uncomposable_spans_are_refused_without_asserts():
+    """``python -O`` skips asserts, so this builds the spans in a
+    subprocess with that flag."""
+    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    # the helpers' source, so that the subprocess does not import
+    # hypothesis with this module
+    code = (inspect.getsource(ill_typed_spans)
+            + inspect.getsource(uncomposable_spans)
+            + "from dblinst.errors import ModelMismatch, NotAFunction\n"
+            "from dblinst.finset import FiniteSet, Span, pullback_pairs\n"
+            "for args, _ in ill_typed_spans():\n"
+            "    try:\n"
+            "        print('returned', Span(*args))\n"
+            "    except NotAFunction as e:\n"
+            "        print('raised', e)\n"
+            "try:\n"
+            "    print('returned', pullback_pairs(*uncomposable_spans()))\n"
+            "except ModelMismatch as e:\n"
+            "    print('raised', e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "raised the source of a span is not a finite set",
+        "raised the target of a span is not a finite set",
+        "raised the apex of a span is not a finite set",
+        "raised the target of a span is not the source of the span it is "
+        "composed with"]
 
 
 @given(labels, labels)

@@ -1,19 +1,22 @@
 import os
 import random
+import re
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
 import dblinst
+from dblinst import collage, migration, search
 from dblinst.errors import (HomSetNotFinite, HomSetTooLarge, InvalidMorphism,
                             NotCartesian, NotDiscreteOpfibration,
-                            SquareNotCommutative)
+                            SelfCheckFailed, SquareNotCommutative)
 from dblinst.fincat import Copresheaf, FinFunctor
 from dblinst.finset import FiniteSet
-from dblinst.collage import (close_presented_category, collage_of_model,
-                             collage_of_morphism, copresheaf_to_instance,
-                             instance_to_copresheaf)
+from dblinst.collage import (close_presented_category, collage_generator_map,
+                             collage_of_model, collage_of_morphism,
+                             copresheaf_to_instance, instance_to_copresheaf)
 from dblinst.fixtures import (build_instance, category_as_model,
                               chain_category, coproduct_instance,
                               cyclic_quotient_morphism,
@@ -27,12 +30,14 @@ from dblinst.migration import (LiftingProblem, MigrationContext,
                                cartesian_factorize, check_initial,
                                comprehensive_factorize, kan_extend_left,
                                kan_extend_right, migrate_lan,
-                               migrate_pullback, migrate_ran)
-from dblinst.model import (ModelMorphism, enumerate_model_morphisms,
-                           identity_morphism, terminal_model,
-                           validate_model_morphism)
+                               migrate_pullback, migrate_ran,
+                               reflect_into_dopf)
+from dblinst.model import (ModelMorphism, compose_model_morphisms,
+                           enumerate_model_morphisms, identity_morphism,
+                           terminal_model, validate_model_morphism)
 from dblinst.serialize import document_of, object_of
-from dblinst.elements import is_discrete_opfibration
+from dblinst.elements import (is_discrete_opfibration,
+                              kappa_creates_dopf_check)
 
 
 def point_inclusion(target_obj):
@@ -402,3 +407,118 @@ def test_lifting_problem_rejects_a_square_that_does_not_commute():
     u = next(u for u in enumerate_model_morphisms(x, x) if u != one)
     with pytest.raises(SquareNotCommutative):
         LiftingProblem(one, one, u, one)
+
+
+# -- self-checks of the migrations' outputs ---------------------------------
+
+@contextmanager
+def patched(module, name, value):
+    old = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        yield
+    finally:
+        setattr(module, name, old)
+
+
+def identity_breaking_copresheaf(base, on_objects, on_morphisms):
+    """The copresheaf, except that the identity of the first object with
+    two values sends the first to the second."""
+    cp = Copresheaf(base, on_objects, on_morphisms)
+    o = next(o for o in base.objects if len(cp.on_objects[o]) >= 2)
+    first, second = list(cp.on_objects[o])[:2]
+    cp.on_morphisms[base.identity[o]][first] = second
+    return cp
+
+
+def family_dropping_compile():
+    """A ``compile`` for Π whose runs leave out their last family at
+    every object after the first."""
+    calls = []
+
+    def dropping(domains, constraints):
+        problem = search.compile(domains, constraints)
+        calls.append(None)
+        if len(calls) == 1:
+            return problem
+
+        class Dropping:
+            def run(self):
+                return iter(list(problem.run())[:-1])
+        return Dropping()
+    return dropping
+
+
+def recomposing_elsewhere(a, b):
+    composite = compose_model_morphisms(a, b)
+    d = next(d for d, table in composite.on_objects.items() if table)
+    table = dict(composite.on_objects[d])
+    table[next(iter(table))] = "elsewhere"
+    return ModelMorphism(composite.source, composite.target,
+                         dict(composite.on_objects, **{d: table}),
+                         composite.on_loose)
+
+
+def corrupted_self_check(case):
+    """Run one migration, factorization or collage functor with its
+    output corrupted by a patch; returns the check's message, or None
+    when it returns."""
+    al, h = seeded_fold(0)
+    corruption, run = {
+        "sigma": (patched(migration, "Copresheaf",
+                          identity_breaking_copresheaf),
+                  lambda: migrate_lan(al, h, bound=4)),
+        "reflection": (patched(migration, "Copresheaf",
+                               identity_breaking_copresheaf),
+                       lambda: reflect_into_dopf(al, bound=4)),
+        "pi": (patched(migration, "Copresheaf", identity_breaking_copresheaf),
+               lambda: migrate_ran(al, h, bound=4)),
+        "pi_family": (patched(migration, "compile", family_dropping_compile()),
+                      lambda: migrate_ran(al, h, bound=4)),
+        "factorization": (patched(migration, "compose_model_morphisms",
+                                  recomposing_elsewhere),
+                          lambda: comprehensive_factorize(al, bound=4)),
+        "collage_functor": (patched(collage, "collage_generator_map",
+                                    lambda p: dict.fromkeys(
+                                        collage_generator_map(p), ())),
+                            lambda: kappa_creates_dopf_check(al, bound=4)),
+    }[case]
+    try:
+        with corruption:
+            run()
+    except SelfCheckFailed as e:
+        return str(e)
+
+
+SELF_CHECKS = {
+    "sigma": "^left extension is not a copresheaf: identity of ",
+    "reflection": "^left extension is not a copresheaf: identity of ",
+    "pi": "^right extension is not a copresheaf: identity of ",
+    "pi_family": "^right extension: .* sends a family at .* outside the "
+                 "families at ",
+    "factorization": "^factorization does not recompose to the input$",
+    "collage_functor": "^collage of a morphism is not functorial: ",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELF_CHECKS))
+def test_a_corrupted_output_fails_its_self_check(case):
+    message = corrupted_self_check(case)
+    assert message is not None and re.search(SELF_CHECKS[case], message)
+
+
+def test_corrupted_outputs_fail_their_self_checks_also_without_asserts():
+    """``python -O`` skips asserts, so this corrupts the outputs in a
+    subprocess with that flag."""
+    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
+    paths = [package_root, os.path.dirname(os.path.abspath(__file__)),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = ("from test_migration import SELF_CHECKS, corrupted_self_check\n"
+            "for case in sorted(SELF_CHECKS):\n"
+            "    print(case, corrupted_self_check(case) is not None)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "{} True".format(case) for case in sorted(SELF_CHECKS)]
