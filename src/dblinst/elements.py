@@ -8,7 +8,7 @@ bijections.  Both directions are direct formulas on pairs, no search.
 """
 
 from .errors import NoExtension, NotDiscreteOpfibration, PartialMorphism
-from .finset import FiniteSet, Span, fibers, pair_label
+from .finset import FiniteSet, Span, fibers, pair_label, pullback_pairs
 from .instance import Instance
 from .model import (ModelMorphism, SpanModel, _refuse_invalid,
                     validate_model_morphism)
@@ -134,14 +134,11 @@ def elements(p_inst):
                        for lab, (e, b) in zip(names[m], doms[m])}
     laxators = {}
     for (m, n), mn in t.loose_comp.items():
-        # each element over m is joined with the fiber of n's left leg
-        # over its right end
-        over = fibers(on_loose[n].left, on_loose[n].apex)
         sp_m, lax = on_loose[m], x.laxators[(m, n)]
         proj_m, proj_n = proj_loose[m], proj_loose[n]
         laxators[(m, n)] = {
             (em, en): pair_label(sp_m.left[em], lax[(proj_m[em], proj_n[en])])
-            for em in sp_m.apex for en in over.get(sp_m.right[em], ())}
+            for em, en in pullback_pairs(sp_m, on_loose[n])}
     unitors = {d: {e: pair_label(e, x.unitors[d][h.labels[d][e]])
                    for e in h.carriers[d]}
                for d in t.objects}

@@ -41,7 +41,9 @@ class TheoryMismatch(DblinstError):
 class ModelMismatch(DblinstError):
     """Two instances compared by a morphism search live over different
     models, or a composite or restriction joins objects that differ, or
-    a pair of spans is composed whose middle sets differ."""
+    a pair of spans is composed whose middle sets differ, or morphisms
+    of a finite category or functors between finite categories are
+    composed that are unknown or do not meet."""
 
 
 class NotDiscreteOpfibration(DblinstError):

@@ -5,6 +5,7 @@ identity per object, and a total composition table.  Composition is
 written diagrammatically throughout: ``comp[(f, g)]`` is "f then g".
 """
 
+from .errors import ModelMismatch
 from .finset import (FiniteSet, compose_tables, fibers, identity_table,
                      is_function)
 from .search import compile, slices
@@ -28,15 +29,16 @@ class FinCategory:
     def dst(self, f):
         return self.morphisms[f][1]
 
-    def hom(self, a, b):
-        return sorted(f for f, (s, d) in self.morphisms.items()
-                      if s == a and d == b)
-
     def morphisms_from(self, a):
         return sorted(f for f, (s, _) in self.morphisms.items() if s == a)
 
     def compose(self, f, g):
-        assert self.dst(f) == self.src(g), "morphisms not composable"
+        """``f`` then ``g``; raises ModelMismatch unless both are
+        morphisms and ``f`` ends where ``g`` starts."""
+        fe, ge = self.morphisms.get(f), self.morphisms.get(g)
+        if fe is None or ge is None or fe[1] != ge[0]:
+            raise ModelMismatch(
+                "morphisms {} and {} do not compose".format(f, g))
         return self.comp[(f, g)]
 
     def validate(self):
@@ -151,7 +153,9 @@ class FinFunctor:
 
 
 def compose_functors(f, g):
-    assert f.target is g.source or f.target.morphisms == g.source.morphisms
+    if f.target is not g.source and f.target.morphisms != g.source.morphisms:
+        raise ModelMismatch("the target of the first functor is not the "
+                            "source of the second")
     return FinFunctor(
         f.source, g.target,
         {o: g.on_objects[v] for o, v in f.on_objects.items()},

@@ -398,8 +398,7 @@ def check_initial(e, dopf_corpus):
     an empty report means no violation was found.
     """
     report = []
-    # id of a corpus base -> (the base, its bottoms search); holding the
-    # base keeps its id from being reused during the call
+    # corpus base -> its bottoms search; a SpanModel hashes by identity
     bottoms_over = {}
     for i, q in enumerate(dopf_corpus):
         check = is_discrete_opfibration(q)
@@ -407,10 +406,9 @@ def check_initial(e, dopf_corpus):
             raise NotDiscreteOpfibration(
                 "corpus entry {} is not a discrete opfibration; "
                 "counterexample {}".format(i, check.counterexample))
-        if id(q.target) not in bottoms_over:
-            bottoms_over[id(q.target)] = \
-                q.target, MorphismSearch(e.target, q.target)
-        _, bottoms = bottoms_over[id(q.target)]
+        if q.target not in bottoms_over:
+            bottoms_over[q.target] = MorphismSearch(e.target, q.target)
+        bottoms = bottoms_over[q.target]
         lifts = MorphismSearch(e.target, q.source, over=q)
         for u in enumerate_model_morphisms(e.source, q.source):
             uq = compose_model_morphisms(u, q)

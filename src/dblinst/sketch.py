@@ -10,6 +10,8 @@ models of the theory, checked relation-locally without closing hom-sets.
 
 Every sort and generator is named ``kind[part,...]`` by ``_name``, and
 every reader fetches a table through it; no name is parsed back apart.
+Validation composes each word's table from its generators' tables, one
+word at a time, and keeps nothing between words.
 """
 
 
@@ -272,33 +274,22 @@ def flatten_cartesian_theory(t):
     return sk
 
 
-def _word_evaluator(s):
-    """Evaluate words of a sketch model over shared prefixes.
+def _word_table(s, src, word):
+    """The table of ``word`` on the sort ``src`` of a sketch model.
 
-    Returns ``evaluate(src, word)``, the table of ``word`` on the sort
-    ``src``.  A one-letter word is the generator's own table, and a
-    longer one extends the table of its prefix by one step, so a prefix
-    shared by several words is composed once.  The tables live in a
-    dict local to the caller and are read, never written.
+    The empty word is the identity, a one-letter word is the
+    generator's own table, not a copy, and a longer word is composed
+    from its generators' tables one step at a time.  No table is
+    written, and nothing is kept between calls.
     """
-    gens, tables = s.on_generators, {}
-
-    def evaluate(src, word):
-        key = (src, word)
-        table = tables.get(key)
-        if table is None:
-            if not word:
-                table = {v: v for v in s.on_objects[src]}
-            elif len(word) == 1:
-                table = gens[word[0]]
-            else:
-                step = gens[word[-1]]
-                table = {v: step[w]
-                         for v, w in evaluate(src, word[:-1]).items()}
-            tables[key] = table
-        return table
-
-    return lambda src, word: evaluate(src, tuple(word))
+    if not word:
+        return {v: v for v in s.on_objects[src]}
+    gens = s.on_generators
+    table = gens[word[0]]
+    for g in word[1:]:
+        step = gens[g]
+        table = {v: step[w] for v, w in table.items()}
+    return table
 
 
 def validate_sketch_model(s):
@@ -312,9 +303,8 @@ def validate_sketch_model(s):
             report.append("generator {} not a total function".format(g))
     if report:
         return report
-    evaluate = _word_evaluator(s)
     for src, dst, w1, w2 in sk.presented.relations:
-        if evaluate(src, w1) != evaluate(src, w2):
+        if _word_table(s, src, w1) != _word_table(s, src, w2):
             report.append("relation {} = {} fails at {}".format(w1, w2, src))
     for apex, l1, l2, f, g in sk.marked_pullbacks:
         fs = s.on_generators[f]
@@ -331,7 +321,7 @@ def validate_sketch_model(s):
             if len(s.on_objects[apex]) != 1:
                 report.append("marked point at {} is not a singleton".format(apex))
             continue
-        tables = [evaluate(apex, word) for word, _ in legs]
+        tables = [_word_table(s, apex, word) for word, _ in legs]
         cmp_t = {e: tuple(tb[e] for tb in tables)
                  for e in s.on_objects[apex]}
         sizes = 1

@@ -14,9 +14,15 @@ and loose arrows as explicit finite functions:
 * ``sq_finset_op(k)``: skeletal finite sets of size <= k, all functions
   as loose arrows, functions reversed as tight arrows, cells the
   commuting squares; carries the coproduct-as-product structure.
+
+One builder, ``_family``, makes every family of arrows named by value
+tuples: the cells of the first, the tight and loose arrows of the rest.
 """
 
+import itertools
+
 from .errors import IllFormedPresentation, InvalidTheory
+from .finset import fibers
 from .theory import CartesianStructure, DoubleTheory
 
 
@@ -164,29 +170,12 @@ def involution_cell_theory():
 
 def monotone_maps(i, j):
     """Weakly increasing tuples of length i with values in 1..j."""
-    if i == 0:
-        return [()]
-    out = []
-
-    def rec(prefix, lo):
-        if len(prefix) == i:
-            out.append(tuple(prefix))
-            return
-        for v in range(lo, j + 1):
-            rec(prefix + [v], v)
-
-    rec([], 1)
-    return out
+    return list(itertools.combinations_with_replacement(range(1, j + 1), i))
 
 
 def all_maps(i, j):
     """All tuples of length i with values in 1..j."""
-    if i == 0:
-        return [()]
-    out = [()]
-    for _ in range(i):
-        out = [t + (v,) for t in out for v in range(1, j + 1)]
-    return sorted(out)
+    return list(itertools.product(range(1, j + 1), repeat=i))
 
 
 def compose_maps(f, g):
@@ -217,6 +206,33 @@ def _fn_name(prefix, a, b, values):
     return "{}:{}-{}:{}".format(prefix, a, b, ".".join(str(v) for v in values))
 
 
+def _family(k, prefix, ob, maps, compose):
+    """The arrows from size a to size b, for a, b in 0..k, that are
+    named by the value tuples ``maps(a, b)``.
+
+    Returns the arrows (name -> (ob(a), ob(b))), their data (name ->
+    (a, b, values)), the index by data, the identities (ob(a) -> the
+    arrow of 1..a) and the composition table: an arrow a -> b and an
+    arrow b -> c compose to the arrow of ``compose`` of their values.
+    """
+    arrows, data = {}, {}
+    for a in range(k + 1):
+        for b in range(k + 1):
+            for values in maps(a, b):
+                name = _fn_name(prefix, a, b, values)
+                arrows[name] = (ob(a), ob(b))
+                data[name] = (a, b, values)
+    by_data = {v: n for n, v in data.items()}
+    ident = {ob(a): by_data[(a, a, tuple(range(1, a + 1)))]
+             for a in range(k + 1)}
+    comp = {}
+    for f, (a, b, pf) in data.items():
+        for g, (b2, c, pg) in data.items():
+            if b == b2:
+                comp[(f, g)] = by_data[(a, c, compose(pf, pg))]
+    return arrows, data, by_data, ident, comp
+
+
 # ---------------------------------------------------------------------------
 # monad_trunc
 
@@ -231,27 +247,16 @@ def monad_trunc_theory(k):
              for i in range(k + 1) for j in range(k + 1) if i + j <= k}
     loose, lid, lcomp = _arrows(objects)
 
-    cells = {}
-    data = {}   # name -> (i, j, values)
-    for i in range(k + 1):
-        for j in range(k + 1):
-            for phi in monotone_maps(i, j):
-                name = _fn_name("mm", i, j, phi)
-                cells[name] = ("t{}".format(i), "t{}".format(j), "id:x", "id:x")
-                data[name] = (i, j, phi)
-    by_data = {v: n for n, v in data.items()}
-    cell_id_tight = {"t{}".format(i):
-                     by_data[(i, i, tuple(range(1, i + 1)))]
-                     for i in range(k + 1)}
+    sides, data, by_data, cell_id_tight, hcomp = _family(
+        k, "mm", "t{}".format, monotone_maps, compose_maps)
+    cells = {a: (f, g, "id:x", "id:x") for a, (f, g) in sides.items()}
     cell_id_loose = {"id:x": cell_id_tight["t0"]}
-    vcomp, hcomp = {}, {}
+    vcomp = {}
     for a, (i1, j1, p1) in data.items():
         for b, (i2, j2, p2) in data.items():
             if i1 + i2 <= k and j1 + j2 <= k:
                 vcomp[(a, b)] = by_data[(i1 + i2, j1 + j2,
                                          ordinal_sum(p1, p2, j1))]
-            if j1 == i2:
-                hcomp[(a, b)] = by_data[(i1, j2, compose_maps(p1, p2))]
     return DoubleTheory(objects, tight, tid, tcomp, loose, lid, lcomp,
                         cells, cell_id_loose, cell_id_tight,
                         vcomp, hcomp, partial=(k >= 1))
@@ -276,91 +281,55 @@ def _power_theory(k, obj_prefix, loose_maps, block_respecting):
     by products and identities, with no hidden permutation or
     diagonal).
     """
-    objects = ["{}{}".format(obj_prefix, i) for i in range(k + 1)]
+    ob = (obj_prefix + "{}").format
+    objects = [ob(i) for i in range(k + 1)]
 
-    def ob(i):
-        return "{}{}".format(obj_prefix, i)
+    # (f then g)* = f* after g*: [c] -> [b] -> [a]
+    tight, tdata, t_by_data, tid, tcomp = _family(
+        k, "tf", ob, lambda a, b: all_maps(b, a),
+        lambda pf, pg: compose_maps(pg, pf))
+    loose, ldata, l_by_data, lid, lcomp = _family(
+        k, "lf", ob, loose_maps, compose_maps)
 
-    tight, tdata = {}, {}
-    for a in range(k + 1):
-        for b in range(k + 1):
-            for phi in all_maps(b, a):
-                name = _fn_name("tf", a, b, phi)
-                tight[name] = (ob(a), ob(b))
-                tdata[name] = (a, b, phi)
-    t_by_data = {v: n for n, v in tdata.items()}
-    tid = {ob(a): t_by_data[(a, a, tuple(range(1, a + 1)))]
-           for a in range(k + 1)}
-    tcomp = {}
-    for f, (a, b, pf) in tdata.items():
-        for g, (b2, c, pg) in tdata.items():
-            if b == b2:
-                # (f then g)* = f* after g*: [c] -> [b] -> [a]
-                tcomp[(f, g)] = t_by_data[(a, c, compose_maps(pg, pf))]
-
-    loose, ldata = {}, {}
-    for a in range(k + 1):
-        for b in range(k + 1):
-            for phi in loose_maps(a, b):
-                name = _fn_name("lf", a, b, phi)
-                loose[name] = (ob(a), ob(b))
-                ldata[name] = (a, b, phi)
-    l_by_data = {v: n for n, v in ldata.items()}
-    lid = {ob(a): l_by_data[(a, a, tuple(range(1, a + 1)))]
-           for a in range(k + 1)}
-    lcomp = {}
-    for m, (a, b, pm) in ldata.items():
-        for n, (b2, c, pn) in ldata.items():
-            if b == b2:
-                lcomp[(m, n)] = l_by_data[(a, c, compose_maps(pm, pn))]
-
-    def square_ok(pf, pg, pm, pn, a, b, b1):
+    def square_ok(pf, pg, pm, pn, b, b1):
         if compose_maps(pf, pm) != compose_maps(pn, pg):
             return False
         if not block_respecting:
             return True
         top_blocks = map_blocks(pm, b)
-        for j, block in enumerate(map_blocks(pn, b1), start=1):
-            if [pf[i - 1] for i in block] != top_blocks[pg[j - 1] - 1]:
-                return False
-        return True
+        return all([pf[i - 1] for i in block] == top_blocks[pg[j - 1] - 1]
+                   for j, block in enumerate(map_blocks(pn, b1), start=1))
 
+    t_from = fibers({f: d[0] for f, d in tdata.items()}, tdata)
+    l_from = fibers({m: d[0] for m, d in ldata.items()}, ldata)
+    l_hom = fibers({m: d[:2] for m, d in ldata.items()}, ldata)
     boundaries = []
     for f, (u, a1, pf) in tdata.items():
-        for m, (u2, v, pm) in ldata.items():
-            if u != u2:
-                continue
-            for g, (v2, b1, pg) in tdata.items():
-                if v != v2:
-                    continue
+        for m in l_from.get(u, ()):
+            _, v, pm = ldata[m]
+            for g in t_from.get(v, ()):
+                _, b1, pg = tdata[g]
                 # the bottom is forced on the image of f*; enumerate the rest
-                for n, (a2, b2, pn) in ldata.items():
-                    if a2 != a1 or b2 != b1:
-                        continue
-                    if square_ok(pf, pg, pm, pn, u, v, b1):
+                for n in l_hom.get((a1, b1), ()):
+                    if square_ok(pf, pg, pm, ldata[n][2], v, b1):
                         boundaries.append((f, g, m, n))
 
     # designated products: sizes add, witnesses are block inclusions
-    product_object, proj_tight = {}, {}
-    for a in range(k + 1):
-        for b in range(k + 1):
-            if a + b <= k:
-                product_object[(ob(a), ob(b))] = ob(a + b)
-                incl1 = tuple(range(1, a + 1))
-                incl2 = tuple(range(a + 1, a + b + 1))
-                proj_tight[(ob(a), ob(b))] = (
-                    t_by_data[(a + b, a, incl1)],
-                    t_by_data[(a + b, b, incl2)])
+    def projections(a, b):
+        return (t_by_data[(a + b, a, tuple(range(1, a + 1)))],
+                t_by_data[(a + b, b, tuple(range(a + 1, a + b + 1)))])
+
+    sizes = [(a, b) for a in range(k + 1) for b in range(k + 1 - a)]
+    product_object = {(ob(a), ob(b)): ob(a + b) for a, b in sizes}
+    proj_tight = {(ob(a), ob(b)): projections(a, b) for a, b in sizes}
     product_loose, proj_cells = {}, {}
     for m1, (a1, b1, p1) in ldata.items():
         for m2, (a2, b2, p2) in ldata.items():
             if a1 + a2 <= k and b1 + b2 <= k:
                 m12 = l_by_data[(a1 + a2, b1 + b2, ordinal_sum(p1, p2, b1))]
                 product_loose[(m1, m2)] = m12
-                fa1 = t_by_data[(a1 + a2, a1, tuple(range(1, a1 + 1)))]
-                fb1 = t_by_data[(b1 + b2, b1, tuple(range(1, b1 + 1)))]
-                fa2 = t_by_data[(a1 + a2, a2, tuple(range(a1 + 1, a1 + a2 + 1)))]
-                fb2 = t_by_data[(b1 + b2, b2, tuple(range(b1 + 1, b1 + b2 + 1)))]
+                fa1, fa2 = projections(a1, a2)
+                fb1, fb2 = projections(b1, b2)
                 proj_cells[(m1, m2)] = (_cell_name(fa1, fb1, m12, m1),
                                         _cell_name(fa2, fb2, m12, m2))
     terminal_tight = {ob(a): t_by_data[(a, 0, ())] for a in range(k + 1)}
@@ -369,8 +338,7 @@ def _power_theory(k, obj_prefix, loose_maps, block_respecting):
     t = thin_double_theory(objects, tight, tid, tcomp,
                            loose, lid, lcomp, boundaries, cartesian=cart)
     t.size_of_object = {ob(i): i for i in range(k + 1)}
-    t.tight_data = tdata
-    t.loose_data = ldata
+    t.tight_data, t.loose_data = tdata, ldata
     return t
 
 

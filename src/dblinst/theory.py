@@ -10,6 +10,11 @@ Truncated families (monad powers, finite product powers) are *partial*
 theories: composites that would leave the truncation are simply absent
 from the tables and the theory carries a ``partial`` flag.  Validation
 only checks tabulated composites in that case.
+
+Horizontal composition of cells is vertical composition on the
+transpose (f, g, m, n) -> (m, n, f, g), which swaps tight and loose
+arrows, so ``validate_theory`` checks each cell structure once and
+runs that check on the cells and on their transpose.
 """
 
 from .fincat import category_report
@@ -112,70 +117,19 @@ def validate_theory(t):
     if report:
         return report
 
-    # identity cells
-    for m, a in t.cell_id_loose.items():
-        x, y = t.loose[m]
-        if t.cells.get(a) != (t.tight_id[x], t.tight_id[y], m, m):
-            report.append("vertical identity cell of {} ill-formed".format(m))
-    for f, a in t.cell_id_tight.items():
-        x, y = t.tight[f]
-        if t.cells.get(a) != (f, f, t.loose_id[x], t.loose_id[y]):
-            report.append("horizontal identity cell of {} ill-formed".format(f))
+    # identity cells and composition, on the cells and on their transpose
+    across = {a: (m, n, f, g) for a, (f, g, m, n) in t.cells.items()}
+    for view in (("vertical", t.cells, t.loose, t.tight_id, t.cell_id_loose),
+                 ("horizontal", across, t.tight, t.loose_id, t.cell_id_tight)):
+        _check_identity_cells(report, *view)
     for d in t.objects:
         if t.cell_id_loose.get(t.loose_id[d]) != t.cell_id_tight.get(t.tight_id[d]):
             report.append("identity cells disagree at object {}".format(d))
-
-    # vertical composition: a cell is joined with the cells whose top
-    # is its bottom, in cell order
-    below = fibers({a: bnd[2] for a, bnd in t.cells.items()}, t.cells)
-    for a, (fa, ga, ma, na) in t.cells.items():
-        for b in below.get(na, ()):
-            fb, gb, _, nb = t.cells[b]
-            lf = t.tight_comp.get((fa, fb))
-            rf = t.tight_comp.get((ga, gb))
-            if lf is None or rf is None:
-                if not t.partial and (a, b) in t.cell_vcomp:
-                    report.append("vertical composite ({},{}) over missing tights"
-                                  .format(a, b))
-                continue
-            c = t.cell_vcomp.get((a, b))
-            if c is None:
-                if not t.partial:
-                    report.append("missing vertical composite ({},{})".format(a, b))
-                continue
-            if t.cells.get(c) != (lf, rf, ma, nb):
-                report.append("vertical composite ({},{}) has wrong boundary"
-                              .format(a, b))
-        ia = t.cell_id_loose.get(ma)
-        ib = t.cell_id_loose.get(na)
-        if ia and t.cell_vcomp.get((ia, a)) != a:
-            report.append("vertical unit fails at {}".format(a))
-        if ib and t.cell_vcomp.get((a, ib)) != a:
-            report.append("vertical unit fails at {}".format(a))
-
-    # horizontal composition: a cell is joined with the cells whose
-    # left is its right, in cell order
-    beside = fibers({a: bnd[0] for a, bnd in t.cells.items()}, t.cells)
-    for a, (fa, ga, ma, na) in t.cells.items():
-        for b in beside.get(ga, ()):
-            _, gb, mb, nb = t.cells[b]
-            top, bottom = t.loose_comp.get((ma, mb)), t.loose_comp.get((na, nb))
-            if top is None or bottom is None:
-                continue
-            c = t.cell_hcomp.get((a, b))
-            if c is None:
-                if not t.partial:
-                    report.append("missing horizontal composite ({},{})".format(a, b))
-                continue
-            if t.cells.get(c) != (fa, gb, top, bottom):
-                report.append("horizontal composite ({},{}) has wrong boundary"
-                              .format(a, b))
-        la = t.cell_id_tight.get(fa)
-        ra = t.cell_id_tight.get(ga)
-        if la and t.cell_hcomp.get((la, a)) != a:
-            report.append("horizontal unit fails at {}".format(a))
-        if ra and t.cell_hcomp.get((a, ra)) != a:
-            report.append("horizontal unit fails at {}".format(a))
+    for view in (("vertical", t.cells, t.tight_comp, t.cell_id_loose,
+                  t.cell_vcomp),
+                 ("horizontal", across, t.loose_comp, t.cell_id_tight,
+                  t.cell_hcomp)):
+        _check_composition(report, *view, t.partial)
 
     # associativity of both cell compositions (on tabulated entries);
     # each table is indexed by its first argument, so a pair (a, b) is
@@ -220,6 +174,44 @@ def validate_theory(t):
     if t.cartesian is not None:
         _check_cartesian(report, t)
     return report
+
+
+def _check_identity_cells(report, kind, cells, tops, side_id, cell_id):
+    """The identity cell of each arrow ``m`` along the top of ``cells``
+    is (id of its source, id of its target, m, m)."""
+    for m, a in cell_id.items():
+        ends = tops.get(m)
+        if ends is None or cells.get(a) != (side_id[ends[0]],
+                                            side_id[ends[1]], m, m):
+            report.append("{} identity cell of {} ill-formed".format(kind, m))
+
+
+def _check_composition(report, kind, cells, side_comp, cell_id, comp,
+                       partial):
+    """Each cell is joined with the cells whose top is its bottom, in
+    cell order: their composite in ``comp`` has the composites of the
+    sides in ``side_comp`` as sides, and identity cells are its units."""
+    below = fibers({a: bnd[2] for a, bnd in cells.items()}, cells)
+    for a, (fa, ga, ma, na) in cells.items():
+        for b in below.get(na, ()):
+            fb, gb, _, nb = cells[b]
+            lf, rf = side_comp.get((fa, fb)), side_comp.get((ga, gb))
+            if lf is None or rf is None:
+                continue
+            c = comp.get((a, b))
+            if c is None:
+                if not partial:
+                    report.append("missing {} composite ({},{})"
+                                  .format(kind, a, b))
+                continue
+            if cells.get(c) != (lf, rf, ma, nb):
+                report.append("{} composite ({},{}) has wrong boundary"
+                              .format(kind, a, b))
+        ia, ib = cell_id.get(ma), cell_id.get(na)
+        if ia and comp.get((ia, a)) != a:
+            report.append("{} unit fails at {}".format(kind, a))
+        if ib and comp.get((a, ib)) != a:
+            report.append("{} unit fails at {}".format(kind, a))
 
 
 def _by_first(comp):

@@ -12,7 +12,8 @@ successors, so every identification follows from the relations.
 class whose least known word is at most ``n + 1`` long is processed, as
 relations traced there can still collapse classes of length ``n``; each
 round ends with the one least-word scan that finds nothing left to
-process, and level ``n`` is checked on the previous round's words.
+process, level ``n`` is checked on the previous round's words, and the
+next round starts from that scan.
 Closure succeeds at the first level with no class left, so every
 shortlex-least word is shorter than ``bound``.  More than
 ``max_classes`` classes up to a level raise HomSetTooLarge; classes left
@@ -197,11 +198,12 @@ class ClosedWordCategory:
                             queue.append(m)
         return words
 
-    def _process_up_to(self, length):
-        """Process every class with a least known word up to ``length``;
-        returns the least words of the scan that found none left."""
+    def _process_up_to(self, length, words):
+        """Process every class with a least known word up to ``length``,
+        starting from ``words``, the least words of the table as it
+        stands; returns the least words of the scan that found none
+        left."""
         while True:
-            words = self._least_words()
             todo = [n for n, (_, gens) in words.items()
                     if len(gens) <= length and not self._done[n]]
             if not todo:
@@ -209,15 +211,16 @@ class ClosedWordCategory:
             for n in todo:
                 if not self._done[self._find(n)]:
                     self._process(n)
+            words = self._least_words()
 
     def _close(self, bound, max_classes):
-        words = self._process_up_to(1)
+        words = self._process_up_to(1, self._least_words())
         for length in range(1, bound + 1):
             known = sum(1 for _, gens in words.values() if len(gens) <= length)
             if known > max_classes:
                 raise HomSetTooLarge(
                     "{} congruence classes exceed cap".format(known))
-            words = self._process_up_to(length + 1)
+            words = self._process_up_to(length + 1, words)
             if not any(len(gens) == length for _, gens in words.values()):
                 return words
         raise HomSetNotFinite(

@@ -327,6 +327,18 @@ def test_validate_theory_reports_an_arrow_to_an_unknown_object(tmp_path,
     assert out.splitlines() == ["tight: endpoints of ghost unknown"]
 
 
+def test_validate_theory_reports_an_identity_cell_of_an_unknown_arrow(
+        tmp_path, capsys):
+    from dblinst.theories import builtin_theory
+    t = builtin_theory("walking_loose")
+    t.cell_id_loose["ghost"] = next(iter(t.cells))
+    path = tmp_path / "ghost.json"
+    save_document(document_of(t), path)
+    code, out, err = run(capsys, "validate-theory", str(path))
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["vertical identity cell of ghost ill-formed"]
+
+
 def test_flatten_refuses_an_invalid_theory(tmp_path, capsys):
     from dblinst.theories import builtin_theory
     t = builtin_theory("walking_tight")

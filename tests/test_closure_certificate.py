@@ -120,6 +120,24 @@ def test_random_closures_are_categories_composed_by_the_word_trace(name):
     assert whole_word_trace_holds(cl)
 
 
+def test_each_level_starts_from_the_current_least_words(monkeypatch):
+    """The scan that ends one level is the first scan of the next: no
+    processing happens in between, so it is not repeated."""
+    process_up_to = ClosedWordCategory._process_up_to
+    lengths = []
+
+    def checked(self, length, words):
+        assert list(words.items()) == list(self._least_words().items())
+        lengths.append(length)
+        return process_up_to(self, length, words)
+
+    monkeypatch.setattr(ClosedWordCategory, "_process_up_to", checked)
+    for make in CLOSURES.values():
+        make()
+    random_closures(range(300))
+    assert max(lengths) >= 4
+
+
 # -- corrupted coset tables -------------------------------------------------
 
 def closing_without_the_last_merge(make):

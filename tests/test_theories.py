@@ -156,3 +156,12 @@ def test_missing_or_unclosed_boundaries_are_invalid_also_without_asserts():
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.splitlines() == [
         "raised " + message for *_, message in REFUSED_BOUNDARIES]
+
+
+@pytest.mark.parametrize("table, kind", [("cell_id_loose", "vertical"),
+                                         ("cell_id_tight", "horizontal")])
+def test_identity_cell_of_an_unknown_arrow_is_reported(table, kind):
+    t = builtin_theory("walking_loose")
+    getattr(t, table)["ghost"] = next(iter(t.cells))
+    assert validate_theory(t) == [
+        "{} identity cell of ghost ill-formed".format(kind)]
