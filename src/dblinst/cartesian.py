@@ -15,7 +15,8 @@ between index sets.
 import itertools
 
 from .errors import InvalidTheory, TheoryMismatch
-from .finset import FiniteSet, Span, fibers, inverse_table, pair_label
+from .finset import (FiniteSet, Span, fibers, inverse_table, is_bijection_onto,
+                     pair_label)
 from .instance import Instance
 from .model import SpanModel, find_model_isomorphism
 from .theories import builtin_theory, map_blocks, p_arrow
@@ -25,28 +26,12 @@ from .theories import builtin_theory, map_blocks, p_arrow
 # comparison maps and validators
 # ---------------------------------------------------------------------------
 
-def product_comparison(x, d1, d2):
-    """The comparison table X(d1 x d2) -> X(d1) x X(d2)."""
-    c = x.theory.cartesian
-    p = c.product_object[(d1, d2)]
-    p1, p2 = c.proj_tight[(d1, d2)]
-    return {e: (x.on_tight[p1][e], x.on_tight[p2][e]) for e in x.on_objects[p]}
-
-
-def apex_comparison(x, m1, m2):
-    """The comparison table X(m1 x m2) apex -> X(m1) x X(m2) apexes."""
-    c = x.theory.cartesian
-    m12 = c.product_loose[(m1, m2)]
-    c1, c2 = c.proj_cells[(m1, m2)]
-    return {e: (x.on_cells[c1][e], x.on_cells[c2][e])
-            for e in x.on_loose[m12].apex}
-
-
-def _is_bijection_onto(table, s1, s2):
-    """Whether ``table`` is a bijection onto the pairs of s1 x s2."""
-    values = list(table.values())
-    return len(set(values)) == len(values) and \
-        set(values) == {(u, v) for u in s1 for v in s2}
+def _pairing(tables, projections, carrier):
+    """The comparison e |-> (p1(e), p2(e)) on ``carrier``, a product's set,
+    where p1 and p2 are the ``tables`` of its two ``projections``."""
+    q1, q2 = projections
+    t1, t2 = tables[q1], tables[q2]
+    return {e: (t1[e], t2[e]) for e in carrier}
 
 
 def validate_cartesian_model(x):
@@ -62,27 +47,19 @@ def validate_cartesian_model(x):
     if len(x.on_loose[t.loose_id[c.terminal_object]].apex) != 1:
         report.append("loose unit at the terminal object is not a singleton")
     for (d1, d2), p in c.product_object.items():
-        cmp_t = product_comparison(x, d1, d2)
-        if not _is_bijection_onto(cmp_t, x.on_objects[d1], x.on_objects[d2]):
+        pairs = _pairing(x.on_tight, c.proj_tight[(d1, d2)], x.on_objects[p])
+        if not is_bijection_onto(pairs, list(itertools.product(
+                x.on_objects[d1], x.on_objects[d2]))):
             report.append("object comparison at {}x{} is not bijective"
                           .format(d1, d2))
     for (m1, m2), m12 in c.product_loose.items():
-        cmp_a = apex_comparison(x, m1, m2)
-        if not _is_bijection_onto(cmp_a, x.on_loose[m1].apex,
-                                  x.on_loose[m2].apex):
+        pairs = _pairing(x.on_cells, c.proj_cells[(m1, m2)],
+                         x.on_loose[m12].apex)
+        if not is_bijection_onto(pairs, list(itertools.product(
+                x.on_loose[m1].apex, x.on_loose[m2].apex))):
             report.append("apex comparison at {}x{} is not bijective"
                           .format(m1, m2))
     return report
-
-
-def instance_product_comparison(p, d1, d2):
-    """The pairing comparison of an instance at a designated product."""
-    x = p.model
-    c = x.theory.cartesian
-    prod = c.product_object[(d1, d2)]
-    p1, p2 = c.proj_tight[(d1, d2)]
-    return {e: (p.tight_cells[p1][e], p.tight_cells[p2][e])
-            for e in p.carriers[prod]}
 
 
 def validate_cartesian_instance(p):
@@ -96,8 +73,10 @@ def validate_cartesian_instance(p):
     if len(p.carriers[c.terminal_object]) != 1:
         report.append("carrier over the terminal object is not a singleton")
     for (d1, d2), prod in c.product_object.items():
-        cmp_t = instance_product_comparison(p, d1, d2)
-        if not _is_bijection_onto(cmp_t, p.carriers[d1], p.carriers[d2]):
+        pairs = _pairing(p.tight_cells, c.proj_tight[(d1, d2)],
+                         p.carriers[prod])
+        if not is_bijection_onto(pairs, list(itertools.product(
+                p.carriers[d1], p.carriers[d2]))):
             report.append("instance comparison at {}x{} is not bijective"
                           .format(d1, d2))
     return report
@@ -112,11 +91,11 @@ def check_product_actions_determined(p):
     report = []
     for (m1, m2), m12 in c.product_loose.items():
         c1, c2 = c.proj_cells[(m1, m2)]
-        f1, g1 = t.cell_left(c1), t.cell_right(c1)
-        f2, g2 = t.cell_left(c2), t.cell_right(c2)
-        d1, d2 = t.loose_dst(m1), t.loose_dst(m2)
-        inverse = {v: e for e, v in
-                   instance_product_comparison(p, d1, d2).items()}
+        f1, f2 = t.cell_left(c1), t.cell_left(c2)
+        d = (t.loose_dst(m1), t.loose_dst(m2))
+        pairs = _pairing(p.tight_cells, c.proj_tight[d],
+                         p.carriers[c.product_object[d]])
+        inverse = dict(zip(pairs.values(), pairs))
         for (e, xi) in p.action_domain(m12):
             w1 = p.actions[m1][(p.tight_cells[f1][e], x.on_cells[c1][xi])]
             w2 = p.actions[m2][(p.tight_cells[f2][e], x.on_cells[c2][xi])]
@@ -152,18 +131,32 @@ class Multicategory:
         return sorted(m for m, (d, _) in self.multimorphisms.items()
                       if len(d) == n)
 
+    def families(self, cods):
+        """The tuples of multimorphisms, one into each object of ``cods``
+        in order, whose arities sum to at most the truncation, in the
+        order of the product of the table's pools into those objects."""
+        into, arity = {}, {}
+        for m, (dom, cod) in self.multimorphisms.items():
+            into.setdefault(cod, []).append(m)
+            arity[m] = len(dom)
+        bound = self.truncation
+        for family in itertools.product(*[into.get(o, ()) for o in cods]):
+            if sum(map(arity.__getitem__, family)) <= bound:
+                yield family
+
     def composable(self):
         """All (outer, inners) pairs whose composite stays in bound."""
-        out = []
-        for outer, (dom, _) in self.multimorphisms.items():
-            if not dom:
-                continue
-            pools = [[m for m, (d2, c2) in self.multimorphisms.items()
-                      if c2 == o] for o in dom]
-            for inners in itertools.product(*pools):
-                if sum(self.arity(i) for i in inners) <= self.truncation:
-                    out.append((outer, inners))
-        return out
+        return [(outer, inners)
+                for outer, (dom, _) in self.multimorphisms.items() if dom
+                for inners in self.families(dom)]
+
+
+def _regroup(flat, doms):
+    """``flat`` cut into consecutive parts, as long as each of ``doms``."""
+    pos = 0
+    for d in doms:
+        yield flat[pos:pos + len(d)]
+        pos += len(d)
 
 
 def validate_multicategory(mc):
@@ -178,7 +171,8 @@ def validate_multicategory(mc):
             report.append("identity of {} ill-formed".format(o))
     if report:
         return report
-    for outer, inners in mc.composable():
+    composable = mc.composable()
+    for outer, inners in composable:
         got = mc.comp.get((outer, inners))
         dom = sum((mc.multimorphisms[i][0] for i in inners), ())
         cod = mc.multimorphisms[outer][1]
@@ -194,20 +188,12 @@ def validate_multicategory(mc):
         if mc.comp.get((mc.identities[cod], (m,))) != m:
             report.append("left unit fails at {}".format(m))
     # associativity on composites that stay tabulated
-    for outer, inners in mc.composable():
+    for outer, inners in composable:
         once = mc.comp[(outer, inners)]
         doms = [mc.multimorphisms[i][0] for i in inners]
-        pools = [[m for m, (d2, c2) in mc.multimorphisms.items() if c2 == o]
-                 for o in sum(doms, ())]
-        for flat in itertools.product(*pools):
-            if sum(mc.arity(i) for i in flat) > mc.truncation:
-                continue
-            # regroup the flat inners under the original inners
-            twice_inner, pos = [], 0
-            for i, d in zip(inners, doms):
-                twice_inner.append(mc.comp.get((i, flat[pos:pos + len(d)]))
-                                   if d else i)
-                pos += len(d)
+        for flat in mc.families(sum(doms, ())):
+            twice_inner = [mc.comp.get((i, part)) if part else i
+                           for i, part in zip(inners, _regroup(flat, doms))]
             lhs = mc.comp.get((once, flat))
             rhs = mc.comp.get((outer, tuple(twice_inner)))
             if None not in (lhs, rhs, *twice_inner) and lhs != rhs:
@@ -261,8 +247,7 @@ def multicategory_to_model(mc, t):
     for m, (a, b, pm) in t.loose_data.items():
         blocks = map_blocks(pm, b)
         pools = [mc.by_arity(len(bl)) for bl in blocks]
-        apex, left, right = [], {}, {}
-        table = {}
+        apex, left, right, table = [], {}, {}, {}
         for names in itertools.product(*pools):
             src = sum((mc.multimorphisms[n][0] for n in names), ())
             lab = _mm_label(names)
@@ -282,22 +267,20 @@ def multicategory_to_model(mc, t):
             lab: _mm_label(tuple(names[j - 1] for j in pg))
             for lab, names in mm_of[m].items()}
 
+    # a hash join per laxator: each apex, in the order of its families,
+    # is indexed once by its left leg
+    over = {m: fibers(sp.left, mm_of[m]) for m, sp in on_loose.items()}
     laxators = {}
-    for (m, n), mn in t.loose_comp.items():
-        _, b, pm = t.loose_data[m]
+    for m, n in t.loose_comp:
         _, c, pn = t.loose_data[n]
         n_blocks = map_blocks(pn, c)
-        table = {}
+        right, nus_of, table = on_loose[m].right, mm_of[n], {}
         for lab_m, mus in mm_of[m].items():
-            for lab_n, nus in mm_of[n].items():
-                if on_loose[m].right[lab_m] != on_loose[n].left[lab_n]:
-                    continue
+            for lab_n in over[n].get(right[lab_m], ()):
                 parts = []
-                for l in range(1, c + 1):
-                    outer = nus[l - 1]
-                    inners = tuple(mus[j - 1] for j in n_blocks[l - 1])
-                    parts.append(outer if not inners
-                                 else mc.comp[(outer, inners)])
+                for outer, block in zip(nus_of[lab_n], n_blocks):
+                    inners = tuple(mus[j - 1] for j in block)
+                    parts.append(mc.comp[(outer, inners)] if inners else outer)
                 table[(lab_m, lab_n)] = _mm_label(tuple(parts))
         laxators[(m, n)] = table
 
@@ -343,49 +326,47 @@ def model_to_multicategory(x):
     when it was read back from a document; any other theory raises
     TheoryMismatch."""
     t = _as_prom_trunc(x.theory)
+    c = t.cartesian
     k = max(t.size_of_object.values())
     x1 = "x1"
     objects = list(x.on_objects[x1])
-    pair_dec = product_comparison(x, x1, x1) if k >= 2 else {}
-    multimorphisms, names = {}, {}
-    for n in range(k + 1):
-        sp = x.on_loose[p_arrow(t, n)]
+    pair_dec = _pairing(x.on_tight, c.proj_tight[(x1, x1)],
+                        x.on_objects["x2"]) if k >= 2 else {}
+    arrows = [p_arrow(t, n) for n in range(k + 1)]
+    multimorphisms, element = {}, {}
+    for n, pn in enumerate(arrows):
+        sp = x.on_loose[pn]
         for xi in sp.apex:
             e = sp.left[xi]     # an element of x0, x1 or x2: decode it
             dom = () if n == 0 else (e,) if n == 1 else pair_dec[e]
-            names[(n, xi)] = "{}#{}".format(n, xi)
-            multimorphisms[names[(n, xi)]] = (dom, sp.right[xi])
-    identities = {o: names[(1, x.unitors[x1][o])] for o in objects}
+            name = "{}#{}".format(n, xi)
+            element[name] = (n, xi)
+            multimorphisms[name] = (dom, sp.right[xi])
+    identities = {o: "1#{}".format(x.unitors[x1][o]) for o in objects}
+    # a nullary multimorphism composed with the empty family is itself
+    mc = Multicategory(objects, multimorphisms, identities,
+                       {(m, ()): m for m, (dom, _) in multimorphisms.items()
+                        if not dom}, k)
 
     apex_inv = {}
-    # a nullary multimorphism composed with the empty family is itself
-    comp = {(m, ()): m for m, (dom, _) in multimorphisms.items() if not dom}
-    for n in range(1, k + 1):
-        pn = p_arrow(t, n)
-        for xi in x.on_loose[pn].apex:
-            outer = names[(n, xi)]
-            dom = multimorphisms[outer][0]
-            pools = [[(a, z) for a in range(k + 1)
-                      for z in x.on_loose[p_arrow(t, a)].apex
-                      if x.on_loose[p_arrow(t, a)].right[z] == o]
-                     for o in dom]
-            for inners in itertools.product(*pools):
-                total = sum(a for a, _ in inners)
-                if total > k:
-                    continue
-                if n == 1:
-                    m, zm = p_arrow(t, inners[0][0]), inners[0][1]
-                else:
-                    m1, m2 = (p_arrow(t, a) for a, _ in inners)
-                    m = t.cartesian.product_loose[(m1, m2)]
-                    if (m1, m2) not in apex_inv:
-                        apex_inv[(m1, m2)] = inverse_table(
-                            apex_comparison(x, m1, m2))
-                    zm = apex_inv[(m1, m2)][(inners[0][1], inners[1][1])]
-                res = x.laxators[(m, pn)][(zm, xi)]
-                comp[(outer, tuple(names[i] for i in inners))] = \
-                    names[(total, res)]
-    return Multicategory(objects, multimorphisms, identities, comp, k)
+    for outer, inners in mc.composable():
+        n, xi = element[outer]
+        parts = [element[i] for i in inners]
+        if n == 1:
+            (a, zm), = parts
+            m = arrows[a]
+        else:
+            (a1, z1), (a2, z2) = parts
+            m1, m2 = arrows[a1], arrows[a2]
+            m = c.product_loose[(m1, m2)]
+            if (m1, m2) not in apex_inv:
+                apex_inv[(m1, m2)] = inverse_table(_pairing(
+                    x.on_cells, c.proj_cells[(m1, m2)], x.on_loose[m].apex))
+            zm = apex_inv[(m1, m2)][(z1, z2)]
+        res = x.laxators[(m, arrows[n])][(zm, xi)]
+        mc.comp[(outer, inners)] = "{}#{}".format(
+            sum(a for a, _ in parts), res)
+    return mc
 
 
 def multicategories_isomorphic(mc1, mc2):
@@ -459,11 +440,9 @@ def validate_multifunctor(fm):
         doms = [mc.multimorphisms[i][0] for i in inners]
         for args in itertools.product(
                 *[fm.on_objects[o] for o in sum(doms, ())]):
-            mids, pos = [], 0
-            for i, d in zip(inners, doms):
-                mids.append(fm.actions[i][tuple(args[pos:pos + len(d)])])
-                pos += len(d)
-            if fm.actions[outer][tuple(mids)] != fm.actions[res][tuple(args)]:
+            mids = tuple(fm.actions[i][part]
+                         for i, part in zip(inners, _regroup(args, doms)))
+            if fm.actions[outer][mids] != fm.actions[res][args]:
                 report.append("composition fails at {} with {} on {}"
                               .format(outer, inners, args))
     return report
@@ -479,7 +458,8 @@ def instance_to_multifunctor(p):
     on_objects = {o: sorted(over.get(o, ())) for o in mc.objects}
     inv = {}
     if 2 in {len(d) for d, _ in mc.multimorphisms.values()}:
-        inv = inverse_table(instance_product_comparison(p, x1, x1))
+        inv = inverse_table(_pairing(p.tight_cells, t.cartesian.proj_tight[
+            (x1, x1)], p.carriers["x2"]))
     point = next(iter(p.carriers.get("x0", ())), None)
     actions = {}
     for m, (dom, cod) in mc.multimorphisms.items():
@@ -509,12 +489,14 @@ def multifunctor_to_instance(fm, x):
     def elem_label(tp):
         return _tuple_label(tuple(pair_label(o, v) for o, v in tp))
 
-    carriers, labels = {}, {}
+    # the element tuples of each object, indexed by their label
+    carriers, labels, by_label = {}, {}, {}
     for i in range(k + 1):
         ob = "x{}".format(i)
+        over = {tp: _tuple_label(tuple(o for o, _ in tp)) for tp in elems[i]}
         carriers[ob] = FiniteSet([elem_label(tp) for tp in elems[i]])
-        labels[ob] = {elem_label(tp): _tuple_label(tuple(o for o, _ in tp))
-                      for tp in elems[i]}
+        labels[ob] = {elem_label(tp): over[tp] for tp in elems[i]}
+        by_label[i] = fibers(over, elems[i])
 
     tight_cells = {}
     for f, (a, b, pf) in t.tight_data.items():
@@ -527,14 +509,10 @@ def multifunctor_to_instance(fm, x):
         blocks = map_blocks(pm, b)
         table = {}
         for lab, names in x.mm_of[m].items():
-            src = x.on_loose[m].left[lab]
-            for tp in elems[a]:
-                if labels["x{}".format(a)][elem_label(tp)] != src:
-                    continue
+            for tp in by_label[a].get(x.on_loose[m].left[lab], ()):
                 out = []
-                for j in range(b):
-                    mu = names[j]
-                    vals = tuple(tp[i - 1][1] for i in blocks[j])
+                for mu, block in zip(names, blocks):
+                    vals = tuple(tp[i - 1][1] for i in block)
                     out.append((mc.multimorphisms[mu][1],
                                 fm.actions[mu][vals]))
                 table[(elem_label(tp), lab)] = elem_label(tuple(out))

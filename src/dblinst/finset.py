@@ -66,8 +66,7 @@ def is_function(table, src, dst):
 
 
 def is_bijection(table, src, dst):
-    return (is_function(table, src, dst)
-            and len(set(table.values())) == len(src) == len(dst))
+    return is_function(table, src, dst) and is_bijection_onto(table, dst)
 
 
 def inverse_table(table):
@@ -154,3 +153,12 @@ def pullback_pairs(left_span, right_span):
 def product_set(a, b):
     """Cartesian product of two finite sets with canonical pair labels."""
     return FiniteSet([pair_label(x, y) for x in a for y in b])
+
+
+def is_bijection_onto(table, limit):
+    """Whether a comparison ``table`` is a bijection onto ``limit``, a
+    sized collection of distinct elements such as a materialized product
+    or pullback: its values are distinct and are those of ``limit``."""
+    values = set(table.values())
+    return (len(values) == len(table) == len(limit)
+            and values.issuperset(limit))

@@ -476,16 +476,11 @@ def feedback_loop_count(model, sign):
 def terminal_multicategory(truncation=2):
     """One object with one multimorphism per arity."""
     mms = {"m{}".format(i): (("o",) * i, "o") for i in range(truncation + 1)}
-    comp = {}
+    mc = Multicategory(["o"], mms, {"o": "m1"}, {}, truncation)
     for outer, (dom, _) in mms.items():
-        pools = [()]
-        for _ in dom:
-            pools = [t + (n,) for t in pools for n in mms]
-        for inners in pools:
-            total = sum(len(mms[n][0]) for n in inners)
-            if total <= truncation:
-                comp[(outer, inners)] = "m{}".format(total)
-    return Multicategory(["o"], mms, {"o": "m1"}, comp, truncation)
+        for inners in mc.families(dom):
+            mc.comp[(outer, inners)] = "m{}".format(sum(map(mc.arity, inners)))
+    return mc
 
 
 def join_multicategory():

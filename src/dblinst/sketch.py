@@ -14,11 +14,12 @@ Validation composes each word's table from its generators' tables, one
 word at a time, and keeps nothing between words.
 """
 
+import itertools
 
 from .collage import PresentedCategory
 from .errors import MarkedSquareNotPullback, NameClash, NotCartesian
-from .finset import (FiniteSet, Span, fibers, is_function, pair_label,
-                     pullback_pairs)
+from .finset import (FiniteSet, Span, fibers, is_bijection_onto, is_function,
+                     pair_label, pullback_pairs)
 from .model import SpanModel
 from .search import compile, slices
 
@@ -306,15 +307,13 @@ def validate_sketch_model(s):
     for src, dst, w1, w2 in sk.presented.relations:
         if _word_table(s, src, w1) != _word_table(s, src, w2):
             report.append("relation {} = {} fails at {}".format(w1, w2, src))
+    gens = s.on_generators
     for apex, l1, l2, f, g in sk.marked_pullbacks:
-        fs = s.on_generators[f]
-        gs = s.on_generators[g]
-        cmp_t = {e: (s.on_generators[l1][e], s.on_generators[l2][e])
-                 for e in s.on_objects[apex]}
+        fs, gs, t1, t2 = gens[f], gens[g], gens[l1], gens[l2]
         over = fibers(gs, gs)
-        target = [(a, b) for a in fs for b in over.get(fs[a], ())]
-        values = list(cmp_t.values())
-        if len(set(values)) != len(values) or set(values) != set(target):
+        if not is_bijection_onto(
+                {e: (t1[e], t2[e]) for e in s.on_objects[apex]},
+                [(a, b) for a in fs for b in over.get(fs[a], ())]):
             report.append("marked square at {} is not a pullback".format(apex))
     for apex, legs in s.sketch.marked_products:
         if not legs:
@@ -322,13 +321,10 @@ def validate_sketch_model(s):
                 report.append("marked point at {} is not a singleton".format(apex))
             continue
         tables = [_word_table(s, apex, word) for word, _ in legs]
-        cmp_t = {e: tuple(tb[e] for tb in tables)
-                 for e in s.on_objects[apex]}
-        sizes = 1
-        for _, dst in legs:
-            sizes *= len(s.on_objects[dst])
-        values = list(cmp_t.values())
-        if len(set(values)) != len(values) or len(values) != sizes:
+        if not is_bijection_onto(
+                {e: tuple(tb[e] for tb in tables) for e in s.on_objects[apex]},
+                list(itertools.product(*[s.on_objects[dst]
+                                         for _, dst in legs]))):
             report.append("marked cone at {} is not a product".format(apex))
     return report
 
@@ -446,8 +442,7 @@ def sketch_model_to_model(s):
     for m, (dx, dy) in t.loose.items():
         on_loose[m] = Span(on_objects[dx], on_objects[dy],
                            s.on_objects[loose_sort(m)],
-                           dict(on_gens[_name("src", m)]),
-                           dict(on_gens[_name("tgt", m)]))
+                           on_gens[_name("src", m)], on_gens[_name("tgt", m)])
     on_cells = {}
     for a, (f, g, m, n) in t.cells.items():
         word = cell_word[a]
@@ -458,17 +453,15 @@ def sketch_model_to_model(s):
         p1 = on_gens[_name("p1", m, n)]
         p2 = on_gens[_name("p2", m, n)]
         lax = on_gens[_name("lax", m, n)]
-        witness = {}
-        for e in s.on_objects[pair_sort(m, n)]:
-            witness[(p1[e], p2[e])] = e
+        pairs = {e: (p1[e], p2[e]) for e in s.on_objects[pair_sort(m, n)]}
         dom = pullback_pairs(on_loose[m], on_loose[n])
-        if set(witness.keys()) != set(dom) or \
-                len(witness) != len(s.on_objects[pair_sort(m, n)]):
+        if not is_bijection_onto(pairs, dom):
             raise MarkedSquareNotPullback(
                 "pair sort of ({},{}) is not the materialized pullback"
                 .format(m, n))
+        witness = dict(zip(pairs.values(), pairs))
         laxators[(m, n)] = {pair: lax[witness[pair]] for pair in dom}
-    unitors = {d: dict(on_gens[_name("unit", d)]) for d in t.objects}
+    unitors = {d: on_gens[_name("unit", d)] for d in t.objects}
     return SpanModel(t, on_objects, on_tight, on_loose, on_cells,
                      laxators, unitors)
 
