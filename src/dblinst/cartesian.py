@@ -10,6 +10,15 @@ multifunctors into finite sets; over the opposite finite-set square
 theory (``sq_finset_op``) the single-object cartesian models built here
 come from semilattice operation tables with actions of all functions
 between index sets.
+
+Each mechanism is written once.  ``Multicategory.families`` enumerates
+the bounded families of multimorphisms into given objects: the
+composable pairs, the associativity check, the read-back's composites
+and the terminal fixture all walk it.  Every comparison into a
+designated product is built by ``_pairing`` and tested with
+``finset.is_bijection_onto``.  The dictionary joins through indexes
+built once instead of nested scans, and the cartesian checks report a
+projection table that is missing or not total instead of reading it.
 """
 
 import itertools
@@ -34,9 +43,21 @@ def _pairing(tables, projections, carrier):
     return {e: (t1[e], t2[e]) for e in carrier}
 
 
+def _report_partial(report, tables, names, source, line):
+    """After a comparison failed to read them: report, once each, the
+    named tables that are missing or not defined on all of ``source``."""
+    for q in names:
+        table = tables.get(q)
+        if (table is None or not all(map(table.__contains__, source))) \
+                and line.format(q) not in report:
+            report.append(line.format(q))
+
+
 def validate_cartesian_model(x):
     """Check that a model over a cartesian theory preserves the
-    designated products up to bijective comparisons."""
+    designated products up to bijective comparisons.  A projection
+    table that is missing or not total is reported, and the comparison
+    that reads it skipped."""
     t = x.theory
     c = t.cartesian
     report = []
@@ -47,14 +68,25 @@ def validate_cartesian_model(x):
     if len(x.on_loose[t.loose_id[c.terminal_object]].apex) != 1:
         report.append("loose unit at the terminal object is not a singleton")
     for (d1, d2), p in c.product_object.items():
-        pairs = _pairing(x.on_tight, c.proj_tight[(d1, d2)], x.on_objects[p])
+        proj = c.proj_tight[(d1, d2)]
+        try:
+            pairs = _pairing(x.on_tight, proj, x.on_objects[p])
+        except KeyError:
+            _report_partial(report, x.on_tight, proj, x.on_objects[p],
+                            "tight arrow {} has no total function")
+            continue
         if not is_bijection_onto(pairs, list(itertools.product(
                 x.on_objects[d1], x.on_objects[d2]))):
             report.append("object comparison at {}x{} is not bijective"
                           .format(d1, d2))
     for (m1, m2), m12 in c.product_loose.items():
-        pairs = _pairing(x.on_cells, c.proj_cells[(m1, m2)],
-                         x.on_loose[m12].apex)
+        proj, apex = c.proj_cells[(m1, m2)], x.on_loose[m12].apex
+        try:
+            pairs = _pairing(x.on_cells, proj, apex)
+        except KeyError:
+            _report_partial(report, x.on_cells, proj, apex,
+                            "cell {} has no total apex map")
+            continue
         if not is_bijection_onto(pairs, list(itertools.product(
                 x.on_loose[m1].apex, x.on_loose[m2].apex))):
             report.append("apex comparison at {}x{} is not bijective"
@@ -64,7 +96,9 @@ def validate_cartesian_model(x):
 
 def validate_cartesian_instance(p):
     """Check that an instance over a cartesian model has bijective
-    pairing comparisons at the designated products."""
+    pairing comparisons at the designated products.  A projection's
+    tight cell that is missing or not total is reported, and the
+    comparison that reads it skipped."""
     x = p.model
     c = x.theory.cartesian
     report = []
@@ -73,8 +107,13 @@ def validate_cartesian_instance(p):
     if len(p.carriers[c.terminal_object]) != 1:
         report.append("carrier over the terminal object is not a singleton")
     for (d1, d2), prod in c.product_object.items():
-        pairs = _pairing(p.tight_cells, c.proj_tight[(d1, d2)],
-                         p.carriers[prod])
+        proj = c.proj_tight[(d1, d2)]
+        try:
+            pairs = _pairing(p.tight_cells, proj, p.carriers[prod])
+        except KeyError:
+            _report_partial(report, p.tight_cells, proj, p.carriers[prod],
+                            "tight cell at {} not total")
+            continue
         if not is_bijection_onto(pairs, list(itertools.product(
                 p.carriers[d1], p.carriers[d2]))):
             report.append("instance comparison at {}x{} is not bijective"
@@ -84,25 +123,46 @@ def validate_cartesian_instance(p):
 
 def check_product_actions_determined(p):
     """Recompute the actions of product loose arrows from the factor
-    actions through the projection cells and report mismatches."""
+    actions through the projection cells and report mismatches.  An
+    action missing where the recomputation looks it up is a mismatch.
+    A tight cell or a projection cell that is missing or not total is
+    reported, and the product loose arrows that read it skipped."""
     x = p.model
     t = x.theory
     c = t.cartesian
-    report = []
+    if c is None:
+        return ["theory carries no cartesian structure"]
+    report, actions, no_actions = [], p.actions, {}
     for (m1, m2), m12 in c.product_loose.items():
         c1, c2 = c.proj_cells[(m1, m2)]
         f1, f2 = t.cell_left(c1), t.cell_left(c2)
         d = (t.loose_dst(m1), t.loose_dst(m2))
-        pairs = _pairing(p.tight_cells, c.proj_tight[d],
-                         p.carriers[c.product_object[d]])
-        inverse = dict(zip(pairs.values(), pairs))
-        for (e, xi) in p.action_domain(m12):
-            w1 = p.actions[m1][(p.tight_cells[f1][e], x.on_cells[c1][xi])]
-            w2 = p.actions[m2][(p.tight_cells[f2][e], x.on_cells[c2][xi])]
-            want = inverse[(w1, w2)]
-            if p.actions[m12][(e, xi)] != want:
-                report.append("action of {} at ({},{}) is not the paired "
-                              "factor action".format(m12, e, xi))
+        proj, prod = c.proj_tight[d], p.carriers[c.product_object[d]]
+        a1, a2 = actions.get(m1, no_actions), actions.get(m2, no_actions)
+        a12 = actions.get(m12, no_actions)
+        domain = p.action_domain(m12)
+        try:
+            pairs = _pairing(p.tight_cells, proj, prod)
+            inverse = dict(zip(pairs.values(), pairs))
+            g1, g2 = p.tight_cells[f1], p.tight_cells[f2]
+            h1, h2 = x.on_cells[c1], x.on_cells[c2]
+            wrong = []
+            for e, xi in domain:
+                want = inverse.get((a1.get((g1[e], h1[xi])),
+                                    a2.get((g2[e], h2[xi]))))
+                if want is None or a12.get((e, xi)) != want:
+                    wrong.append((e, xi))
+        except KeyError:
+            line = "tight cell at {} not total"
+            _report_partial(report, p.tight_cells, proj, prod, line)
+            _report_partial(report, p.tight_cells, (f1, f2),
+                            p.carriers[t.loose_src(m12)], line)
+            _report_partial(report, x.on_cells, (c1, c2),
+                            x.on_loose[m12].apex,
+                            "cell {} has no total apex map")
+            continue
+        report += ["action of {} at ({},{}) is not the paired factor "
+                   "action".format(m12, e, xi) for e, xi in wrong]
     return report
 
 
@@ -304,6 +364,19 @@ _PRODUCT_TABLES = ("terminal_object", "terminal_tight", "product_object",
                    "proj_tight", "product_loose", "proj_cells")
 
 
+# prom_trunc(k) by k, each built once per process.  Only _as_prom_trunc
+# and multicategories_isomorphic read it, and no model built over one of
+# these theories leaves the function that built it, so none is mutated.
+_PROM_TRUNC = {}
+
+
+def _prom_trunc(k):
+    t = _PROM_TRUNC.get(k)
+    if t is None:
+        t = _PROM_TRUNC[k] = builtin_theory("prom_trunc", k)
+    return t
+
+
 def _as_prom_trunc(t):
     """The built ``prom_trunc(k)``, k at most 2, whose tables and
     designated products ``t`` has, so that a theory read back from its
@@ -311,7 +384,7 @@ def _as_prom_trunc(t):
     TheoryMismatch."""
     k = len(t.objects) - 1
     if 0 <= k <= 2 and t.cartesian is not None:
-        built = builtin_theory("prom_trunc", k)
+        built = _prom_trunc(k)
         if all(getattr(t, a) == getattr(built, a) for a in _THEORY_TABLES) \
                 and all(getattr(t.cartesian, a) == getattr(built.cartesian, a)
                         for a in _PRODUCT_TABLES):
@@ -323,11 +396,15 @@ def _as_prom_trunc(t):
 def model_to_multicategory(x):
     """Read a multicategory off a cartesian model of a prom_trunc theory.
     A theory with the tables of ``prom_trunc(k)`` is read as it, also
-    when it was read back from a document; any other theory raises
-    TheoryMismatch."""
+    when it was read back from a document.  Any other theory, and
+    ``prom_trunc(0)``, which has no object x1 to hold the objects of a
+    multicategory, raise TheoryMismatch."""
     t = _as_prom_trunc(x.theory)
     c = t.cartesian
     k = max(t.size_of_object.values())
+    if k == 0:
+        raise TheoryMismatch("the model's theory is prom_trunc(0), which has "
+                             "no object x1 for a multicategory's objects")
     x1 = "x1"
     objects = list(x.on_objects[x1])
     pair_dec = _pairing(x.on_tight, c.proj_tight[(x1, x1)],
@@ -381,7 +458,7 @@ def multicategories_isomorphic(mc1, mc2):
     if arities != sorted(map(mc2.arity, mc2.multimorphisms)):
         return False
     mc1, mc2 = _renamed(mc1), _renamed(mc2)
-    t = builtin_theory("prom_trunc", max(arities, default=0))
+    t = _prom_trunc(max(arities, default=0))
     return find_model_isomorphism(multicategory_to_model(mc1, t),
                                   multicategory_to_model(mc2, t)) is not None
 
@@ -448,11 +525,27 @@ def validate_multifunctor(fm):
     return report
 
 
+def _encoded(x):
+    """The multicategory that ``multicategory_to_model`` encoded as the
+    model ``x``, and the family of multimorphisms each apex element
+    stands for.  It attaches them to the model object, and no document
+    carries them: a model read back from its document, like any model
+    it did not build, raises TheoryMismatch."""
+    try:
+        return x.multicategory, x.mm_of
+    except AttributeError:
+        raise TheoryMismatch("the model carries no multicategory: only "
+                             "multicategory_to_model attaches one, and a "
+                             "model read back from its document has none"
+                             ) from None
+
+
 def instance_to_multifunctor(p):
-    """Read a multifunctor off an instance of a multicategory model."""
+    """Read a multifunctor off an instance of a multicategory model;
+    see ``_encoded`` for the models refused."""
     x = p.model
     t = x.theory
-    mc = x.multicategory
+    mc, _ = _encoded(x)
     x1 = "x1"
     over = fibers(p.labels[x1], p.carriers[x1])
     on_objects = {o: sorted(over.get(o, ())) for o in mc.objects}
@@ -476,8 +569,9 @@ def instance_to_multifunctor(p):
 
 def multifunctor_to_instance(fm, x):
     """Build the canonical-product instance of a multicategory model
-    from a multifunctor (no validation; validators are the oracle)."""
-    mc = x.multicategory
+    from a multifunctor (no validation; validators are the oracle); see
+    ``_encoded`` for the models refused."""
+    mc, mm_of = _encoded(x)
     t = x.theory
     k = max(t.size_of_object.values())
 
@@ -508,7 +602,7 @@ def multifunctor_to_instance(fm, x):
     for m, (a, b, pm) in t.loose_data.items():
         blocks = map_blocks(pm, b)
         table = {}
-        for lab, names in x.mm_of[m].items():
+        for lab, names in mm_of[m].items():
             for tp in by_label[a].get(x.on_loose[m].left[lab], ()):
                 out = []
                 for mu, block in zip(names, blocks):

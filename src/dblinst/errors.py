@@ -18,11 +18,14 @@ class IllFormedRelation(DblinstError):
 class IllFormedPresentation(DblinstError):
     """A generator or a signed edge has an undeclared endpoint, an edge
     has a sign other than +1 or -1, a closure was asked for with a word
-    bound below 1, or a truncated theory family with a bound out of range."""
+    bound below 1, a truncated theory family with a bound out of range,
+    or a cyclic translation model whose translation is no involution."""
 
 
 class FreeCategoryNotFinite(DblinstError):
-    """A free (signed) category has paths at the configured length bound."""
+    """A free (signed) category has paths at the configured length bound,
+    or a feedback-loop count is asked of a signed graph with two loops
+    at one vertex, whose involutive-loop quotient is infinite."""
 
 
 class HomSetNotFinite(DblinstError):
@@ -35,7 +38,11 @@ class HomSetTooLarge(DblinstError):
 
 class TheoryMismatch(DblinstError):
     """Two models compared by a morphism search live over different
-    theories, or a multicategory and a ``prom_trunc`` theory do not fit."""
+    theories, or a multicategory and a ``prom_trunc`` theory do not fit:
+    a model read as a multicategory is not over ``prom_trunc(1)`` or
+    ``prom_trunc(2)``, or a multifunctor and an instance are translated
+    over a model that ``multicategory_to_model`` did not build, such as
+    one read back from its document."""
 
 
 class ModelMismatch(DblinstError):
@@ -43,7 +50,8 @@ class ModelMismatch(DblinstError):
     models, or a composite or restriction joins objects that differ, or
     a pair of spans is composed whose middle sets differ, or morphisms
     of a finite category or functors between finite categories are
-    composed that are unknown or do not meet."""
+    composed that are unknown or do not meet, or a coproduct is asked of
+    instances of different models."""
 
 
 class NotDiscreteOpfibration(DblinstError):
@@ -92,7 +100,8 @@ class DuplicateLabel(DblinstError):
 class NotAFunction(DblinstError):
     """A span is not one of finite sets: one of its three sets is not a
     ``FiniteSet``, or a leg is not a total function between its sets;
-    or a table given to be inverted is not injective."""
+    or a table given to be inverted is not injective; or an instance is
+    built without the action table of a loose arrow that needs one."""
 
 
 class InvalidMorphism(DblinstError):

@@ -4,7 +4,9 @@ Everything downstream works with explicitly labelled finite sets.  A
 function is stored as a dict from source labels to target labels; a span
 is a pair of such tables out of an apex set.  Element order is always
 label order, so constructions that pick representatives are
-deterministic.
+deterministic.  Joins go through ``fibers`` indexes, and every test
+that a comparison map is a bijection onto a materialized limit goes
+through ``is_bijection_onto``.
 """
 
 from .errors import DuplicateLabel, ModelMismatch, NotAFunction

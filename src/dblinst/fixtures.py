@@ -11,6 +11,8 @@ models of the terminal theory) are built explicitly.
 from .cartesian import Multicategory
 from .collage import (close_presented_category, collage_of_model,
                       copresheaf_to_instance)
+from .errors import (FreeCategoryNotFinite, IllFormedPresentation,
+                     ModelMismatch, NotAFunction)
 from .fincat import Copresheaf, FinCategory
 from .finset import FiniteSet, Span, fibers, pair_label, pullback_pairs
 from .instance import Instance
@@ -125,7 +127,8 @@ def build_instance(x, carriers, labels, het_actions, tight_cells=None):
     ``het_actions`` maps non-identity looses to action tables; actions
     over an identity loose carried by an identity span are forced by
     the unit axiom.  ``tight_cells`` are needed only for non-identity
-    tights.
+    tights.  A missing action table that is not forced raises
+    NotAFunction.
     """
     t = x.theory
     tight_ids = set(t.tight_id.values())
@@ -143,8 +146,9 @@ def build_instance(x, carriers, labels, het_actions, tight_cells=None):
             actions[m] = dict(het_actions[m])
             continue
         sp = x.on_loose[m]
-        assert m == t.loose_id[d] and sp.left == sp.right == \
-            {e: e for e in sp.apex}, "action table required for {}".format(m)
+        if m != t.loose_id[d] or not sp.left == sp.right == \
+                {e: e for e in sp.apex}:
+            raise NotAFunction("action table required for {}".format(m))
         actions[m] = {(e, labels[d][e]): e for e in carriers[d]}
     return Instance(x, carriers, labels, cells, actions)
 
@@ -181,8 +185,10 @@ def representable_instances(x, bound=DEFAULT_BOUND):
 
 
 def coproduct_instance(h, k):
-    """Disjoint union of two instances of the same model."""
-    assert h.model is k.model
+    """Disjoint union of two instances of the same model; instances of
+    different models raise ModelMismatch."""
+    if h.model is not k.model:
+        raise ModelMismatch("a coproduct of instances of different models")
     t = h.model.theory
 
     def tag(side, table):
@@ -386,8 +392,11 @@ def monad_instance_fixture():
 def cyclic_translation_model(n, q):
     """The cyclic group of order n as a one-object model of the
     involution-cell theory, with the extra cell acting as translation
-    by q (2q must vanish mod n)."""
-    assert (2 * q) % n == 0
+    by q.  Unless 2q vanishes mod n the cell is not an involution, and
+    IllFormedPresentation is raised."""
+    if (2 * q) % n:
+        raise IllFormedPresentation(
+            "translation by {} is not an involution of Z/{}".format(q, n))
     from .theories import involution_cell_theory
     t = involution_cell_theory()
     pt = FiniteSet(["*"])
@@ -446,11 +455,13 @@ def signed_cycle_oracle(graph, sign):
     identity and the loop edge (when present), each its own inverse, so
     a feedback loop of a given sign is a vertex together with an
     involutive endo-arrow of that sign: loop edges of the sign, plus
-    every identity when the sign is positive.
+    every identity when the sign is positive.  A vertex with two loops
+    makes the quotient infinite and raises FreeCategoryNotFinite.
     """
-    for name, s, d, _ in graph.edges:
-        assert s != d or len([1 for n2, s2, _, _ in graph.loops()
-                              if s2 == s]) == 1
+    looped = [s for _, s, _, _ in graph.loops()]
+    if len(set(looped)) != len(looped):
+        raise FreeCategoryNotFinite("a vertex has two loops, so its "
+                                    "involutive-loop quotient is infinite")
     count = len([1 for _, s, d, sg in graph.edges if s == d and sg == sign])
     if sign == +1:
         count += len(graph.vertices)

@@ -240,7 +240,7 @@ def _check_cartesian(report, t):
         if len(hom[(d, c.terminal_object)]) != 1:
             report.append("cartesian: map {} -> terminal not unique".format(d))
     for (d1, d2), p in c.product_object.items():
-        p1, p2 = c.proj_tight[(d1, d2)]
+        p1, p2 = c.proj_tight.get((d1, d2), (None, None))
         if t.tight.get(p1) != (p, d1) or t.tight.get(p2) != (p, d2):
             report.append("cartesian: projections of {}x{} ill-formed"
                           .format(d1, d2))
@@ -258,7 +258,7 @@ def _check_cartesian(report, t):
                    t.cells)
     over = fibers({a: bnd[3] for a, bnd in t.cells.items()}, t.cells)
     for (m1, m2), m12 in c.product_loose.items():
-        c1, c2 = c.proj_cells[(m1, m2)]
+        c1, c2 = c.proj_cells.get((m1, m2), (None, None))
         ok = (t.cells.get(c1) is not None and t.cells.get(c2) is not None
               and t.cell_top(c1) == m12 and t.cell_bottom(c1) == m1
               and t.cell_top(c2) == m12 and t.cell_bottom(c2) == m2)

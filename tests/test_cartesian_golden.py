@@ -330,7 +330,9 @@ def projection_swap(name, k, where, seed):
     return cartesian_reports(x, h)
 
 
-# swaps that crash the parent's cartesian checks with a KeyError
+# swaps after which check_product_actions_determined looks factor
+# actions up at labels they do not have: it raised KeyError on them until
+# it reported such lookups, and tests/test_cartesian_refusals.py pins that
 CRASHING_SWAPS = {"swap_two_object_1_tight_0", "swap_two_object_1_instance_0",
                   "swap_two_object_2_tight_4", "swap_two_object_2_tight_5",
                   "swap_two_object_2_instance_4",

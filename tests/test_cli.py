@@ -665,3 +665,33 @@ def test_a_repeated_label_is_a_typed_error_also_without_asserts(emitted,
          str(broken)], env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", "error: label 'E' is repeated in a finite set\n")
+
+
+def test_validate_theory_reports_a_missing_projection(tmp_path, capsys):
+    from dblinst.serialize import theory_to_doc
+    from dblinst.theories import builtin_theory
+    doc = theory_to_doc(builtin_theory("prom_trunc", 1))
+    del doc["cartesian"]["proj_tight"][0]
+    path = tmp_path / "no_projection.json"
+    save_document(doc, path)
+    code, out, err = run(capsys, "validate-theory", str(path))
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["cartesian: projections of x0xx0 ill-formed"]
+
+
+def test_check_cartesian_reports_a_partial_projection(tmp_path, capsys):
+    from dblinst.cartesian import multicategory_to_model
+    from dblinst.fixtures import join_multicategory, tautological_instance
+    from dblinst.theories import builtin_theory
+    x = multicategory_to_model(join_multicategory(),
+                               builtin_theory("prom_trunc", 2))
+    model, inst = document_of(x), document_of(tautological_instance(x))
+    del model["on_tight"]["tf:2-1:1"]["(o,o)"]
+    del inst["tight_cells"]["tf:2-1:1"]["(o,o)"]
+    for doc, line in ((model, "tight arrow tf:2-1:1 has no total function"),
+                      (inst, "tight cell at tf:2-1:1 not total")):
+        path = tmp_path / "partial.json"
+        save_document(doc, path)
+        code, out, err = run(capsys, "check-cartesian", str(path))
+        assert code == 1 and err == ""
+        assert out.splitlines() == [line]

@@ -165,3 +165,14 @@ def test_identity_cell_of_an_unknown_arrow_is_reported(table, kind):
     getattr(t, table)["ghost"] = next(iter(t.cells))
     assert validate_theory(t) == [
         "{} identity cell of ghost ill-formed".format(kind)]
+
+
+@pytest.mark.parametrize("table,line", [
+    ("proj_tight", "cartesian: projections of x0xx0 ill-formed"),
+    ("proj_cells",
+     "cartesian: projection cells of lf:0-0:xlf:0-0: ill-formed")])
+def test_a_missing_projection_is_reported(table, line):
+    from dblinst.serialize import object_of, theory_to_doc
+    doc = theory_to_doc(builtin_theory("prom_trunc", 1))
+    del doc["cartesian"][table][0]
+    assert validate_theory(object_of(doc)) == [line]
