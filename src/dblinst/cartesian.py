@@ -18,7 +18,8 @@ and the terminal fixture all walk it.  Every comparison into a
 designated product is built by ``_pairing`` and tested with
 ``finset.is_bijection_onto``.  The dictionary joins through indexes
 built once instead of nested scans, and the cartesian checks report a
-projection table that is missing or not total instead of reading it.
+projection missing from the theory, or its table missing or not total,
+instead of reading it.
 """
 
 import itertools
@@ -43,21 +44,30 @@ def _pairing(tables, projections, carrier):
     return {e: (t1[e], t2[e]) for e in carrier}
 
 
+def _products(report, products, projections, what):
+    """(factors, product, projections) for each designated product that
+    the theory gives ``projections``; each other is reported."""
+    for key, product in products.items():
+        if key in projections:
+            yield key, product, projections[key]
+        else:
+            report.append("cartesian: {} of {}x{} missing".format(what, *key))
+
+
 def _report_partial(report, tables, names, source, line):
-    """After a comparison failed to read them: report, once each, the
-    named tables that are missing or not defined on all of ``source``."""
+    """After a comparison failed to read them: report the named tables
+    that are missing or not defined on all of ``source``."""
     for q in names:
         table = tables.get(q)
-        if (table is None or not all(map(table.__contains__, source))) \
-                and line.format(q) not in report:
+        if table is None or not all(map(table.__contains__, source)):
             report.append(line.format(q))
 
 
 def validate_cartesian_model(x):
     """Check that a model over a cartesian theory preserves the
     designated products up to bijective comparisons.  A projection
-    table that is missing or not total is reported, and the comparison
-    that reads it skipped."""
+    missing, or its table missing or not total, is reported, and the
+    comparison that reads it skipped."""
     t = x.theory
     c = t.cartesian
     report = []
@@ -67,8 +77,8 @@ def validate_cartesian_model(x):
         report.append("carrier of the terminal object is not a singleton")
     if len(x.on_loose[t.loose_id[c.terminal_object]].apex) != 1:
         report.append("loose unit at the terminal object is not a singleton")
-    for (d1, d2), p in c.product_object.items():
-        proj = c.proj_tight[(d1, d2)]
+    for (d1, d2), p, proj in _products(report, c.product_object,
+                                       c.proj_tight, "projections"):
         try:
             pairs = _pairing(x.on_tight, proj, x.on_objects[p])
         except KeyError:
@@ -79,8 +89,9 @@ def validate_cartesian_model(x):
                 x.on_objects[d1], x.on_objects[d2]))):
             report.append("object comparison at {}x{} is not bijective"
                           .format(d1, d2))
-    for (m1, m2), m12 in c.product_loose.items():
-        proj, apex = c.proj_cells[(m1, m2)], x.on_loose[m12].apex
+    for (m1, m2), m12, proj in _products(report, c.product_loose,
+                                         c.proj_cells, "projection cells"):
+        apex = x.on_loose[m12].apex
         try:
             pairs = _pairing(x.on_cells, proj, apex)
         except KeyError:
@@ -91,14 +102,14 @@ def validate_cartesian_model(x):
                 x.on_loose[m1].apex, x.on_loose[m2].apex))):
             report.append("apex comparison at {}x{} is not bijective"
                           .format(m1, m2))
-    return report
+    return list(dict.fromkeys(report))
 
 
 def validate_cartesian_instance(p):
     """Check that an instance over a cartesian model has bijective
-    pairing comparisons at the designated products.  A projection's
-    tight cell that is missing or not total is reported, and the
-    comparison that reads it skipped."""
+    pairing comparisons at the designated products.  A projection
+    missing, or its tight cell missing or not total, is reported, and
+    the comparison that reads it skipped."""
     x = p.model
     c = x.theory.cartesian
     report = []
@@ -106,8 +117,8 @@ def validate_cartesian_instance(p):
         return ["theory carries no cartesian structure"]
     if len(p.carriers[c.terminal_object]) != 1:
         report.append("carrier over the terminal object is not a singleton")
-    for (d1, d2), prod in c.product_object.items():
-        proj = c.proj_tight[(d1, d2)]
+    for (d1, d2), prod, proj in _products(report, c.product_object,
+                                          c.proj_tight, "projections"):
         try:
             pairs = _pairing(p.tight_cells, proj, p.carriers[prod])
         except KeyError:
@@ -118,25 +129,30 @@ def validate_cartesian_instance(p):
                 p.carriers[d1], p.carriers[d2]))):
             report.append("instance comparison at {}x{} is not bijective"
                           .format(d1, d2))
-    return report
+    return list(dict.fromkeys(report))
 
 
 def check_product_actions_determined(p):
     """Recompute the actions of product loose arrows from the factor
     actions through the projection cells and report mismatches.  An
     action missing where the recomputation looks it up is a mismatch.
-    A tight cell or a projection cell that is missing or not total is
-    reported, and the product loose arrows that read it skipped."""
+    A product or projection missing, or a tight cell or a projection
+    cell missing or not total, is reported, and the product loose
+    arrows that read it skipped; each line once, in the order first met."""
     x = p.model
     t = x.theory
     c = t.cartesian
     if c is None:
         return ["theory carries no cartesian structure"]
     report, actions, no_actions = [], p.actions, {}
-    for (m1, m2), m12 in c.product_loose.items():
-        c1, c2 = c.proj_cells[(m1, m2)]
+    for (m1, m2), m12, (c1, c2) in _products(
+            report, c.product_loose, c.proj_cells, "projection cells"):
         f1, f2 = t.cell_left(c1), t.cell_left(c2)
         d = (t.loose_dst(m1), t.loose_dst(m2))
+        if d not in c.product_object or d not in c.proj_tight:
+            report.append("cartesian: product {}x{} or its projections "
+                          "missing".format(*d))
+            continue
         proj, prod = c.proj_tight[d], p.carriers[c.product_object[d]]
         a1, a2 = actions.get(m1, no_actions), actions.get(m2, no_actions)
         a12 = actions.get(m12, no_actions)
@@ -163,7 +179,7 @@ def check_product_actions_determined(p):
             continue
         report += ["action of {} at ({},{}) is not the paired factor "
                    "action".format(m12, e, xi) for e, xi in wrong]
-    return report
+    return list(dict.fromkeys(report))
 
 
 # ---------------------------------------------------------------------------

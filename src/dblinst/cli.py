@@ -166,11 +166,16 @@ def cmd_check_initial(args):
 
 def cmd_check_cartesian(args):
     from .cartesian import validate_cartesian_instance, validate_cartesian_model
-    from .model import SpanModel
+    from .instance import validate_instance
+    from .model import SpanModel, validate_model
     obj = _load(args.file, {"model", "instance"})
-    validate = validate_cartesian_model if isinstance(obj, SpanModel) \
-        else validate_cartesian_instance
-    return _emit_report(args, validate(obj))
+    # the cartesian checks read only what validation finds there
+    if isinstance(obj, SpanModel):
+        report = validate_model(obj) or validate_cartesian_model(obj)
+    else:
+        report = validate_model(obj.model) or validate_instance(obj) \
+            or validate_cartesian_instance(obj)
+    return _emit_report(args, report)
 
 
 def cmd_flatten(args):

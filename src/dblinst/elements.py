@@ -223,18 +223,16 @@ def canonical_elements_comparison(p, witness=None):
     """The canonical isomorphism elements(nabla(p)) -> source of p.
 
     Identity on objects; on a loose apex it sends the pair (element,
-    base heteromorphism) to the witnessed lift.
+    base heteromorphism) to the witnessed lift.  The pairs and their
+    apex labels are read off the witness that ``elements`` returns.
     """
     witness = _checked_witness(p, witness)
-    inst = _instance_of(p, witness)
-    e2, pi2, _ = elements(inst)
+    e2, pi2, w2 = elements(_instance_of(p, witness))
     t = p.source.theory
     on_objects = {d: {e: e for e in e2.on_objects[d]} for d in t.objects}
-    on_loose = {}
-    for m in t.loose:
-        on_loose[m] = {
-            pair_label(e, b): witness.bijections[m][(b, e)]
-            for (e, b) in inst.action_domain(m)}
+    on_loose = {m: {lab: witness.bijections[m][pair]
+                    for pair, lab in w2.bijections[m].items()}
+                for m in t.loose}
     return ModelMorphism(e2, p.source, on_objects, on_loose), e2, pi2
 
 

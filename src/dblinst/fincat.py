@@ -8,7 +8,7 @@ written diagrammatically throughout: ``comp[(f, g)]`` is "f then g".
 from .errors import ModelMismatch
 from .finset import (FiniteSet, compose_tables, fibers, identity_table,
                      is_function)
-from .search import compile, slices
+from .search import Layout, compile
 
 
 class FinCategory:
@@ -28,9 +28,6 @@ class FinCategory:
 
     def dst(self, f):
         return self.morphisms[f][1]
-
-    def morphisms_from(self, a):
-        return sorted(f for f, (s, _) in self.morphisms.items() if s == a)
 
     def compose(self, f, g):
         """``f`` then ``g``; raises ModelMismatch unless both are
@@ -140,15 +137,17 @@ class FinFunctor:
         For every object e of the source and morphism g out of its image,
         exactly one morphism out of e maps to g.  Returns (ok, failures).
         """
-        failures = []
         c, d = self.source, self.target
+        out = fibers({g: s for g, (s, _) in d.morphisms.items()},
+                     sorted(d.morphisms))
+        lifts = fibers({u: (s, self.on_morphisms[u])
+                        for u, (s, _) in c.morphisms.items()}, c.morphisms)
+        failures = []
         for e in c.objects:
-            image = self.on_objects[e]
-            for g in d.morphisms_from(image):
-                lifts = [u for u in c.morphisms_from(e)
-                         if self.on_morphisms[u] == g]
-                if len(lifts) != 1:
-                    failures.append((e, g, len(lifts)))
+            for g in out.get(self.on_objects[e], ()):
+                n = len(lifts.get((e, g), ()))
+                if n != 1:
+                    failures.append((e, g, n))
         return (not failures, failures)
 
 
@@ -203,13 +202,13 @@ def enumerate_natural_transformations(c1, c2):
     elements and values in label order.
     """
     base = c1.base
-    parts = slices([(o, c1.on_objects[o].labels) for o in base.objects])
-    domains = [((o, v), c2.on_objects[o].labels)
-               for o, vs, _, _ in parts for v in vs]
+    layout = Layout([((o,), dict.fromkeys(c1.on_objects[o],
+                                          c2.on_objects[o].labels))
+                     for o in base.objects])
     # f acting in c2 sends the image of v to the image of its pushforward
     constraints = [(((s, v), (d, c1.on_morphisms[f][v])),
                     c2.on_morphisms[f])
                    for f, (s, d) in base.morphisms.items()
                    for v in c1.on_objects[s]]
-    return [{o: dict(zip(vs, sol[i:j])) for o, vs, i, j in parts}
-            for sol in compile(domains, constraints).run()]
+    return [{o: tab for (o,), tab in layout.tables(sol).items()}
+            for sol in compile(layout.domains, constraints).run()]

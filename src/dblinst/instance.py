@@ -14,7 +14,7 @@ laxators, unitality at the unitors) are checked exhaustively.
 from .errors import ModelMismatch
 from .finset import (FiniteSet, compose_tables, fibers, identity_table,
                      is_function, pair_label)
-from .search import compile, distinct, slices, violations
+from .search import Layout, compile, distinct, violations
 
 
 class Instance:
@@ -134,11 +134,12 @@ class InstanceMorphism:
         self.components = {d: dict(t) for d, t in components.items()}
 
     @classmethod
-    def _of(cls, source, target, components):
-        """A morphism on component tables made for it alone, kept
+    def _of(cls, source, target, tables):
+        """The morphism on the tables of a solution (``_layout``), kept
         without the copy that ``__init__`` makes."""
         mu = cls.__new__(cls)
-        mu.source, mu.target, mu.components = source, target, components
+        mu.source, mu.target = source, target
+        mu.components = {d: tables[d,] for d in source.model.theory.objects}
         return mu
 
     def component_key(self):
@@ -153,11 +154,11 @@ class InstanceMorphism:
 
 def validate_instance_morphism(mu):
     """Report the components that are not total or break labels, or
-    else the constraints of ``_search_problem`` that they break, so
-    that validation and enumeration cannot disagree.  Raises
+    else the constraints of ``_constraints`` that they break, so that
+    validation and enumeration cannot disagree.  Raises
     ``ModelMismatch`` when h and k live over different models."""
     h, k = mu.source, mu.target
-    _, constraints = _search_problem(h, k)
+    constraints = _constraints(h, k)
     t = h.model.theory
     report = []
     for d in t.objects:
@@ -201,32 +202,32 @@ def _model_differences(x, y):
         if x is not y and getattr(x, part) != getattr(y, part)]
 
 
-def _search_problem(h, k):
-    """The search for instance morphisms h -> k, as (domains,
-    constraints).
+def _layout(h, k):
+    """The layout of the search for instance morphisms h -> k: one
+    variable ``(d, e)`` per element e of h at the object d, objects
+    sorted, elements in label order; its values are the elements of k
+    in the same label fibre, in label order.  So the search yields the
+    morphisms sorted by their component tables."""
+    components = []
+    for d in sorted(h.model.theory.objects):
+        # one value tuple per fibre, shared by the elements over it
+        over = {b: tuple(es) for b, es in
+                fibers(k.labels[d], k.carriers[d]).items()}
+        components.append(((d,), {e: over.get(h.labels[d][e], ())
+                                  for e in h.carriers[d]}))
+    return Layout(components)
 
-    One search variable ``(d, e)`` per element e of h at the object d,
-    in ``component_key`` order: objects sorted, elements in label
-    order; its values are the elements of k in the same label fibre,
-    in label order.  So the search yields the morphisms sorted by
-    their component tables.  Naturality at tight arrows and
-    equivariance at loose arrows are checked element by element, each
-    tagged with its report line.  Raises ``ModelMismatch`` when h and
-    k live over models with different carriers, tight functions or
-    spans.
-    """
+
+def _constraints(h, k):
+    """The constraints of the search for instance morphisms h -> k:
+    naturality at tight arrows and equivariance at loose arrows, each
+    tagged with its report line.  Raises ``ModelMismatch`` when h and k
+    live over models with different carriers, tight functions or spans."""
     differ = _model_differences(h.model, k.model)
     if differ:
         raise ModelMismatch("the instances live over models with different {}"
                             .format(", ".join(differ)))
     t = h.model.theory
-    domains = []
-    for d in sorted(t.objects):
-        # one value tuple per fibre, shared by the elements over it
-        over = {b: tuple(es) for b, es in
-                fibers(k.labels[d], k.carriers[d]).items()}
-        domains += [((d, e), over.get(h.labels[d][e], ()))
-                    for e in h.carriers[d]]
     # each check is a table of k that sends the image of the first
     # element read to the image of the second: a tight cell, or the
     # action of one heteromorphism xi, split out of k's action at m once
@@ -243,35 +244,20 @@ def _search_problem(h, k):
                      ("equivariance fails at {} on ({},{})", m, e, xi))
                     for m, (s, d) in t.loose.items()
                     for e, xi in h.action_domain(m)]
-    return domains, constraints
-
-
-def _parts(h):
-    """Where each component of a morphism out of h lies in a solution of
-    ``_search_problem``: (object, its elements, start, stop), objects in
-    theory order."""
-    t = h.model.theory
-    at = {sl[0]: sl for sl in slices([(d, h.carriers[d].labels)
-                                      for d in sorted(t.objects)])}
-    return [at[d] for d in t.objects]
-
-
-def _morphism(h, k, parts, sol):
-    """The morphism h -> k that the solution ``sol`` stands for."""
-    return InstanceMorphism._of(
-        h, k, {d: dict(zip(es, sol[i:j])) for d, es, i, j in parts})
+    return constraints
 
 
 def enumerate_instance_morphisms(h, k):
     """All instance morphisms h -> k, sorted by component tables.
 
     Searched element by element in ``component_key`` order (see
-    ``_search_problem``), so they come out of the search sorted.  Raises
+    ``_layout``), so they come out of the search sorted.  Raises
     ``ModelMismatch`` when h and k live over different models.
     """
-    parts = _parts(h)
-    return [_morphism(h, k, parts, sol)
-            for sol in compile(*_search_problem(h, k)).run()]
+    constraints = _constraints(h, k)
+    layout = _layout(h, k)
+    return [InstanceMorphism._of(h, k, layout.tables(sol))
+            for sol in compile(layout.domains, constraints).run()]
 
 
 def find_instance_isomorphism(h, k):
@@ -284,7 +270,7 @@ def find_instance_isomorphism(h, k):
     it returns the first bijective morphism instead of building the
     whole hom-set.
     """
-    domains, constraints = _search_problem(h, k)
+    constraints = _constraints(h, k)
     groups = []
     for d in h.model.theory.objects:
         over_h = fibers(h.labels[d], h.carriers[d])
@@ -294,8 +280,9 @@ def find_instance_isomorphism(h, k):
             return None     # no bijection over the labels
         groups += [[(d, e) for e in f] for f in over_h.values()]
     constraints += distinct(groups)
-    for sol in compile(domains, constraints).run():
-        return _morphism(h, k, _parts(h), sol)
+    layout = _layout(h, k)
+    for sol in compile(layout.domains, constraints).run():
+        return InstanceMorphism._of(h, k, layout.tables(sol))
     return None
 
 

@@ -13,12 +13,10 @@ variable per element of a carrier or apex, listed in the order of their
 component tables, so they come out of the search in that order.
 """
 
-from functools import cached_property
-
 from .errors import InvalidMorphism, ModelMismatch, TheoryMismatch
 from .finset import (FiniteSet, Span, compose_tables, fibers, identity_table,
                      is_function, pullback_pairs)
-from .search import compile, distinct, slices, violations
+from .search import Layout, compile, distinct, violations
 
 
 class SpanModel:
@@ -221,12 +219,13 @@ class ModelMorphism:
         self.on_loose = {m: dict(tab) for m, tab in on_loose.items()}
 
     @classmethod
-    def _of(cls, source, target, on_objects, on_loose):
-        """A morphism on component tables made for it alone, kept
+    def _of(cls, source, target, tables):
+        """The morphism on the tables of a solution (``_layout``), kept
         without the copy that ``__init__`` makes."""
         f = cls.__new__(cls)
         f.source, f.target = source, target
-        f.on_objects, f.on_loose = on_objects, on_loose
+        f.on_objects = {d: tables["ob", d] for d in source.theory.objects}
+        f.on_loose = {m: t for (kind, m), t in tables.items() if kind == "lo"}
         return f
 
     def component_key(self):
@@ -249,11 +248,11 @@ class ModelMorphism:
 
 def validate_model_morphism(al):
     """Report the components that are not total functions, or else the
-    constraints of ``_search_problem`` that the tables break, so that
+    constraints of ``_constraints`` that the tables break, so that
     validation and enumeration cannot disagree.  Raises
     ``TheoryMismatch`` when the models live over different theories."""
     x, y = al.source, al.target
-    _, constraints = _search_problem(x, y)
+    constraints = _constraints(x, y)
     t = x.theory
     report = []
     for d in t.objects:
@@ -298,21 +297,26 @@ def compose_model_morphisms(f, g):
         {m: compose_tables(t, g.on_loose[m]) for m, t in f.on_loose.items()})
 
 
-def _search_problem(a, b):
-    """The search for morphisms a -> b, as (domains, constraints).
+def _layout(a, b):
+    """The layout of the search for morphisms a -> b: one variable per
+    element, in ``component_key`` order: ``("ob", d, e)`` for the image
+    of e at the object d, objects sorted, then ``("lo", m, xi)`` for the
+    image of the heteromorphism xi at the loose arrow m, loose arrows
+    sorted; elements and values come in label order.  So the search
+    yields the morphisms sorted by their component tables."""
+    t = a.theory
+    return Layout(
+        [(("ob", d), dict.fromkeys(a.on_objects[d], b.on_objects[d].labels))
+         for d in sorted(t.objects)]
+        + [(("lo", m), dict.fromkeys(a.on_loose[m].apex,
+                                     b.on_loose[m].apex.labels))
+           for m in sorted(t.loose)])
 
-    One search variable per element, in ``component_key`` order:
-    ``("ob", d, e)`` for the image of e at the object d, objects
-    sorted, then ``("lo", m, xi)`` for the image of the heteromorphism
-    xi at the loose arrow m, loose arrows sorted; elements and values
-    come in label order.  So the search yields the morphisms sorted by
-    their component tables.  Tight naturality, the legs, the cells,
-    the laxators and the unitors are checked element by element, each
-    as soon as the elements it reads are assigned.  Each constraint is
-    tagged with its line of the ``validate_model_morphism`` report.
-    Raises ``TheoryMismatch`` when the two models live over different
-    theories.
-    """
+
+def _constraints(a, b):
+    """The constraints of the search for morphisms a -> b, each tagged
+    with its line of the ``validate_model_morphism`` report.  Raises
+    ``TheoryMismatch`` when the models live over different theories."""
     t = a.theory
     differ = [label for part, label in (
         ("objects", "objects"), ("tight", "tight arrows"),
@@ -321,10 +325,6 @@ def _search_problem(a, b):
     if differ:
         raise TheoryMismatch("the models live over theories with different {}"
                              .format(", ".join(differ)))
-    domains = [(("ob", d, e), b.on_objects[d].labels)
-               for d in sorted(t.objects) for e in a.on_objects[d]]
-    domains += [(("lo", m, xi), b.on_loose[m].apex.labels)
-                for m in sorted(t.loose) for xi in a.on_loose[m].apex]
     # each check is a table of b that sends the image of the first
     # element read to the image of the second (of a pair, for the
     # laxators).  Tags are report lines, listed in report order; one per
@@ -362,7 +362,7 @@ def _search_problem(a, b):
                          b.unitors[d],
                          ("unitor compatibility fails at {} on {}", d, e))
                         for e in a.on_objects[d]]
-    return domains, constraints
+    return constraints
 
 
 def _components(f):
@@ -371,26 +371,6 @@ def _components(f):
     out = {("ob", d): tab for d, tab in f.on_objects.items()}
     out.update({("lo", m): tab for m, tab in f.on_loose.items()})
     return out
-
-
-def _parts(a):
-    """Where each component of a morphism out of a lies in a solution of
-    ``_search_problem``: (object slices, loose slices), objects in theory
-    order and loose arrows sorted, as the morphisms list them."""
-    t = a.theory
-    at = {key: (key[1], es, i, j) for key, es, i, j in slices(
-        [(("ob", d), a.on_objects[d].labels) for d in sorted(t.objects)]
-        + [(("lo", m), a.on_loose[m].apex.labels) for m in sorted(t.loose)])}
-    return ([at["ob", d] for d in t.objects],
-            [at["lo", m] for m in sorted(t.loose)])
-
-
-def _morphism(a, b, parts, sol):
-    """The morphism a -> b that the solution ``sol`` stands for."""
-    obs, los = parts
-    return ModelMorphism._of(
-        a, b, {d: dict(zip(es, sol[i:j])) for d, es, i, j in obs},
-        {m: dict(zip(xs, sol[i:j])) for m, xs, i, j in los})
 
 
 class MorphismSearch:
@@ -406,14 +386,15 @@ class MorphismSearch:
     subsequence of the full one in the same order, so a run yields the
     morphisms of ``enumerate_model_morphisms(a, b)`` that satisfy the
     conditions, in the order that lists them.  Each morphism is built
-    from its components' slices of a solution tuple.  Runs are
-    independent, so one may be started inside another.
+    from the component tables that the layout reads off a solution.
+    Runs are independent, so one may be started inside another.
     """
 
     def __init__(self, a, b, over=None):
         self.source, self.target = a, b
-        self.problem = compile(*_search_problem(a, b))
-        self.parts = _parts(a)
+        constraints = _constraints(a, b)
+        self.layout = _layout(a, b)
+        self.problem = compile(self.layout.domains, constraints)
         self._fibres = None
         if over is not None:
             values = {("ob", d): s for d, s in b.on_objects.items()}
@@ -425,14 +406,6 @@ class MorphismSearch:
             # and its element
             self._fibres = [(fibres[kind, c], (kind, c), x)
                          for kind, c, x in self.problem.variables]
-
-    @cached_property
-    def position(self):
-        """The position of each element's variable, by component; only
-        a pinned run reads it."""
-        return {(kind, c): {x: i + n for n, x in enumerate(xs)}
-                for kind, part in zip(("ob", "lo"), self.parts)
-                for c, xs, i, _ in part}
 
     def _values(self, base, pin):
         """The value lists of a run over ``base`` and with ``pin``, or
@@ -450,7 +423,7 @@ class MorphismSearch:
             given = _components(u)
             pinned = {}     # position -> the value u gives, or None on a clash
             for key, tab in _components(e).items():
-                position, gives = self.position[key], given[key]
+                position, gives = self.layout.position[key], given[key]
                 for z, x in tab.items():
                     i, w = position[x], gives[z]
                     if pinned.setdefault(i, w) != w:
@@ -463,9 +436,9 @@ class MorphismSearch:
         """Yield the morphisms w: a -> b, with w;q = ``base`` when
         given (only a search built ``over`` q takes one), and e;w = u
         when ``pin`` = (e, u) is given."""
-        a, b, parts = self.source, self.target, self.parts
+        a, b, tables = self.source, self.target, self.layout.tables
         for sol in self.problem.run(self._values(base, pin)):
-            yield _morphism(a, b, parts, sol)
+            yield ModelMorphism._of(a, b, tables(sol))
 
     def count(self, base=None, pin=None):
         """The number of morphisms ``morphisms`` yields, counted as
@@ -477,7 +450,7 @@ def enumerate_model_morphisms(a, b):
     """All strict morphisms a -> b, sorted by component tables.
 
     Searched element by element in ``component_key`` order (see
-    ``_search_problem``), so they come out of the search sorted.  Raises
+    ``_layout``), so they come out of the search sorted.  Raises
     ``TheoryMismatch`` when the two models live over different
     theories.
     """
@@ -498,7 +471,7 @@ def find_model_isomorphism(a, b):
     of building the whole hom-set.
     """
     t = a.theory
-    domains, constraints = _search_problem(a, b)
+    constraints = _constraints(a, b)
     if any(len(a.on_objects[d]) != len(b.on_objects[d]) for d in t.objects) \
             or any(len(sp.apex) != len(b.on_loose[m].apex)
                    for m, sp in a.on_loose.items()):
@@ -506,6 +479,7 @@ def find_model_isomorphism(a, b):
     constraints += distinct(
         [[("ob", d, e) for e in a.on_objects[d]] for d in t.objects]
         + [[("lo", m, xi) for xi in a.on_loose[m].apex] for m in t.loose])
-    for sol in compile(domains, constraints).run():
-        return _morphism(a, b, _parts(a), sol)
+    layout = _layout(a, b)
+    for sol in compile(layout.domains, constraints).run():
+        return ModelMorphism._of(a, b, layout.tables(sol))
     return None

@@ -19,13 +19,15 @@ A problem is compiled once (``compile``): its constraints are sorted
 into per-level lists then, and each run only walks them, so a search
 run many times over one problem, with narrowed value lists, sorts
 nothing again.  A run yields each solution as a tuple of values in
-variable order; a caller slices it into its components (``slices``).
+variable order; a ``Layout`` names the variables after the components
+of a search and reads each component's table off a solution.
 
 A constraint may carry a third element, a tag for the condition it
 stands for: the search ignores it, and ``violations`` lists the tags
 a complete assignment breaks, so a validator checks the same conditions.
 """
 
+from functools import cached_property
 from operator import itemgetter
 
 
@@ -125,16 +127,32 @@ def compile(domains, constraints):
     return Problem(domains, constraints)
 
 
-def slices(components):
-    """Where each component lies in a solution whose variables list the
-    elements of the components one after another: (name, elements,
-    start, stop) for each (name, elements) given, so that the component
-    is ``dict(zip(elements, solution[start:stop]))``."""
-    out, start = [], 0
-    for name, elements in components:
-        out.append((name, elements, start, start + len(elements)))
-        start += len(elements)
-    return out
+class Layout:
+    """Where the components of a search lie in its solutions, built
+    from (key, values) per component in search order: ``key`` a tuple,
+    ``values`` a dict from each element, in order, to its value list.
+    The variables are ``key + (e,)`` for each element e of each key."""
+
+    def __init__(self, components):
+        domains = self.domains = []   # (variable, value list), for compile
+        self._slices = []   # (key, elements, start, stop) per component
+        for key, values in components:
+            start = len(domains)
+            for e, vs in values.items():
+                domains.append((key + (e,), vs))
+            self._slices.append((key, tuple(values), start, len(domains)))
+
+    def tables(self, solution):
+        """Each component's table in ``solution``, by key, in search order."""
+        return {key: dict(zip(es, solution[i:j]))
+                for key, es, i, j in self._slices}
+
+    @cached_property
+    def position(self):
+        """Each element's position in a solution, by component key;
+        built when first read, as only pinned runs read it."""
+        return {key: {e: n for n, e in enumerate(es, i)}
+                for key, es, i, _ in self._slices}
 
 
 def violations(constraints, value):

@@ -374,10 +374,14 @@ _TYPES = dict(dict.fromkeys(
 def object_of(doc):
     """Read a document.  A document without one of its kind's required
     top-level fields, or with a part or an entry of the wrong shape,
-    raises ``MalformedDocument``, naming the kind and, if known, the field."""
+    raises ``MalformedDocument``, naming the kind and, if known, the
+    field; so does a value that is not a document of a known kind."""
+    if not isinstance(doc, dict):
+        raise MalformedDocument("a document is a JSON object, not a value "
+                                "of type {}".format(type(doc).__name__))
     kind = doc.get("kind")
     if kind not in _FROM_DOC:
-        raise ValueError("unknown document kind {!r}".format(kind))
+        raise MalformedDocument("unknown document kind {!r}".format(kind))
     for field in _FIELDS[kind]:
         if field not in doc:
             raise MalformedDocument("a {!r} document has no {!r} field"
@@ -454,4 +458,7 @@ def save_document(doc, path):
 
 def load_document(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise MalformedDocument("{}: not valid JSON: {}".format(path, e))

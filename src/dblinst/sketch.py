@@ -21,7 +21,7 @@ from .errors import MarkedSquareNotPullback, NameClash, NotCartesian
 from .finset import (FiniteSet, Span, fibers, is_bijection_onto, is_function,
                      pair_label, pullback_pairs)
 from .model import SpanModel
-from .search import compile, slices
+from .search import Layout, compile
 
 
 def _name(kind, *parts):
@@ -433,21 +433,15 @@ def sketch_model_to_model(s):
     on_gens = s.on_generators
 
     on_objects = {d: s.on_objects[ob_sort(d)] for d in t.objects}
-    on_tight = {}
-    for f, (dx, _) in t.tight.items():
-        word = tight_word[f]
-        on_tight[f] = dict(on_gens[word[0]]) if word else \
-            {e: e for e in on_objects[dx]}
+    on_tight = {f: dict(_word_table(s, ob_sort(dx), tight_word[f]))
+                for f, (dx, _) in t.tight.items()}
     on_loose = {}
     for m, (dx, dy) in t.loose.items():
         on_loose[m] = Span(on_objects[dx], on_objects[dy],
                            s.on_objects[loose_sort(m)],
                            on_gens[_name("src", m)], on_gens[_name("tgt", m)])
-    on_cells = {}
-    for a, (f, g, m, n) in t.cells.items():
-        word = cell_word[a]
-        on_cells[a] = dict(on_gens[word[0]]) if word else \
-            {e: e for e in on_loose[m].apex}
+    on_cells = {a: dict(_word_table(s, loose_sort(m), cell_word[a]))
+                for a, (_, _, m, _) in t.cells.items()}
     laxators = {}
     for (m, n), mn in t.loose_comp.items():
         p1 = on_gens[_name("p1", m, n)]
@@ -482,9 +476,9 @@ def enumerate_sketch_model_morphisms(s1, s2):
                for apex, l1, l2, _, _ in reversed(sk.marked_pullbacks)}
     free = [o for o in sk.presented.objects if o not in marking]
     derived = [o for o in sk.presented.objects if o in marking]
-    parts = slices([(o, tuple(s1.on_objects[o])) for o in free + derived])
-    domains = [((o, e), s2.on_objects[o])
-               for o, es, _, _ in parts for e in es]
+    layout = Layout([((o,), dict.fromkeys(s1.on_objects[o],
+                                          s2.on_objects[o]))
+                     for o in free + derived])
     # g's table in s2 sends the image of e to the image of g(e)
     constraints = [(((src, e), (dst, s1.on_generators[g][e])),
                     s2.on_generators[g])
@@ -499,5 +493,5 @@ def enumerate_sketch_model_morphisms(s1, s2):
             (((gens[l1][1], s1.on_generators[l1][e]),
               (gens[l2][1], s1.on_generators[l2][e]), (o, e)), pins)
             for e in s1.on_objects[o]]
-    return [{o: dict(zip(es, sol[i:j])) for o, es, i, j in parts}
-            for sol in compile(domains, constraints).run()]
+    return [{o: tab for (o,), tab in layout.tables(sol).items()}
+            for sol in compile(layout.domains, constraints).run()]

@@ -21,7 +21,8 @@ from dblinst.cartesian import (Multicategory, build_cocartesian_example,
 from dblinst.errors import (IllFormedPresentation, InvalidTheory,
                             TheoryMismatch)
 from dblinst.fixtures import (builtin_multicategory, join_multicategory,
-                              monad_instance_fixture, terminal_multicategory,
+                              monad_instance_fixture, tautological_instance,
+                              terminal_multicategory,
                               two_object_multicategory)
 from dblinst.instance import validate_instance
 from dblinst.model import validate_model
@@ -329,6 +330,27 @@ def test_non_cartesian_instance_detected():
     x, h = monad_instance_fixture()
     # the monad theory carries no cartesian structure
     assert validate_cartesian_instance(h) != []
+
+
+def test_a_product_the_theory_does_not_designate_is_reported():
+    """Each cartesian check reports a product or projections missing
+    from the theory's cartesian structure, each line once, instead of
+    reading them."""
+    t = builtin_theory("prom_trunc", 2)
+    x = multicategory_to_model(join_multicategory(), t)
+    h = tautological_instance(x)
+    c = t.cartesian
+    del c.proj_cells[("lf:0-0:", "lf:0-0:")]
+    del c.proj_tight[("x1", "x1")]
+    cells = "cartesian: projection cells of lf:0-0:xlf:0-0: missing"
+    tight = "cartesian: projections of x1xx1 missing"
+    assert validate_cartesian_model(x) == [tight, cells]
+    assert validate_cartesian_instance(h) == [tight]
+    product = "cartesian: product x1xx1 or its projections missing"
+    assert check_product_actions_determined(h) == [cells, product]
+    del c.product_object[("x1", "x1")]
+    assert validate_cartesian_instance(h) == []
+    assert check_product_actions_determined(h) == [cells, product]
 
 
 def test_cocartesian_examples_validate():

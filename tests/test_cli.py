@@ -551,6 +551,19 @@ def test_a_document_that_is_not_an_object_is_a_typed_error(
         2, "", "error: {}: not a JSON object\n".format(path))
 
 
+@pytest.mark.parametrize("text", ["", "{", "[1] 2"])
+@pytest.mark.parametrize("verb", ["validate-model", "check-cartesian",
+                                  "elements"])
+def test_text_that_is_not_json_is_a_typed_error(tmp_path, capsys, verb,
+                                                text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, verb, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: {}: not valid JSON: ".format(path))
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("model, found", [
     (3, "a value of type int"), ({"kind": "theory"}, "kind 'theory'")])
 def test_a_malformed_part_of_a_document_is_a_typed_error(
@@ -695,3 +708,41 @@ def test_check_cartesian_reports_a_partial_projection(tmp_path, capsys):
         code, out, err = run(capsys, "check-cartesian", str(path))
         assert code == 1 and err == ""
         assert out.splitlines() == [line]
+
+
+def _join_documents():
+    """The join model over prom_trunc(2) and its tautological instance,
+    as documents."""
+    from dblinst.cartesian import multicategory_to_model
+    from dblinst.fixtures import join_multicategory, tautological_instance
+    from dblinst.theories import builtin_theory
+    x = multicategory_to_model(join_multicategory(),
+                               builtin_theory("prom_trunc", 2))
+    return document_of(x), document_of(tautological_instance(x))
+
+
+def _without_first_projections(model, inst):
+    del model["theory"]["cartesian"]["proj_tight"][0]
+    return model
+
+
+def _without_loose(model, inst):
+    del model["on_loose"]["lf:2-2:1.2"]
+    return model
+
+
+def _without_carrier(model, inst):
+    del inst["carriers"]["x2"]
+    return inst
+
+
+@pytest.mark.parametrize("edit, line", [
+    (_without_first_projections, "cartesian: projections of x0xx0 missing"),
+    (_without_loose, "loose arrow lf:2-2:1.2 has no well-typed span"),
+    (_without_carrier, "carrier at x2 not labelled over the model")])
+def test_check_cartesian_reports_a_document_it_cannot_read(
+        tmp_path, capsys, edit, line):
+    path = tmp_path / "doc.json"
+    save_document(edit(*_join_documents()), path)
+    code, out, err = run(capsys, "check-cartesian", str(path))
+    assert (code, out.splitlines(), err) == (1, [line], "")

@@ -18,9 +18,13 @@ import pytest
 
 from dblinst.fixtures import (signed_fixture_models, standard_instance_corpus,
                               walking_loose_model, weighted_graph_schema)
-from dblinst.model import (MorphismSearch, enumerate_model_morphisms,
-                           terminal_model)
-from dblinst.search import compile, distinct, violations
+from dblinst.instance import (enumerate_instance_morphisms,
+                              identity_instance_morphism,
+                              validate_instance_morphism)
+from dblinst.model import (MorphismSearch, ModelMorphism,
+                           enumerate_model_morphisms, identity_morphism,
+                           terminal_model, validate_model_morphism)
+from dblinst.search import Layout, compile, distinct, violations
 from dblinst.signed import walking_feedback_loop
 
 VALUES = ["p", "q", "r"]
@@ -210,3 +214,75 @@ def test_one_search_counts_and_lists_alike_across_runs():
         assert list(zip(first, second)) == list(zip(want, want))
         assert search.count() == len(want)
         assert list(search.morphisms()) == want
+
+
+def random_components(rng):
+    """Up to four components in search order, each (key, {element:
+    value list}), some with no elements or with empty value lists."""
+    components = []
+    for c in range(rng.randint(0, 4)):
+        name = "c{}".format(c)
+        key = ("ob", name) if rng.random() < 0.5 else (name,)
+        elements = rng.sample(["e0", "e1", "e2", "e3"], rng.randint(0, 4))
+        components.append((key, {e: rng.sample(VALUES, rng.randint(0, 3))
+                                 for e in elements}))
+    return components
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_a_layout_reads_what_plain_slicing_reads(seed):
+    rng = random.Random(seed)
+    components = random_components(rng)
+    layout = Layout(components)
+    assert layout.domains == [(key + (e,), vs) for key, values in components
+                              for e, vs in values.items()]
+    solution = tuple(rng.choice(VALUES) for _ in layout.domains)
+    tables, positions, start = {}, {}, 0
+    for key, values in components:
+        elements = list(values)
+        stop = start + len(elements)
+        tables[key] = dict(zip(elements, solution[start:stop]))
+        positions[key] = dict(zip(elements, range(start, stop)))
+        start = stop
+    got = layout.tables(solution)
+    assert got == tables
+    assert [(key, list(tab)) for key, tab in got.items()] == \
+        [(key, list(tab)) for key, tab in tables.items()]
+    assert layout.position == positions
+
+
+def test_the_morphism_validators_build_no_layout(monkeypatch):
+    """Validation reads only the tagged constraints: with no layout, and
+    so no value list, to be built, both validators give the reports
+    they give otherwise, with and without report lines; the search
+    itself still builds one."""
+    corpus = standard_instance_corpus()
+
+    def refuse(self, components):
+        raise AssertionError("a layout was built")
+
+    want = []      # (validator, morphism, its report)
+    for _, x, insts in corpus:
+        for f in enumerate_model_morphisms(x, x)[:4]:
+            bad = ModelMorphism(x, x, f.on_objects, f.on_loose)
+            for tab in bad.on_loose.values():
+                for xi in list(tab)[:1]:
+                    tab[xi] = min(tab.values())
+            want.append((validate_model_morphism, bad,
+                         validate_model_morphism(bad)))
+        for h in insts:
+            want += [(validate_instance_morphism, mu,
+                      validate_instance_morphism(mu))
+                     for mu in enumerate_instance_morphisms(h, h)[:4]]
+    reports = [report for _, _, report in want]
+    assert any(reports) and not all(reports)
+    monkeypatch.setattr(Layout, "__init__", refuse)
+    for validate, g, report in want:
+        assert validate(g) == report
+    for _, x, insts in corpus:
+        assert validate_model_morphism(identity_morphism(x)) == []
+        for h in insts:
+            assert validate_instance_morphism(
+                identity_instance_morphism(h)) == []
+        with pytest.raises(AssertionError, match="a layout was built"):
+            enumerate_model_morphisms(x, x)

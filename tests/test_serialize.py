@@ -64,8 +64,26 @@ def test_save_and_load_files(tmp_path):
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedDocument,
+                       match="^unknown document kind 'nonsense'$"):
         object_of({"kind": "nonsense", "format_version": 1})
+
+
+@pytest.mark.parametrize("value, found", [
+    ([1], "list"), (3, "int"), ("x", "str"), (None, "NoneType")])
+def test_a_value_that_is_not_an_object_is_a_typed_error(value, found):
+    with pytest.raises(MalformedDocument, match="^a document is a JSON "
+                       "object, not a value of type {}$".format(found)):
+        object_of(value)
+
+
+@pytest.mark.parametrize("text", ["", "{", '{"kind": "theory",}', "[1] 2"])
+def test_text_that_is_not_json_is_a_typed_error(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(MalformedDocument) as err:
+        load_document(path)
+    assert str(err.value).startswith("{}: not valid JSON: ".format(path))
 
 
 @pytest.mark.parametrize("kind, part, inner", [
