@@ -30,6 +30,7 @@ from .finset import (FiniteSet, Span, fibers, inverse_table, is_bijection_onto,
 from .instance import Instance
 from .model import SpanModel, find_model_isomorphism
 from .theories import builtin_theory, map_blocks, p_arrow
+from .theory import PRODUCT_TABLES, THEORY_TABLES
 
 
 # ---------------------------------------------------------------------------
@@ -65,18 +66,23 @@ def _report_partial(report, tables, names, source, line):
 
 def validate_cartesian_model(x):
     """Check that a model over a cartesian theory preserves the
-    designated products up to bijective comparisons.  A projection
-    missing, or its table missing or not total, is reported, and the
-    comparison that reads it skipped."""
+    designated products up to bijective comparisons.  A terminal object
+    that is not a theory object, a projection missing, or its table
+    missing or not total, is reported, and the check that reads it
+    skipped."""
     t = x.theory
     c = t.cartesian
     report = []
     if c is None:
         return ["theory carries no cartesian structure"]
-    if len(x.on_objects[c.terminal_object]) != 1:
-        report.append("carrier of the terminal object is not a singleton")
-    if len(x.on_loose[t.loose_id[c.terminal_object]].apex) != 1:
-        report.append("loose unit at the terminal object is not a singleton")
+    if c.terminal_object not in t.objects:
+        report.append("cartesian: unknown terminal object")
+    else:
+        if len(x.on_objects[c.terminal_object]) != 1:
+            report.append("carrier of the terminal object is not a singleton")
+        if len(x.on_loose[t.loose_id[c.terminal_object]].apex) != 1:
+            report.append("loose unit at the terminal object is not a "
+                          "singleton")
     for (d1, d2), p, proj in _products(report, c.product_object,
                                        c.proj_tight, "projections"):
         try:
@@ -107,15 +113,18 @@ def validate_cartesian_model(x):
 
 def validate_cartesian_instance(p):
     """Check that an instance over a cartesian model has bijective
-    pairing comparisons at the designated products.  A projection
-    missing, or its tight cell missing or not total, is reported, and
-    the comparison that reads it skipped."""
+    pairing comparisons at the designated products.  A terminal object
+    that is not a theory object, a projection missing, or its tight
+    cell missing or not total, is reported, and the check that reads it
+    skipped."""
     x = p.model
     c = x.theory.cartesian
     report = []
     if c is None:
         return ["theory carries no cartesian structure"]
-    if len(p.carriers[c.terminal_object]) != 1:
+    if c.terminal_object not in x.theory.objects:
+        report.append("cartesian: unknown terminal object")
+    elif len(p.carriers[c.terminal_object]) != 1:
         report.append("carrier over the terminal object is not a singleton")
     for (d1, d2), prod, proj in _products(report, c.product_object,
                                           c.proj_tight, "projections"):
@@ -373,13 +382,6 @@ def multicategory_to_model(mc, t):
     return x
 
 
-_THEORY_TABLES = ("objects", "tight", "tight_id", "tight_comp", "loose",
-                  "loose_id", "loose_comp", "cells", "cell_id_loose",
-                  "cell_id_tight", "cell_vcomp", "cell_hcomp", "partial")
-_PRODUCT_TABLES = ("terminal_object", "terminal_tight", "product_object",
-                   "proj_tight", "product_loose", "proj_cells")
-
-
 # prom_trunc(k) by k, each built once per process.  Only _as_prom_trunc
 # and multicategories_isomorphic read it, and no model built over one of
 # these theories leaves the function that built it, so none is mutated.
@@ -401,9 +403,9 @@ def _as_prom_trunc(t):
     k = len(t.objects) - 1
     if 0 <= k <= 2 and t.cartesian is not None:
         built = _prom_trunc(k)
-        if all(getattr(t, a) == getattr(built, a) for a in _THEORY_TABLES) \
+        if all(getattr(t, a) == getattr(built, a) for a in THEORY_TABLES) \
                 and all(getattr(t.cartesian, a) == getattr(built.cartesian, a)
-                        for a in _PRODUCT_TABLES):
+                        for a in PRODUCT_TABLES):
             return built
     raise TheoryMismatch("the model's theory is not prom_trunc(k) for any "
                          "k up to 2")

@@ -14,6 +14,7 @@ laxators, unitality at the unitors) are checked exhaustively.
 from .errors import ModelMismatch
 from .finset import (FiniteSet, compose_tables, fibers, identity_table,
                      is_function, pair_label)
+from .model import _shape_report
 from .search import Layout, compile, distinct, violations
 
 
@@ -48,9 +49,14 @@ class Instance:
 
 
 def validate_instance(h):
+    """Exhaustive instance axiom check; returns a report.  The model's
+    carriers, tight functions and spans are checked first, since every
+    other check reads them; the rest of the model is assumed valid."""
     x = h.model
     t = x.theory
-    report = []
+    report = _shape_report(x)
+    if report:
+        return report
     for d in t.objects:
         car = h.carriers.get(d)
         lab = h.labels.get(d)

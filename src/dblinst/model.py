@@ -43,12 +43,11 @@ class SpanModel:
             len(self.theory.objects))
 
 
-def validate_model(x):
-    """Exhaustive lax-functor axiom check; returns a report."""
+def _shape_report(x):
+    """Report the carriers, tight functions and spans of ``x`` that are
+    missing or ill-typed: what every other check of ``x`` reads."""
     t = x.theory
     report = []
-
-    # shape of all components
     for d in t.objects:
         if not isinstance(x.on_objects.get(d), FiniteSet):
             report.append("object {} has no carrier".format(d))
@@ -64,6 +63,13 @@ def validate_model(x):
         if not isinstance(sp, Span) or sp.src_set != x.on_objects[s] \
                 or sp.dst_set != x.on_objects[d]:
             report.append("loose arrow {} has no well-typed span".format(m))
+    return report
+
+
+def validate_model(x):
+    """Exhaustive lax-functor axiom check; returns a report."""
+    t = x.theory
+    report = _shape_report(x)
     if report:
         return report
 

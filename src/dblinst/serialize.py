@@ -17,7 +17,7 @@ from .finset import FiniteSet, Span
 from .instance import Instance
 from .model import ModelMorphism, SpanModel
 from .sketch import LimitSketch
-from .theory import CartesianStructure, DoubleTheory
+from .theory import THEORY_TABLES, CartesianStructure, DoubleTheory
 
 FORMAT_VERSION = 1
 
@@ -347,9 +347,7 @@ def document_of(obj):
 # document of its own.  Optional fields (a theory's ``cartesian``, a
 # sketch's ``theory``) are not listed.
 _FIELDS = {
-    "theory": ("objects", "tight", "tight_id", "tight_comp", "loose",
-               "loose_id", "loose_comp", "cells", "cell_id_loose",
-               "cell_id_tight", "cell_vcomp", "cell_hcomp", "partial"),
+    "theory": THEORY_TABLES,
     "model": ("theory", "on_objects", "on_loose", "laxators", "on_tight",
               "on_cells", "unitors"),
     "model_morphism": ("source", "target", "on_objects", "on_loose"),

@@ -20,6 +20,16 @@ runs that check on the cells and on their transpose.
 from .fincat import category_report
 from .finset import fibers
 
+# The tables of a theory (with its ``partial`` flag) and of its
+# designated products, in the order their constructors take them.  A
+# theory document must hold the first as its fields, and a theory whose
+# tables all equal a built one's is that theory.
+THEORY_TABLES = ("objects", "tight", "tight_id", "tight_comp", "loose",
+                 "loose_id", "loose_comp", "cells", "cell_id_loose",
+                 "cell_id_tight", "cell_vcomp", "cell_hcomp", "partial")
+PRODUCT_TABLES = ("terminal_object", "terminal_tight", "product_object",
+                  "proj_tight", "product_loose", "proj_cells")
+
 
 class CartesianStructure:
     """Designated finite products for a double theory.

@@ -1,12 +1,8 @@
 import json
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import dblinst
 from dblinst.cartesian import (Multicategory, build_cocartesian_example,
                                cartesian_elements_check,
                                instance_to_multifunctor,
@@ -18,8 +14,7 @@ from dblinst.cartesian import (Multicategory, build_cocartesian_example,
                                validate_cartesian_model,
                                validate_multicategory, validate_multifunctor,
                                check_product_actions_determined)
-from dblinst.errors import (IllFormedPresentation, InvalidTheory,
-                            TheoryMismatch)
+from dblinst.errors import InvalidTheory, TheoryMismatch
 from dblinst.fixtures import (builtin_multicategory, join_multicategory,
                               monad_instance_fixture, tautological_instance,
                               terminal_multicategory,
@@ -30,6 +25,7 @@ from dblinst.serialize import document_of, object_of
 from dblinst.theories import builtin_theory
 from multicategory_oracles import (all_action_tables,
                                    isomorphic_by_brute_force)
+from refusal_cases import CASES, outcome
 
 MC_NAMES = ["terminal", "join", "two_object"]
 
@@ -241,30 +237,16 @@ def test_an_invalid_multicategory_is_refused():
         multicategories_isomorphic(join_multicategory(), broken)
 
 
-def test_an_arity_above_two_is_refused():
+ARITY_ABOVE_TWO = ["IllFormedPresentation", "prom_trunc needs a truncation "
+                   "bound from 0 to 2, got 3"]
+
+
+def test_an_arity_above_two_is_refused(outcomes_under_O):
     """Refused with ``IllFormedPresentation``, also under ``python -O``,
     which skips asserts."""
-    ternary = terminal_multicategory(3)
-    assert validate_multicategory(ternary) == []
-    with pytest.raises(IllFormedPresentation, match="prom_trunc needs a "
-                       "truncation bound from 0 to 2, got 3"):
-        multicategories_isomorphic(ternary, terminal_multicategory(3))
-    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    code = ("from dblinst.cartesian import multicategories_isomorphic\n"
-            "from dblinst.errors import IllFormedPresentation\n"
-            "from dblinst.fixtures import terminal_multicategory\n"
-            "try:\n"
-            "    print(multicategories_isomorphic(\n"
-            "        terminal_multicategory(3), terminal_multicategory(3)))\n"
-            "except IllFormedPresentation as e:\n"
-            "    print('raised', e)\n")
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout == ("raised prom_trunc needs a truncation bound from "
-                           "0 to 2, got 3\n")
+    assert validate_multicategory(terminal_multicategory(3)) == []
+    assert outcome(CASES["cartesian.arity_above_two"]) == ARITY_ABOVE_TWO
+    assert outcomes_under_O["cartesian.arity_above_two"] == ARITY_ABOVE_TWO
 
 
 def _example_multifunctor(mc):

@@ -2,18 +2,16 @@ import argparse
 import json
 import os
 import shlex
-import subprocess
-import sys
 
 import pytest
 
-import dblinst
 from dblinst import cli
 from dblinst.cli import build_parser, main
 from dblinst.collage import PresentedCategory
 from dblinst.elements import is_discrete_opfibration
 from dblinst.serialize import (document_of, load_document, object_of,
                                save_document)
+from refusal_cases import CASES, join_model, outcome, unknown_terminal
 
 README = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "README.md")
@@ -661,23 +659,13 @@ def test_a_missing_directory_is_named_in_the_error(emitted, tmp_path,
         str(missing / "proj.json"))
 
 
-def test_a_repeated_label_is_a_typed_error_also_without_asserts(emitted,
-                                                                tmp_path):
-    """``python -O`` skips asserts, so this runs the console entry point
-    in a subprocess with that flag."""
-    model, _ = emitted
-    doc = load_document(model)
-    doc["on_objects"]["dom"] = ["E", "V", "E"]
-    broken = tmp_path / "repeated.json"
-    save_document(doc, broken)
-    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-O", "-m", "dblinst.cli", "validate-model",
-         str(broken)], env=env, capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (
-        2, "", "error: label 'E' is repeated in a finite set\n")
+REPEATED_LABEL = [2, "", "error: label 'E' is repeated in a finite set\n"]
+
+
+def test_a_repeated_label_is_a_typed_error_also_without_asserts(
+        outcomes_under_O):
+    assert outcome(CASES["cli.repeated_label"]) == REPEATED_LABEL
+    assert outcomes_under_O["cli.repeated_label"] == REPEATED_LABEL
 
 
 def test_validate_theory_reports_a_missing_projection(tmp_path, capsys):
@@ -693,12 +681,7 @@ def test_validate_theory_reports_a_missing_projection(tmp_path, capsys):
 
 
 def test_check_cartesian_reports_a_partial_projection(tmp_path, capsys):
-    from dblinst.cartesian import multicategory_to_model
-    from dblinst.fixtures import join_multicategory, tautological_instance
-    from dblinst.theories import builtin_theory
-    x = multicategory_to_model(join_multicategory(),
-                               builtin_theory("prom_trunc", 2))
-    model, inst = document_of(x), document_of(tautological_instance(x))
+    model, inst = _join_documents()
     del model["on_tight"]["tf:2-1:1"]["(o,o)"]
     del inst["tight_cells"]["tf:2-1:1"]["(o,o)"]
     for doc, line in ((model, "tight arrow tf:2-1:1 has no total function"),
@@ -713,11 +696,8 @@ def test_check_cartesian_reports_a_partial_projection(tmp_path, capsys):
 def _join_documents():
     """The join model over prom_trunc(2) and its tautological instance,
     as documents."""
-    from dblinst.cartesian import multicategory_to_model
-    from dblinst.fixtures import join_multicategory, tautological_instance
-    from dblinst.theories import builtin_theory
-    x = multicategory_to_model(join_multicategory(),
-                               builtin_theory("prom_trunc", 2))
+    from dblinst.fixtures import tautological_instance
+    x = join_model()
     return document_of(x), document_of(tautological_instance(x))
 
 
@@ -739,10 +719,25 @@ def _without_carrier(model, inst):
 @pytest.mark.parametrize("edit, line", [
     (_without_first_projections, "cartesian: projections of x0xx0 missing"),
     (_without_loose, "loose arrow lf:2-2:1.2 has no well-typed span"),
-    (_without_carrier, "carrier at x2 not labelled over the model")])
+    (_without_carrier, "carrier at x2 not labelled over the model"),
+    (lambda model, inst: unknown_terminal(model),
+     "cartesian: unknown terminal object")])
 def test_check_cartesian_reports_a_document_it_cannot_read(
         tmp_path, capsys, edit, line):
     path = tmp_path / "doc.json"
     save_document(edit(*_join_documents()), path)
     code, out, err = run(capsys, "check-cartesian", str(path))
     assert (code, out.splitlines(), err) == (1, [line], "")
+
+
+def test_validate_instance_reports_a_model_without_a_span(tmp_path, capsys):
+    """The embedded model's shape is checked before the instance reads
+    it."""
+    from dblinst.fixtures import weighted_graph_instance
+    doc = document_of(weighted_graph_instance(2))
+    del doc["model"]["on_loose"]["id:cod"]
+    path = tmp_path / "no_span.json"
+    save_document(doc, path)
+    code, out, err = run(capsys, "validate-instance", str(path))
+    assert (code, out.splitlines(), err) == (
+        1, ["loose arrow id:cod has no well-typed span"], "")

@@ -10,21 +10,18 @@ identification or one edge by monkeypatch and expect
 ``SelfCheckFailed``, in process and under ``python -O``.
 """
 
-import os
-import subprocess
-import sys
+import re
 from random import Random
 
 import pytest
 
-import dblinst
-from dblinst.collage import close_presented_category, collage_of_model
 from dblinst.errors import (DblinstError, HomSetNotFinite, HomSetTooLarge,
                             SelfCheckFailed)
 from dblinst.fincat import category_report
-from dblinst.fixtures import category_as_model, chain_category
 from dblinst.words import ClosedWordCategory
 
+from refusal_cases import (chain_16, closing_without_an_edge,
+                           closing_without_the_last_merge, within)
 from test_closure_golden import golden_cases
 
 
@@ -70,12 +67,6 @@ def random_closures(seeds, bound=6, max_classes=300):
         except (HomSetNotFinite, HomSetTooLarge):
             continue
     return out
-
-
-def chain_16():
-    """136 morphism names: above the size the closure once skipped."""
-    return close_presented_category(
-        collage_of_model(category_as_model(chain_category(16))), 4)
 
 
 CLOSURES = dict(golden_cases(), chain_16=chain_16)
@@ -140,60 +131,22 @@ def test_each_level_starts_from_the_current_least_words(monkeypatch):
 
 # -- corrupted coset tables -------------------------------------------------
 
-def closing_without_the_last_merge(make):
-    """Close ``make()`` with its last identification dropped: the table
-    stays complete, but one relation no longer holds at one class."""
-    identify = ClosedWordCategory._identify
-    calls = []
-
-    def counted(self, a, b):
-        calls.append(None)
-        identify(self, a, b)
-
-    def dropping(self, a, b):
-        calls.append(None)
-        if len(calls) != last:
-            identify(self, a, b)
-
-    ClosedWordCategory._identify = counted
-    try:
-        make()
-        last = len(calls)
-        calls.clear()
-        ClosedWordCategory._identify = dropping
-        return make()
-    finally:
-        ClosedWordCategory._identify = identify
-
-
-def closing_without_an_edge(make):
-    """Close ``make()`` with one out-edge of its last class removed
-    before the category is read off."""
-    build = ClosedWordCategory._build
-
-    def dropping(self, words):
-        n = next(n for n in reversed(list(words)) if self._edges[n])
-        self._edges[n].popitem()
-        return build(self, words)
-
-    ClosedWordCategory._build = dropping
-    try:
-        return make()
-    finally:
-        ClosedWordCategory._build = build
+SELF_CHECKS = {"dropped_identification": "^relation .* fails at closure "
+                                         "class ",
+               "missing_edge": "has no live successor along"}
 
 
 @pytest.mark.parametrize("name", ["chain_16", "weighted_graph", "monad",
                                   "cyclic_4_2"])
 def test_a_dropped_identification_fails_the_self_check(name):
-    with pytest.raises(SelfCheckFailed, match="^relation .* fails at "
-                                              "closure class "):
+    with pytest.raises(SelfCheckFailed,
+                       match=SELF_CHECKS["dropped_identification"]):
         closing_without_the_last_merge(CLOSURES[name])
 
 
 @pytest.mark.parametrize("name", ["chain_16", "weighted_graph", "monad"])
 def test_a_missing_edge_fails_the_self_check(name):
-    with pytest.raises(SelfCheckFailed, match="has no live successor along"):
+    with pytest.raises(SelfCheckFailed, match=SELF_CHECKS["missing_edge"]):
         closing_without_an_edge(CLOSURES[name])
 
 
@@ -202,25 +155,10 @@ def test_the_self_check_is_an_assertion_error_but_no_refusal():
     assert not issubclass(SelfCheckFailed, DblinstError)
 
 
-def test_corrupted_closures_fail_the_self_check_also_without_asserts():
-    """``python -O`` skips asserts, so this corrupts the closures in a
-    subprocess with that flag."""
-    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
-    paths = [package_root, os.path.dirname(os.path.abspath(__file__)),
-             os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = ("from test_closure_certificate import (CLOSURES,\n"
-            "    closing_without_an_edge, closing_without_the_last_merge)\n"
-            "from dblinst.errors import SelfCheckFailed\n"
-            "for corrupt in (closing_without_the_last_merge,\n"
-            "                closing_without_an_edge):\n"
-            "    for name in ('chain_16', 'weighted_graph'):\n"
-            "        try:\n"
-            "            corrupt(CLOSURES[name])\n"
-            "            print('returned')\n"
-            "        except SelfCheckFailed:\n"
-            "            print('raised')\n")
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.splitlines() == ["raised"] * 4
+def test_corrupted_closures_fail_the_self_check_also_without_asserts(
+        outcomes_under_O):
+    found = within(outcomes_under_O, "closure_certificate.")
+    assert len(found) == 4
+    for label, got in found.items():
+        assert got[0] == "SelfCheckFailed" and re.search(
+            SELF_CHECKS[label.split(".")[0]], got[1]), got

@@ -1,12 +1,8 @@
-import os
-import subprocess
-import sys
-
-import dblinst
 from dblinst.fincat import (Copresheaf, FinCategory, FinFunctor,
                             compose_functors, enumerate_natural_transformations)
 from dblinst.finset import FiniteSet
 from dblinst.fixtures import chain_category, parallel_pair_category
+from refusal_cases import CASES, outcome, within
 
 
 def walking_arrow():
@@ -50,51 +46,24 @@ def test_compose_functors():
     assert fg.on_objects == {"0": "1", "1": "3"}
 
 
-def refused_compositions():
-    """What each refused composition raises: the error's class and
-    message, or ``returned`` when it returns."""
-    c2, c3 = chain_category(2), chain_category(3)
-    f = FinFunctor(c2, c3, {"0": "0", "1": "2"},
-                   {"id:0": "id:0", "id:1": "id:2", "0<1": "0<2"})
-    out = []
-    for call in (lambda: c3.compose("0<1", "0<1"),
-                 lambda: c3.compose("0<1", "ghost"),
-                 lambda: c3.compose("ghost", "0<1"),
-                 lambda: compose_functors(f, f)):
-        try:
-            call()
-            out.append("returned")
-        except Exception as e:
-            out.append("{}: {}".format(type(e).__name__, e))
-    return out
-
-
-REFUSED_COMPOSITIONS = [
-    "ModelMismatch: morphisms 0<1 and 0<1 do not compose",
-    "ModelMismatch: morphisms 0<1 and ghost do not compose",
-    "ModelMismatch: morphisms ghost and 0<1 do not compose",
-    "ModelMismatch: the target of the first functor is not the source of "
-    "the second"]
+REFUSED_COMPOSITIONS = {
+    "0<1_0<1": ["ModelMismatch", "morphisms 0<1 and 0<1 do not compose"],
+    "0<1_ghost": ["ModelMismatch", "morphisms 0<1 and ghost do not compose"],
+    "ghost_0<1": ["ModelMismatch", "morphisms ghost and 0<1 do not compose"],
+    "functors": ["ModelMismatch", "the target of the first functor is not "
+                 "the source of the second"]}
 
 
 def test_compositions_that_do_not_meet_are_refused():
     assert chain_category(3).compose("0<1", "1<2") == "0<2"
-    assert refused_compositions() == REFUSED_COMPOSITIONS
+    for label, expected in REFUSED_COMPOSITIONS.items():
+        assert outcome(CASES["fincat.compose." + label]) == expected
 
 
-def test_compositions_that_do_not_meet_are_refused_also_without_asserts():
-    """``python -O`` skips asserts, so this composes in a subprocess
-    with that flag."""
-    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
-    paths = [package_root, os.path.dirname(os.path.abspath(__file__)),
-             os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = ("from test_fincat import refused_compositions\n"
-            "print('\\n'.join(refused_compositions()))\n")
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.splitlines() == REFUSED_COMPOSITIONS
+def test_compositions_that_do_not_meet_are_refused_also_without_asserts(
+        outcomes_under_O):
+    assert within(outcomes_under_O, "fincat.compose.") == \
+        REFUSED_COMPOSITIONS
 
 
 def test_classical_dopf_check():

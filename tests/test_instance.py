@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import pytest
 
 from dblinst import instance as instance_module
@@ -21,6 +17,7 @@ from dblinst.instance import (InstanceMorphism, compose_instance_morphisms,
                               identity_instance_morphism, restrict_instance,
                               validate_instance, validate_instance_morphism)
 from dblinst.model import enumerate_model_morphisms, identity_morphism
+from refusal_cases import CASES, outcome, within
 
 
 def test_corpus_instances_validate():
@@ -147,41 +144,21 @@ def test_validating_a_morphism_across_models_is_a_typed_error():
         validate_instance_morphism(mu)
 
 
-def test_composing_or_restricting_across_models_is_a_typed_error():
+NOT_COMPOSABLE = ["ModelMismatch", "the target of the first morphism is not "
+                  "the source of the second"]
+ACROSS_MODELS = {"compose_model_morphisms": NOT_COMPOSABLE,
+                 "compose_instance_morphisms": NOT_COMPOSABLE,
+                 "restrict": ["ModelMismatch", "instance does not live over "
+                              "the morphism's target"]}
+
+
+def test_composing_or_restricting_across_models_is_a_typed_error(
+        outcomes_under_O):
     """Refused with ``ModelMismatch``, also under ``python -O``, which
     skips asserts."""
-    package_root = os.path.dirname(os.path.dirname(instance_module.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    code = ("from dblinst.errors import ModelMismatch\n"
-            "from dblinst.fixtures import (tautological_instance,\n"
-            "                              walking_loose_model)\n"
-            "from dblinst.instance import (compose_instance_morphisms,\n"
-            "                              identity_instance_morphism,\n"
-            "                              restrict_instance)\n"
-            "from dblinst.model import (compose_model_morphisms,\n"
-            "                           identity_morphism)\n"
-            "x = walking_loose_model(['a'], ['b'], [('h', 'a', 'b')])\n"
-            "y = walking_loose_model(['a', 'c'], ['b'], [('h', 'a', 'b')])\n"
-            "hx, hy = tautological_instance(x), tautological_instance(y)\n"
-            "for call in (\n"
-            "        lambda: compose_model_morphisms(identity_morphism(x),\n"
-            "                                        identity_morphism(y)),\n"
-            "        lambda: compose_instance_morphisms(\n"
-            "            identity_instance_morphism(hx),\n"
-            "            identity_instance_morphism(hy)),\n"
-            "        lambda: restrict_instance(identity_morphism(x), hy)):\n"
-            "    try:\n"
-            "        print('returned', call())\n"
-            "    except ModelMismatch as e:\n"
-            "        print('raised', e)\n")
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.splitlines() == [
-        "raised the target of the first morphism is not the source of the "
-        "second"] * 2 + [
-        "raised instance does not live over the morphism's target"]
+    for label, expected in ACROSS_MODELS.items():
+        assert outcome(CASES["instance." + label]) == expected
+    assert within(outcomes_under_O, "instance.") == ACROSS_MODELS
 
 
 def test_coproduct_instance_sizes_add():
@@ -214,8 +191,8 @@ def test_restrict_instance_along_morphism():
 
 
 # ---------------------------------------------------------------------------
-# the tight-cell report lines of validate_instance, pinned by one
-# corruption each
+# the tight-cell report lines of validate_instance, and its report of a
+# model span, pinned by one corruption each
 
 
 def _tautological_bijection():
@@ -249,6 +226,11 @@ INSTANCE_CORRUPTIONS = {
         _doubled_monad_instance,
         lambda h: _set(h.tight_cells["t2"], "(L,ea)", "(R,eb)"),
         "tight functoriality fails at (t1,t1)"),
+    # the model's shape is checked before any of it is read
+    "model span missing": (
+        weighted_graph_instance,
+        lambda h: h.model.on_loose.pop("id:cod"),
+        "loose arrow id:cod has no well-typed span"),
 }
 
 

@@ -1,24 +1,16 @@
-import os
-import random
 import re
-import subprocess
-import sys
-from contextlib import contextmanager
 
 import pytest
 
-import dblinst
-from dblinst import collage, migration, search
 from dblinst.errors import (HomSetNotFinite, HomSetTooLarge, InvalidMorphism,
-                            NotCartesian, NotDiscreteOpfibration,
-                            SelfCheckFailed, SquareNotCommutative)
+                            NotCartesian, SquareNotCommutative)
 from dblinst.fincat import Copresheaf, FinFunctor
 from dblinst.finset import FiniteSet
-from dblinst.collage import (close_presented_category, collage_generator_map,
-                             collage_of_model, collage_of_morphism,
-                             copresheaf_to_instance, instance_to_copresheaf)
-from dblinst.fixtures import (build_instance, category_as_model,
-                              chain_category, coproduct_instance,
+from dblinst.collage import (close_presented_category, collage_of_model,
+                             collage_of_morphism, copresheaf_to_instance,
+                             instance_to_copresheaf)
+from dblinst.fixtures import (category_as_model, chain_category,
+                              coproduct_instance,
                               cyclic_quotient_morphism,
                               cyclic_translation_model, dopf_corpus_over,
                               functor_as_morphism,
@@ -30,14 +22,13 @@ from dblinst.migration import (LiftingProblem, MigrationContext,
                                cartesian_factorize, check_initial,
                                comprehensive_factorize, kan_extend_left,
                                kan_extend_right, migrate_lan,
-                               migrate_pullback, migrate_ran,
-                               reflect_into_dopf)
+                               migrate_pullback, migrate_ran)
 from dblinst.model import (ModelMorphism, compose_model_morphisms,
                            enumerate_model_morphisms, identity_morphism,
                            terminal_model, validate_model_morphism)
 from dblinst.serialize import document_of, object_of
-from dblinst.elements import (is_discrete_opfibration,
-                              kappa_creates_dopf_check)
+from dblinst.elements import is_discrete_opfibration
+from refusal_cases import CASES, outcome, seeded_fold, weighted_graph_unit
 
 
 def point_inclusion(target_obj):
@@ -166,39 +157,6 @@ def reference_extension(al, h, extend, bound=4):
     closure_src, closure_tgt, fun = closed_collages(al, bound)
     cp = instance_to_copresheaf(h, closure_src)
     return copresheaf_to_instance(extend(fun, cp), al.target, closure_tgt)
-
-
-def seeded_fold(seed):
-    """A fold of walking-loose models onto two elements a side, and an
-    instance of its source with two elements per fibre, both seeded."""
-    rng = random.Random(seed)
-    goals = [("g{}".format(i), "a{}".format(i % 2), rng.choice(["b0", "b1"]))
-             for i in range(4)]
-    y = walking_loose_model(["a0", "a1"], ["b0", "b1"], goals)
-    on_dom = {"s{}".format(i): "a{}".format(i % 2) for i in range(4)}
-    on_cod = {"c{}".format(i): "b{}".format(i % 2) for i in range(3)}
-    het, on_het = [], {}
-    for s, a in on_dom.items():
-        for g, ga, gb in goals:
-            if ga == a:
-                name = "u{}.{}".format(s, g)
-                ends = [c for c, b in on_cod.items() if b == gb]
-                het.append((name, s, rng.choice(ends)))
-                on_het[name] = g
-    x = walking_loose_model(list(on_dom), list(on_cod), het)
-    al = ModelMorphism(x, y, {"dom": on_dom, "cod": on_cod},
-                       {"l": on_het, "id:dom": dict(on_dom),
-                        "id:cod": dict(on_cod)})
-    fibre = {e: ["{}~{}".format(e, k) for k in range(2)]
-             for d in ("dom", "cod") for e in x.on_objects[d]}
-    carriers = {d: [p for e in x.on_objects[d] for p in fibre[e]]
-                for d in ("dom", "cod")}
-    labels = {d: {p: e for e in x.on_objects[d] for p in fibre[e]}
-              for d in ("dom", "cod")}
-    span = x.on_loose["l"]
-    action = {(p, xi): rng.choice(fibre[span.right[xi]])
-              for xi in span.apex for p in fibre[span.left[xi]]}
-    return al, build_instance(x, carriers, labels, {"l": action})
 
 
 def _extension_cases():
@@ -362,40 +320,25 @@ def test_arrow_names_may_contain_the_generator_separator():
                 _renamed(document_of(expected), old, old + "@1")
 
 
-def _weighted_graph_unit():
-    x = weighted_graph_schema()
-    f = enumerate_model_morphisms(x, terminal_model(x.theory))[0]
-    return f, comprehensive_factorize(f, bound=4).initial
-
-
 def test_check_initial_rejects_an_uncertified_corpus_entry():
-    f, unit = _weighted_graph_unit()
+    f, unit = weighted_graph_unit()
     assert not is_discrete_opfibration(f).ok
-    with pytest.raises(NotDiscreteOpfibration):
-        check_initial(unit, [f])
+    assert outcome(CASES["migration.check_initial_uncertified"]) == \
+        UNCERTIFIED
 
 
-def test_check_initial_rejects_uncertified_entries_without_asserts():
-    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
-    paths = [package_root, os.path.dirname(os.path.abspath(__file__)),
-             os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = ("from test_migration import _weighted_graph_unit\n"
-            "from dblinst.errors import NotDiscreteOpfibration\n"
-            "from dblinst.migration import check_initial\n"
-            "f, unit = _weighted_graph_unit()\n"
-            "try:\n"
-            "    print(check_initial(unit, [f]))\n"
-            "except NotDiscreteOpfibration as e:\n"
-            "    print('raised', e)\n")
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.startswith("raised corpus entry ")
+UNCERTIFIED = ["NotDiscreteOpfibration", "corpus entry 0 is not a discrete "
+               "opfibration; counterexample ('l', '*', 'V', [])"]
+
+
+def test_check_initial_rejects_uncertified_entries_without_asserts(
+        outcomes_under_O):
+    assert outcomes_under_O["migration.check_initial_uncertified"] == \
+        UNCERTIFIED
 
 
 def test_cartesian_factorization_rejects_non_cartesian_endpoints():
-    f, _ = _weighted_graph_unit()
+    f, _ = weighted_graph_unit()
     with pytest.raises(NotCartesian,
                        match="^source is not cartesian: theory carries no "):
         cartesian_factorize(f, bound=4)
@@ -411,85 +354,6 @@ def test_lifting_problem_rejects_a_square_that_does_not_commute():
 
 # -- self-checks of the migrations' outputs ---------------------------------
 
-@contextmanager
-def patched(module, name, value):
-    old = getattr(module, name)
-    setattr(module, name, value)
-    try:
-        yield
-    finally:
-        setattr(module, name, old)
-
-
-def identity_breaking_copresheaf(base, on_objects, on_morphisms):
-    """The copresheaf, except that the identity of the first object with
-    two values sends the first to the second."""
-    cp = Copresheaf(base, on_objects, on_morphisms)
-    o = next(o for o in base.objects if len(cp.on_objects[o]) >= 2)
-    first, second = list(cp.on_objects[o])[:2]
-    cp.on_morphisms[base.identity[o]][first] = second
-    return cp
-
-
-def family_dropping_compile():
-    """A ``compile`` for Π whose runs leave out their last family at
-    every object after the first."""
-    calls = []
-
-    def dropping(domains, constraints):
-        problem = search.compile(domains, constraints)
-        calls.append(None)
-        if len(calls) == 1:
-            return problem
-
-        class Dropping:
-            def run(self):
-                return iter(list(problem.run())[:-1])
-        return Dropping()
-    return dropping
-
-
-def recomposing_elsewhere(a, b):
-    composite = compose_model_morphisms(a, b)
-    d = next(d for d, table in composite.on_objects.items() if table)
-    table = dict(composite.on_objects[d])
-    table[next(iter(table))] = "elsewhere"
-    return ModelMorphism(composite.source, composite.target,
-                         dict(composite.on_objects, **{d: table}),
-                         composite.on_loose)
-
-
-def corrupted_self_check(case):
-    """Run one migration, factorization or collage functor with its
-    output corrupted by a patch; returns the check's message, or None
-    when it returns."""
-    al, h = seeded_fold(0)
-    corruption, run = {
-        "sigma": (patched(migration, "Copresheaf",
-                          identity_breaking_copresheaf),
-                  lambda: migrate_lan(al, h, bound=4)),
-        "reflection": (patched(migration, "Copresheaf",
-                               identity_breaking_copresheaf),
-                       lambda: reflect_into_dopf(al, bound=4)),
-        "pi": (patched(migration, "Copresheaf", identity_breaking_copresheaf),
-               lambda: migrate_ran(al, h, bound=4)),
-        "pi_family": (patched(migration, "compile", family_dropping_compile()),
-                      lambda: migrate_ran(al, h, bound=4)),
-        "factorization": (patched(migration, "compose_model_morphisms",
-                                  recomposing_elsewhere),
-                          lambda: comprehensive_factorize(al, bound=4)),
-        "collage_functor": (patched(collage, "collage_generator_map",
-                                    lambda p: dict.fromkeys(
-                                        collage_generator_map(p), ())),
-                            lambda: kappa_creates_dopf_check(al, bound=4)),
-    }[case]
-    try:
-        with corruption:
-            run()
-    except SelfCheckFailed as e:
-        return str(e)
-
-
 SELF_CHECKS = {
     "sigma": "^left extension is not a copresheaf: identity of ",
     "reflection": "^left extension is not a copresheaf: identity of ",
@@ -503,22 +367,13 @@ SELF_CHECKS = {
 
 @pytest.mark.parametrize("case", sorted(SELF_CHECKS))
 def test_a_corrupted_output_fails_its_self_check(case):
-    message = corrupted_self_check(case)
-    assert message is not None and re.search(SELF_CHECKS[case], message)
+    got = outcome(CASES["migration.self_check." + case])
+    assert got[0] == "SelfCheckFailed" and re.search(SELF_CHECKS[case],
+                                                     got[1]), got
 
 
-def test_corrupted_outputs_fail_their_self_checks_also_without_asserts():
-    """``python -O`` skips asserts, so this corrupts the outputs in a
-    subprocess with that flag."""
-    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
-    paths = [package_root, os.path.dirname(os.path.abspath(__file__)),
-             os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = ("from test_migration import SELF_CHECKS, corrupted_self_check\n"
-            "for case in sorted(SELF_CHECKS):\n"
-            "    print(case, corrupted_self_check(case) is not None)\n")
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.splitlines() == [
-        "{} True".format(case) for case in sorted(SELF_CHECKS)]
+def test_corrupted_outputs_fail_their_self_checks_also_without_asserts(
+        outcomes_under_O):
+    for case, pattern in SELF_CHECKS.items():
+        got = outcomes_under_O["migration.self_check." + case]
+        assert got[0] == "SelfCheckFailed" and re.search(pattern, got[1]), got

@@ -1,11 +1,7 @@
-import os
 import re
-import subprocess
-import sys
 
 import pytest
 
-import dblinst
 from dblinst import fixtures
 from dblinst.errors import FreeCategoryNotFinite, IllFormedPresentation
 from dblinst.fixtures import (feedback_loop_count, signed_cycle_oracle,
@@ -16,6 +12,8 @@ from dblinst.signed import (SignedGraph, free_signed_category,
                             model_morphism_from_graph_map,
                             walking_feedback_loop)
 from dblinst.model import validate_model_morphism
+from refusal_cases import (CASES, ILL_FORMED_EDGES, outcome, signed_model_on,
+                           within)
 
 
 def test_free_signed_category_on_acyclic_graph():
@@ -108,57 +106,33 @@ def test_edge_names_may_contain_the_word_separator():
     assert validate_model_morphism(mor) == []
 
 
-def test_ill_formed_signed_relations_are_refused_also_without_asserts():
+ILL_FORMED_RELATIONS = {
+    "relation_changes_the_sign": [
+        "IllFormedRelation", "relation ['p'] = [] does not preserve the sign"],
+    "relation_names_an_unknown_edge": [
+        "IllFormedRelation", "relation names unknown edges ['q']"]}
+
+
+def test_ill_formed_signed_relations_are_refused_also_without_asserts(
+        outcomes_under_O):
     """A relation changing the sign, or naming an unknown edge, raises
     ``IllFormedRelation``, also under ``python -O``, which skips
     asserts."""
-    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    code = ("from dblinst.errors import IllFormedRelation\n"
-            "from dblinst.signed import SignedGraph, quotient_signed_category\n"
-            "g = SignedGraph(['v'], [('p', 'v', 'v', -1)])\n"
-            "for rel in (('v', 'v', ('p',), ()), ('v', 'v', ('p', 'q'), ())):\n"
-            "    try:\n"
-            "        print('returned', quotient_signed_category(g, [rel], 4))\n"
-            "    except IllFormedRelation as e:\n"
-            "        print('raised', e)\n")
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.splitlines() == [
-        "raised relation ['p'] = [] does not preserve the sign",
-        "raised relation names unknown edges ['q']"]
+    for label, expected in ILL_FORMED_RELATIONS.items():
+        assert outcome(CASES["signed." + label]) == expected
+        assert outcomes_under_O["signed." + label] == expected
 
 
-@pytest.mark.parametrize("edge, message", [
-    (("p", "u", "v", 2), "edge p has sign 2, not +1 or -1"),
-    (("p", "u", "w", 1), "edge p has undeclared endpoint w")])
+@pytest.mark.parametrize("edge, message", ILL_FORMED_EDGES)
 def test_an_ill_formed_edge_is_refused(edge, message):
     with pytest.raises(IllFormedPresentation,
                        match="^{}$".format(re.escape(message))):
-        SignedGraph(["u", "v"], [edge])
+        signed_model_on(edge)
 
 
-def test_ill_formed_edges_are_refused_also_without_asserts():
+def test_ill_formed_edges_are_refused_also_without_asserts(outcomes_under_O):
     """An edge of sign 2 was silently dropped under ``python -O``,
-    which skips asserts, so this runs in a subprocess with that flag."""
-    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    code = ("from dblinst.errors import IllFormedPresentation\n"
-            "from dblinst.model import validate_model\n"
-            "from dblinst.signed import SignedGraph, quotient_signed_category\n"
-            "for edge in (('p', 'u', 'v', 2), ('p', 'u', 'w', 1)):\n"
-            "    try:\n"
-            "        g = SignedGraph(['u', 'v'], [edge])\n"
-            "        print('returned', validate_model(\n"
-            "            quotient_signed_category(g, [], 4)))\n"
-            "    except IllFormedPresentation as e:\n"
-            "        print('raised', e)\n")
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.splitlines() == [
-        "raised edge p has sign 2, not +1 or -1",
-        "raised edge p has undeclared endpoint w"]
+    which skips asserts."""
+    assert within(outcomes_under_O, "signed.ill_formed_edge.") == {
+        str(i): ["IllFormedPresentation", message]
+        for i, (_, message) in enumerate(ILL_FORMED_EDGES)}

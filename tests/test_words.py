@@ -1,14 +1,8 @@
-import os
-import subprocess
-import sys
-
 import pytest
 
-import dblinst
-from dblinst.errors import (HomSetNotFinite, HomSetTooLarge,
-                            IllFormedPresentation, IllFormedRelation,
-                            NameClash)
+from dblinst.errors import HomSetNotFinite, HomSetTooLarge, IllFormedRelation
 from dblinst.words import ClosedWordCategory
+from refusal_cases import CASES, outcome
 
 
 def test_free_category_on_a_chain():
@@ -62,70 +56,31 @@ def test_closure_cap_counts_congruence_classes():
     assert len(cl.category.morphisms) == 5
 
 
-# the generator ``a;b`` and the composite of ``a`` and ``b`` get one name
-CLASHING = (["x", "y", "z"],
-            {"a": ("x", "y"), "b": ("y", "z"), "a;b": ("x", "z")}, [], 4)
+NAME_CLASH = ["NameClash", "two closure morphisms are named a;b"]
+UNDECLARED = ["IllFormedPresentation", "generator a has undeclared endpoint w"]
+ILL_FORMED = {"undeclared_target": UNDECLARED,
+              "undeclared_source": UNDECLARED,
+              "zero_bound": ["IllFormedPresentation",
+                             "word bound 0 is below 1"]}
 
 
 def test_a_generator_named_like_a_composite_is_a_name_clash():
-    with pytest.raises(NameClash, match="^two closure morphisms are named "
-                                        "a;b$"):
-        ClosedWordCategory(*CLASHING)
+    assert outcome(CASES["words.name_clash"]) == NAME_CLASH
 
 
-def test_a_name_clash_is_refused_also_without_asserts():
-    """``python -O`` skips asserts, so this closes the presentation in
-    a subprocess with that flag."""
-    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
-    paths = [package_root, os.path.dirname(os.path.abspath(__file__)),
-             os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = ("from test_words import CLASHING\n"
-            "from dblinst.errors import NameClash\n"
-            "from dblinst.words import ClosedWordCategory\n"
-            "try:\n"
-            "    print(ClosedWordCategory(*CLASHING).category.morphisms)\n"
-            "except NameClash as e:\n"
-            "    print('raised', e)\n")
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout == "raised two closure morphisms are named a;b\n"
+def test_a_name_clash_is_refused_also_without_asserts(outcomes_under_O):
+    assert outcomes_under_O["words.name_clash"] == NAME_CLASH
 
 
 def test_an_undeclared_endpoint_or_a_zero_bound_is_refused():
-    with pytest.raises(IllFormedPresentation,
-                       match="^generator a has undeclared endpoint w$"):
-        ClosedWordCategory(["x"], {"a": ("x", "w")}, [], 4)
-    with pytest.raises(IllFormedPresentation,
-                       match="^generator a has undeclared endpoint w$"):
-        ClosedWordCategory(["x"], {"a": ("w", "x")}, [], 4)
-    with pytest.raises(IllFormedPresentation,
-                       match="^word bound 0 is below 1$"):
-        ClosedWordCategory(["x"], {"a": ("x", "x")}, [], 0)
+    for label, expected in ILL_FORMED.items():
+        assert outcome(CASES["words." + label]) == expected
 
 
-def test_ill_formed_presentations_are_refused_also_without_asserts():
-    """``python -O`` skips asserts, so this closes the presentations in
-    a subprocess with that flag."""
-    package_root = os.path.dirname(os.path.dirname(dblinst.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    code = ("from dblinst.errors import IllFormedPresentation\n"
-            "from dblinst.words import ClosedWordCategory\n"
-            "for gens, bound in (({'a': ('x', 'w')}, 4),\n"
-            "                    ({'a': ('x', 'x')}, 0)):\n"
-            "    try:\n"
-            "        print('returned', ClosedWordCategory(\n"
-            "            ['x'], gens, [], bound).category.morphisms)\n"
-            "    except IllFormedPresentation as e:\n"
-            "        print('raised', e)\n")
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.splitlines() == [
-        "raised generator a has undeclared endpoint w",
-        "raised word bound 0 is below 1"]
+def test_ill_formed_presentations_are_refused_also_without_asserts(
+        outcomes_under_O):
+    for label, expected in ILL_FORMED.items():
+        assert outcomes_under_O["words." + label] == expected
 
 
 def test_ill_formed_relation_rejected():
