@@ -4,23 +4,26 @@ written as an ``assert`` shows there as a missing refusal.
 
 Each case is a call with no arguments in ``CASES``, labelled with the
 name of the test module that asserts on it.  Its outcome is what it
-returns (a report, or ``[exit, stdout, stderr]`` of ``cli.main``), or
-the exception it raises, as ``[type, message]``.  The in-process tests
-run the cases; the ``-O`` twins read the JSON map from label to outcome
-that ``python -O refusal_cases.py`` prints, started once per session by
-``outcomes_under_O`` in ``conftest.py``.  So this module imports
-neither pytest nor hypothesis.
+returns (a report, or ``[exit, stdout, stderr]`` of the command line),
+or the exception it raises, as ``[type, message]``.  The in-process
+tests run the cases through ``in_process``; the ``-O`` twins read the
+JSON map from label to outcome that ``python -O refusal_cases.py``
+prints, started once per session by ``outcomes_under_O`` in
+``conftest.py``.  So this module imports neither pytest nor hypothesis.
 """
 import io
 import json
 import os
 import random
+import runpy
 import sys
 import tempfile
+import warnings
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import partial
+from unittest.mock import patch
 
-from dblinst import cli, collage, migration, search
+from dblinst import collage, migration, search
 from dblinst.cartesian import (Multifunctor, check_product_actions_determined,
                                instance_to_multifunctor,
                                model_to_multicategory,
@@ -32,6 +35,7 @@ from dblinst.cartesian import (Multifunctor, check_product_actions_determined,
 from dblinst.collage import (close_presented_category, collage_generator_map,
                              collage_of_model)
 from dblinst.elements import kappa_creates_dopf_check
+from dblinst.errors import DblinstError
 from dblinst.fincat import Copresheaf, FinFunctor, compose_functors
 from dblinst.finset import FiniteSet, Span, pullback_pairs
 from dblinst.fixtures import (build_instance, builtin_multicategory,
@@ -56,13 +60,13 @@ from dblinst.theories import builtin_theory, thin_double_theory
 from dblinst.words import ClosedWordCategory
 
 
-def outcome(call):
-    """What ``call()`` returns, or the exception it raises as
-    ``[type, message]``: an unexpected exception is an outcome too, so
+def outcome(call, kind=Exception):
+    """What ``call()`` returns, or the ``kind`` it raises as
+    ``[type, message]``.  Under ``-O`` any exception is an outcome, so
     one case that crashes does not stop the others."""
     try:
         return call()
-    except Exception as err:
+    except kind as err:
         return [type(err).__name__, str(err)]
 
 
@@ -78,12 +82,10 @@ def within(found, prefix):
             if label.startswith(prefix)}
 
 
-def cli_outcome(*argv):
-    """``[exit, stdout, stderr]`` of ``cli.main(argv)``."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(list(argv))
-    return [code, out.getvalue(), err.getvalue()]
+def in_process(label, kind=DblinstError):
+    """The outcome of case ``label`` for a test in this process: any
+    exception but a ``kind`` propagates with its traceback."""
+    return outcome(CASES[label], kind)
 
 
 CASES = {}
@@ -136,11 +138,14 @@ def _join_multifunctor():
                          "b": {(a, b): max(a, b) for a in "01" for b in "01"}})
 
 
-def _delete(*path):
+def deleting(*path):
+    """The edit that deletes a document's entry at ``path``."""
     def edit(doc):
+        inner = doc
         for key in path[:-1]:
-            doc = doc[key]
-        del doc[path[-1]]
+            inner = inner[key]
+        del inner[path[-1]]
+        return doc
     return edit
 
 
@@ -157,11 +162,11 @@ def _read_back_prom_trunc_0(name):
 
 add("cartesian_refusals.", {
     "model_tight_partial": lambda: validate_cartesian_model(reloaded(
-        join_model(), _delete("on_tight", "tf:2-1:1", "(o,o)"))),
+        join_model(), deleting("on_tight", "tf:2-1:1", "(o,o)"))),
     "model_tight_missing": lambda: validate_cartesian_model(reloaded(
-        join_model(), _delete("on_tight", "tf:2-1:1"))),
+        join_model(), deleting("on_tight", "tf:2-1:1"))),
     "model_cell_partial": lambda: validate_cartesian_model(reloaded(
-        join_model(), _delete("on_cells", "c[tf:2-1:1|tf:2-1:1|"
+        join_model(), deleting("on_cells", "c[tf:2-1:1|tf:2-1:1|"
                               "lf:2-2:1.2|lf:1-1:1]", "[u|u]"))),
     "model_unknown_terminal": lambda: validate_cartesian_model(reloaded(
         join_model(), unknown_terminal)),
@@ -170,7 +175,7 @@ add("cartesian_refusals.", {
         lambda doc: unknown_terminal(doc["model"]))),
     "instance_tight_partial": lambda: _both_checks(reloaded(
         tautological_instance(join_model()),
-        _delete("tight_cells", "tf:2-1:1", "(o,o)"))),
+        deleting("tight_cells", "tf:2-1:1", "(o,o)"))),
     "instance_labels_swapped": lambda: _both_checks(_swapped_instance()),
     "instance_product_action_missing": lambda: _both_checks(
         _without_actions("lf:2-2:1.2")),
@@ -193,12 +198,23 @@ add("cartesian.", {"arity_above_two": lambda: multicategories_isomorphic(
 
 # -- test_cli: a repeated label through the command line -------------------
 def _repeated_label():
+    """``[exit, stdout, stderr]`` of ``python -m dblinst.cli
+    validate-model`` on a document with a repeated label, run in this
+    process through the module's ``__main__`` entry."""
     doc = document_of(weighted_graph_schema())
     doc["on_objects"]["dom"] = ["E", "V", "E"]
-    with tempfile.TemporaryDirectory() as tmp:
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         path = os.path.join(tmp, "repeated.json")
         save_document(doc, path)
-        return cli_outcome("validate-model", path)
+        # runpy warns when a test has imported the module already
+        warnings.filterwarnings("ignore", ".* found in sys.modules")
+        with patch.object(sys, "argv", ["dblinst", "validate-model", path]), \
+                redirect_stdout(out), redirect_stderr(err):
+            try:
+                runpy.run_module("dblinst.cli", run_name="__main__")
+            except SystemExit as done:
+                return [done.code, out.getvalue(), err.getvalue()]
 
 
 add("cli.", {"repeated_label": _repeated_label})
@@ -329,17 +345,18 @@ add("finset.", {"uncomposable_spans": lambda: pullback_pairs(
 
 
 # -- test_fixtures: builders called outside their domain -------------------
-def _loose_model():
+def loose_model():
+    """The walking-loose model with one loose arrow h: a -> b."""
     return walking_loose_model(["a"], ["b"], [("h", "a", "b")])
 
 
 add("fixtures.", {
     "instance_without_its_action": lambda: build_instance(
-        _loose_model(), {"dom": ["p"], "cod": ["q"]},
+        loose_model(), {"dom": ["p"], "cod": ["q"]},
         {"dom": {"p": "a"}, "cod": {"q": "b"}}, {}),
     "coproduct_of_different_models": lambda: coproduct_instance(
-        tautological_instance(_loose_model()),
-        tautological_instance(_loose_model())),
+        tautological_instance(loose_model()),
+        tautological_instance(loose_model())),
     "translation_not_an_involution": lambda: cyclic_translation_model(4, 1),
     "two_loops_at_a_vertex": lambda: signed_cycle_oracle(SignedGraph(
         ["u"], [("p", "u", "u", -1), ("q", "u", "u", +1)]), -1)})
@@ -352,12 +369,12 @@ def _wider_model():
 
 add("instance.", {
     "compose_model_morphisms": lambda: compose_model_morphisms(
-        identity_morphism(_loose_model()), identity_morphism(_wider_model())),
+        identity_morphism(loose_model()), identity_morphism(_wider_model())),
     "compose_instance_morphisms": lambda: compose_instance_morphisms(
-        identity_instance_morphism(tautological_instance(_loose_model())),
+        identity_instance_morphism(tautological_instance(loose_model())),
         identity_instance_morphism(tautological_instance(_wider_model()))),
     "restrict": lambda: restrict_instance(
-        identity_morphism(_loose_model()),
+        identity_morphism(loose_model()),
         tautological_instance(_wider_model()))})
 
 
@@ -491,7 +508,7 @@ add("migration.self_check.", {
 
 # -- test_model: a morphism across theories --------------------------------
 def _morphism_across_theories():
-    x = _loose_model()
+    x = loose_model()
     y = terminal_model(builtin_theory("terminal"))
     return validate_model_morphism(ModelMorphism(
         x, y, {d: dict.fromkeys(s, "*") for d, s in x.on_objects.items()},

@@ -25,7 +25,7 @@ from dblinst.serialize import document_of, object_of
 from dblinst.theories import builtin_theory
 from multicategory_oracles import (all_action_tables,
                                    isomorphic_by_brute_force)
-from refusal_cases import CASES, outcome
+from refusal_cases import in_process
 
 MC_NAMES = ["terminal", "join", "two_object"]
 
@@ -245,7 +245,7 @@ def test_an_arity_above_two_is_refused(outcomes_under_O):
     """Refused with ``IllFormedPresentation``, also under ``python -O``,
     which skips asserts."""
     assert validate_multicategory(terminal_multicategory(3)) == []
-    assert outcome(CASES["cartesian.arity_above_two"]) == ARITY_ABOVE_TWO
+    assert in_process("cartesian.arity_above_two") == ARITY_ABOVE_TWO
     assert outcomes_under_O["cartesian.arity_above_two"] == ARITY_ABOVE_TWO
 
 

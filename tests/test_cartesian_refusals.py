@@ -14,7 +14,7 @@ from dblinst.cartesian import (model_to_multicategory,
 from dblinst.fixtures import builtin_multicategory
 from dblinst.serialize import theory_to_doc
 from dblinst.theories import builtin_theory
-from refusal_cases import CASES, outcome, within
+from refusal_cases import in_process, within
 
 MC_NAMES = ["terminal", "join", "two_object"]
 
@@ -66,7 +66,7 @@ EXPECTED = {
 
 @pytest.mark.parametrize("label", sorted(EXPECTED))
 def test_each_case_ends_in_a_report_or_a_typed_refusal(label):
-    assert outcome(CASES["cartesian_refusals." + label]) == EXPECTED[label]
+    assert in_process("cartesian_refusals." + label) == EXPECTED[label]
 
 
 def test_the_same_under_python_O(outcomes_under_O):

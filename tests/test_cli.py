@@ -11,7 +11,7 @@ from dblinst.collage import PresentedCategory
 from dblinst.elements import is_discrete_opfibration
 from dblinst.serialize import (document_of, load_document, object_of,
                                save_document)
-from refusal_cases import CASES, join_model, outcome, unknown_terminal
+from refusal_cases import deleting, in_process, join_model, unknown_terminal
 
 README = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "README.md")
@@ -664,7 +664,7 @@ REPEATED_LABEL = [2, "", "error: label 'E' is repeated in a finite set\n"]
 
 def test_a_repeated_label_is_a_typed_error_also_without_asserts(
         outcomes_under_O):
-    assert outcome(CASES["cli.repeated_label"]) == REPEATED_LABEL
+    assert in_process("cli.repeated_label") == REPEATED_LABEL
     assert outcomes_under_O["cli.repeated_label"] == REPEATED_LABEL
 
 
@@ -672,9 +672,8 @@ def test_validate_theory_reports_a_missing_projection(tmp_path, capsys):
     from dblinst.serialize import theory_to_doc
     from dblinst.theories import builtin_theory
     doc = theory_to_doc(builtin_theory("prom_trunc", 1))
-    del doc["cartesian"]["proj_tight"][0]
     path = tmp_path / "no_projection.json"
-    save_document(doc, path)
+    save_document(deleting("cartesian", "proj_tight", 0)(doc), path)
     code, out, err = run(capsys, "validate-theory", str(path))
     assert code == 1 and err == ""
     assert out.splitlines() == ["cartesian: projections of x0xx0 ill-formed"]
@@ -694,26 +693,22 @@ def test_check_cartesian_reports_a_partial_projection(tmp_path, capsys):
 
 
 def _join_documents():
-    """The join model over prom_trunc(2) and its tautological instance,
-    as documents."""
+    """The join model and its tautological instance, as documents."""
     from dblinst.fixtures import tautological_instance
     x = join_model()
     return document_of(x), document_of(tautological_instance(x))
 
 
 def _without_first_projections(model, inst):
-    del model["theory"]["cartesian"]["proj_tight"][0]
-    return model
+    return deleting("theory", "cartesian", "proj_tight", 0)(model)
 
 
 def _without_loose(model, inst):
-    del model["on_loose"]["lf:2-2:1.2"]
-    return model
+    return deleting("on_loose", "lf:2-2:1.2")(model)
 
 
 def _without_carrier(model, inst):
-    del inst["carriers"]["x2"]
-    return inst
+    return deleting("carriers", "x2")(inst)
 
 
 @pytest.mark.parametrize("edit, line", [
@@ -735,9 +730,8 @@ def test_validate_instance_reports_a_model_without_a_span(tmp_path, capsys):
     it."""
     from dblinst.fixtures import weighted_graph_instance
     doc = document_of(weighted_graph_instance(2))
-    del doc["model"]["on_loose"]["id:cod"]
     path = tmp_path / "no_span.json"
-    save_document(doc, path)
+    save_document(deleting("model", "on_loose", "id:cod")(doc), path)
     code, out, err = run(capsys, "validate-instance", str(path))
     assert (code, out.splitlines(), err) == (
         1, ["loose arrow id:cod has no well-typed span"], "")

@@ -15,7 +15,7 @@ from dblinst.instance import find_instance_isomorphism, validate_instance
 from dblinst.model import (ModelMorphism, compose_model_morphisms,
                            terminal_model, validate_model,
                            validate_model_morphism)
-from refusal_cases import CASES, outcome
+from refusal_cases import in_process
 
 
 def test_elements_produces_valid_model_and_projection():
@@ -169,7 +169,7 @@ NOT_A_MORPHISM = ["InvalidMorphism", "not a model morphism: left leg broken "
 
 
 def test_kappa_check_refuses_a_morphism_that_is_not_one():
-    assert outcome(CASES["elements.kappa_check_of_a_non_morphism"]) == \
+    assert in_process("elements.kappa_check_of_a_non_morphism") == \
         NOT_A_MORPHISM
 
 

@@ -4,10 +4,9 @@
 import pytest
 
 from dblinst.fixtures import (coproduct_instance, cyclic_translation_model,
-                              signed_cycle_oracle, tautological_instance,
-                              walking_loose_model)
+                              signed_cycle_oracle, tautological_instance)
 from dblinst.signed import SignedGraph
-from refusal_cases import CASES, outcome, within
+from refusal_cases import in_process, loose_model, within
 
 
 EXPECTED = {
@@ -26,7 +25,7 @@ EXPECTED = {
 
 @pytest.mark.parametrize("label", sorted(EXPECTED))
 def test_each_refusal_is_typed(label):
-    assert outcome(CASES["fixtures." + label]) == EXPECTED[label]
+    assert in_process("fixtures." + label) == EXPECTED[label]
 
 
 def test_the_same_under_python_O(outcomes_under_O):
@@ -38,6 +37,5 @@ def test_inputs_in_their_domain_are_built_as_before():
         ["u", "v"], [("p", "u", "u", -1), ("e", "u", "v", +1)]), -1) == 1
     x = cyclic_translation_model(4, 2)
     assert x.on_cells["alpha"] == {"0": "2", "1": "3", "2": "0", "3": "1"}
-    h = tautological_instance(walking_loose_model(["a"], ["b"],
-                                                  [("h", "a", "b")]))
+    h = tautological_instance(loose_model())
     assert len(coproduct_instance(h, h).carriers["dom"]) == 2

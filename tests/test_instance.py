@@ -1,3 +1,5 @@
+from operator import setitem
+
 import pytest
 
 from dblinst import instance as instance_module
@@ -17,7 +19,7 @@ from dblinst.instance import (InstanceMorphism, compose_instance_morphisms,
                               identity_instance_morphism, restrict_instance,
                               validate_instance, validate_instance_morphism)
 from dblinst.model import enumerate_model_morphisms, identity_morphism
-from refusal_cases import CASES, outcome, within
+from refusal_cases import in_process, loose_model, within
 
 
 def test_corpus_instances_validate():
@@ -122,8 +124,7 @@ def test_find_instance_isomorphism_stops_at_the_first_hit(monkeypatch):
 
 def test_morphisms_across_models_are_a_typed_error():
     h = tautological_instance(walking_loose_model(["a"], ["b"], []))
-    k = tautological_instance(
-        walking_loose_model(["a"], ["b"], [("h", "a", "b")]))
+    k = tautological_instance(loose_model())
     for search in (enumerate_instance_morphisms, find_instance_isomorphism):
         with pytest.raises(ModelMismatch, match="spans"):
             search(h, k)
@@ -136,8 +137,7 @@ def test_morphisms_across_models_are_a_typed_error():
 
 def test_validating_a_morphism_across_models_is_a_typed_error():
     h = tautological_instance(walking_loose_model(["a"], ["b"], []))
-    k = tautological_instance(
-        walking_loose_model(["a"], ["b"], [("h", "a", "b")]))
+    k = tautological_instance(loose_model())
     mu = InstanceMorphism(h, k, {d: {e: e for e in h.carriers[d]}
                                  for d in h.carriers})
     with pytest.raises(ModelMismatch, match="spans"):
@@ -157,7 +157,7 @@ def test_composing_or_restricting_across_models_is_a_typed_error(
     """Refused with ``ModelMismatch``, also under ``python -O``, which
     skips asserts."""
     for label, expected in ACROSS_MODELS.items():
-        assert outcome(CASES["instance." + label]) == expected
+        assert in_process("instance." + label) == expected
     assert within(outcomes_under_O, "instance.") == ACROSS_MODELS
 
 
@@ -205,10 +205,6 @@ def _doubled_monad_instance():
     return coproduct_instance(h, h)
 
 
-def _set(table, key, value):
-    table[key] = value
-
-
 INSTANCE_CORRUPTIONS = {
     "tight cell not total": (
         _tautological_bijection,
@@ -216,15 +212,15 @@ INSTANCE_CORRUPTIONS = {
         "tight cell at t not total"),
     "tight cell breaks labels": (
         _tautological_bijection,
-        lambda h: _set(h.tight_cells["t"], "p", "q2"),
+        lambda h: setitem(h.tight_cells["t"], "p", "q2"),
         "tight cell at t breaks labels at p"),
     "tight identity not the identity": (
         weighted_graph_instance,
-        lambda h: _set(h.tight_cells["id:dom"], "v0", "v1"),
+        lambda h: setitem(h.tight_cells["id:dom"], "v0", "v1"),
         "tight identity at dom not the identity"),
     "tight functoriality fails": (
         _doubled_monad_instance,
-        lambda h: _set(h.tight_cells["t2"], "(L,ea)", "(R,eb)"),
+        lambda h: setitem(h.tight_cells["t2"], "(L,ea)", "(R,eb)"),
         "tight functoriality fails at (t1,t1)"),
     # the model's shape is checked before any of it is read
     "model span missing": (

@@ -3,7 +3,8 @@ import re
 import pytest
 
 from dblinst.errors import (HomSetNotFinite, HomSetTooLarge, InvalidMorphism,
-                            NotCartesian, SquareNotCommutative)
+                            NotCartesian, SelfCheckFailed,
+                            SquareNotCommutative)
 from dblinst.fincat import Copresheaf, FinFunctor
 from dblinst.finset import FiniteSet
 from dblinst.collage import (close_presented_category, collage_of_model,
@@ -28,7 +29,7 @@ from dblinst.model import (ModelMorphism, compose_model_morphisms,
                            terminal_model, validate_model_morphism)
 from dblinst.serialize import document_of, object_of
 from dblinst.elements import is_discrete_opfibration
-from refusal_cases import CASES, outcome, seeded_fold, weighted_graph_unit
+from refusal_cases import in_process, seeded_fold, weighted_graph_unit
 
 
 def point_inclusion(target_obj):
@@ -323,7 +324,7 @@ def test_arrow_names_may_contain_the_generator_separator():
 def test_check_initial_rejects_an_uncertified_corpus_entry():
     f, unit = weighted_graph_unit()
     assert not is_discrete_opfibration(f).ok
-    assert outcome(CASES["migration.check_initial_uncertified"]) == \
+    assert in_process("migration.check_initial_uncertified") == \
         UNCERTIFIED
 
 
@@ -367,7 +368,7 @@ SELF_CHECKS = {
 
 @pytest.mark.parametrize("case", sorted(SELF_CHECKS))
 def test_a_corrupted_output_fails_its_self_check(case):
-    got = outcome(CASES["migration.self_check." + case])
+    got = in_process("migration.self_check." + case, SelfCheckFailed)
     assert got[0] == "SelfCheckFailed" and re.search(SELF_CHECKS[case],
                                                      got[1]), got
 

@@ -1,3 +1,5 @@
+from operator import setitem
+
 import pytest
 
 from dblinst import model as model_module
@@ -11,7 +13,7 @@ from dblinst.model import (ModelMorphism, SpanModel, compose_model_morphisms,
                            identity_morphism, terminal_model, validate_model,
                            validate_model_morphism)
 from dblinst.theories import builtin_theory
-from refusal_cases import CASES, outcome
+from refusal_cases import in_process
 
 
 def test_terminal_models_validate():
@@ -162,7 +164,7 @@ def test_validating_a_morphism_across_theories_is_a_typed_error(
     """Refused with ``TheoryMismatch``, also under ``python -O``, which
     skips asserts."""
     label = "model.morphism_across_theories"
-    assert outcome(CASES[label]) == ACROSS_THEORIES
+    assert in_process(label) == ACROSS_THEORIES
     assert outcomes_under_O[label] == ACROSS_THEORIES
 
 
@@ -196,10 +198,6 @@ def _idempotent_monoid_model():
         {"top": {"p": "1"}, "bot": {"r": "1"}})
 
 
-def _set(table, key, value):
-    table[key] = value
-
-
 MODEL_CORRUPTIONS = {
     "object has no carrier": (
         _two_parallel_heteromorphisms,
@@ -207,45 +205,45 @@ MODEL_CORRUPTIONS = {
         "object cod has no carrier"),
     "loose arrow has no well-typed span": (
         _two_parallel_heteromorphisms,
-        lambda x: _set(x.on_loose, "l", x.on_loose["id:dom"]),
+        lambda x: setitem(x.on_loose, "l", x.on_loose["id:dom"]),
         "loose arrow l has no well-typed span"),
     "tight identity not the identity": (
         _two_parallel_heteromorphisms,
-        lambda x: _set(x.on_tight, "id:dom", {"a0": "a0", "a1": "a0"}),
+        lambda x: setitem(x.on_tight, "id:dom", {"a0": "a0", "a1": "a0"}),
         "tight identity at dom not the identity"),
     "tight functoriality fails": (
         codiscrete_monad_model,
-        lambda x: _set(x.on_tight, "t2", {"a": "a", "b": "b"}),
+        lambda x: setitem(x.on_tight, "t2", {"a": "a", "b": "b"}),
         "tight functoriality fails at (t1,t1)"),
     "cell has no total apex map": (
         lambda: walking_tight_model(["p"], ["r"], {"p": "r"}),
-        lambda x: _set(x.on_cells, x.theory.cell_id_tight["t"], {}),
+        lambda x: setitem(x.on_cells, x.theory.cell_id_tight["t"], {}),
         "cell c[t|t|id:top|id:bot] has no total apex map"),
     "identity cell not the identity": (
         _two_parallel_heteromorphisms,
-        lambda x: _set(x.on_cells, x.theory.cell_id_loose["l"],
+        lambda x: setitem(x.on_cells, x.theory.cell_id_loose["l"],
                        {"h1": "h2", "h2": "h1"}),
         "identity cell of l not the identity"),
     "cell functoriality fails": (
         lambda: cyclic_translation_model(4, 2),
-        lambda x: _set(x.on_cells, "alpha",
+        lambda x: setitem(x.on_cells, "alpha",
                        {str(i): str((i + 1) % 4) for i in range(4)}),
         "cell functoriality fails at (alpha,alpha)"),
     "unitor not a total function": (
         _two_parallel_heteromorphisms,
-        lambda x: _set(x.unitors, "dom", {"a0": "a0"}),
+        lambda x: setitem(x.unitors, "dom", {"a0": "a0"}),
         "unitor at dom not a total function"),
     "left unit law fails": (
         _two_parallel_heteromorphisms,
-        lambda x: _set(x.laxators[("id:dom", "l")], ("a0", "h1"), "h2"),
+        lambda x: setitem(x.laxators[("id:dom", "l")], ("a0", "h1"), "h2"),
         "left unit law fails at l on h1"),
     "right unit law fails": (
         _two_parallel_heteromorphisms,
-        lambda x: _set(x.laxators[("l", "id:cod")], ("h1", "b0"), "h2"),
+        lambda x: setitem(x.laxators[("l", "id:cod")], ("h1", "b0"), "h2"),
         "right unit law fails at l on h1"),
     "unitor naturality fails": (
         _idempotent_monoid_model,
-        lambda x: _set(x.on_cells, x.theory.cell_id_tight["t"],
+        lambda x: setitem(x.on_cells, x.theory.cell_id_tight["t"],
                        {"1": "z", "z": "z"}),
         "unitor naturality fails at t on p"),
 }

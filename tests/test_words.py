@@ -2,7 +2,7 @@ import pytest
 
 from dblinst.errors import HomSetNotFinite, HomSetTooLarge, IllFormedRelation
 from dblinst.words import ClosedWordCategory
-from refusal_cases import CASES, outcome
+from refusal_cases import in_process
 
 
 def test_free_category_on_a_chain():
@@ -65,7 +65,7 @@ ILL_FORMED = {"undeclared_target": UNDECLARED,
 
 
 def test_a_generator_named_like_a_composite_is_a_name_clash():
-    assert outcome(CASES["words.name_clash"]) == NAME_CLASH
+    assert in_process("words.name_clash") == NAME_CLASH
 
 
 def test_a_name_clash_is_refused_also_without_asserts(outcomes_under_O):
@@ -74,7 +74,7 @@ def test_a_name_clash_is_refused_also_without_asserts(outcomes_under_O):
 
 def test_an_undeclared_endpoint_or_a_zero_bound_is_refused():
     for label, expected in ILL_FORMED.items():
-        assert outcome(CASES["words." + label]) == expected
+        assert in_process("words." + label) == expected
 
 
 def test_ill_formed_presentations_are_refused_also_without_asserts(
